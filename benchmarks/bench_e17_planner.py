@@ -1,4 +1,4 @@
-"""E17 — The cost-based planner: overhead, crossover, plan caching.
+"""E17 — The cost-based planner: overhead, crossover, result caching.
 
 The planner (PR 4) replaces hand-coded engine dispatch with a pure
 cost-model decision.  Three claims to verify:
@@ -9,19 +9,23 @@ cost-model decision.  Three claims to verify:
 - **crossover**: on small instances the plan picks the exact sweep, past
   the size guard it picks Monte Carlo — the degradation that used to be
   hand-coded in ``service/budget.py``, now visible in the plan;
-- **caching**: a repeated ``plan_and_run`` with a result cache answers
-  from the plan-keyed entry and skips engine execution entirely.
+- **caching**: a repeated batch job is answered from the runner's
+  result cache, keyed by the job's ``Problem.canonical_key``, and skips
+  planning and engine execution entirely.
 """
 
 import time
 
 from repro.core import PositionedInstance, ric_montecarlo
 from repro.dependencies import FD
-from repro.engine import PLANNER, Problem, plan_and_run
+from repro.engine import PLANNER, Problem
 from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget
 from repro.service.cache import ResultCache
-from repro.service.metrics import METRICS
+from repro.service.jobs import MeasureJob
+from repro.service.metrics import METRICS, Metrics
+from repro.service.pool import WorkerPool
+from repro.service.runner import BatchRunner
 
 from benchmarks.common import print_table
 
@@ -55,7 +59,7 @@ def test_e17_planner_overhead(benchmark):
 
             start = time.perf_counter()
             for _ in range(plan_iterations):
-                PLANNER.plan(prob, Budget(samples=samples))
+                PLANNER.plan(prob, Budget())
             plan_time = (time.perf_counter() - start) / plan_iterations
 
             # Monte Carlo is the cheapest engine at every E10 size.
@@ -115,36 +119,47 @@ def test_e17_crossover(benchmark):
 
 
 def test_e17_plan_cache(benchmark):
-    """A cached plan+result hit answers without running any engine."""
-    prob = problem_for(4, method="montecarlo", samples=400, seed=11)
+    """A warm runner-cache hit answers without running any engine."""
+    inst = instance_with_rows(4)
+    job = MeasureJob(
+        design="R(A,B,C); B->C",
+        rows=tuple(inst.rows_of("R")),
+        position=(0, "C"),
+        method="montecarlo",
+        samples=400,
+        seed=11,
+    )
 
     def run():
-        cache = ResultCache()
+        runner = BatchRunner(
+            pool=WorkerPool(workers=2), cache=ResultCache(), metrics=Metrics()
+        )
         METRICS.reset()
-        start = time.perf_counter()
-        cold = plan_and_run(prob, cache=cache)
-        cold_time = time.perf_counter() - start
+        passes = []
+        try:
+            for label in ("cold", "warm"):
+                start = time.perf_counter()
+                [entry] = runner.run([job])["results"]
+                elapsed = time.perf_counter() - start
+                runs = METRICS.snapshot()["counters"].get(
+                    "engine.runs{engine=montecarlo}", 0
+                )
+                passes.append((label, elapsed, entry, runs))
+        finally:
+            runner.pool.shutdown()
 
-        runs_cold = METRICS.snapshot()["counters"].get(
-            "engine.runs{engine=montecarlo}", 0
-        )
-        start = time.perf_counter()
-        warm = plan_and_run(prob, cache=cache)
-        warm_time = time.perf_counter() - start
-        runs_warm = METRICS.snapshot()["counters"].get(
-            "engine.runs{engine=montecarlo}", 0
-        )
-
-        assert warm.cached and warm.value == cold.value
+        (_, _, cold, runs_cold), (_, _, warm, runs_warm) = passes
+        assert warm["cached"] and warm["value"] == cold["value"]
         assert runs_warm == runs_cold  # no engine ran on the hit
         return [
-            ("cold", f"{cold_time * 1e3:.2f} ms", cold.cached, runs_cold),
-            ("warm", f"{warm_time * 1e3:.2f} ms", warm.cached, runs_warm),
+            (label, f"{elapsed * 1e3:.2f} ms", entry["cached"], runs)
+            for label, elapsed, entry, runs in passes
         ]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
-        "E17c: plan-level result cache (MC, 400 samples)",
+        "E17c: runner result cache, keyed by the problem key "
+        "(MC, 400 samples)",
         ["run", "time", "cache hit", "engine runs (cumulative)"],
         rows,
     )

@@ -1,15 +1,45 @@
-"""The public measure API (façade over the engines)."""
+"""The public measure API: the one method → kernel table.
+
+:func:`ric` and :func:`inf_k` map a method name onto its kernel in
+:mod:`repro.core`.  They are the only such table in the library: the
+planner (:mod:`repro.engine`) chooses a method and calls them with it,
+and they also take XML :class:`~repro.xml.measure.PositionedDocument`
+instances, which the planner's problem IR cannot express.
+
+The method names per operation, and the ``"auto"`` ladders the planner
+walks, are defined here, next to the table they index.
+"""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Tuple, Union
 
 from repro.core.bruteforce import inf_k_bruteforce
 from repro.core.montecarlo import MCEstimate, ric_montecarlo
 from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import inf_k_symbolic, ric_exact
+
+#: ``"auto"`` preference ladders per operation: exactness first, the
+#: scalable estimator (or the enumeration ground truth) as fallback.
+AUTO_LADDERS = {
+    "ric": ("exact", "montecarlo"),
+    "inf_k": ("symbolic", "bruteforce"),
+}
+
+#: Methods accepted per operation (``"auto"`` delegates to the planner).
+METHODS = {op: ("auto",) + ladder for op, ladder in AUTO_LADDERS.items()}
+RIC_METHODS = METHODS["ric"]
+INF_K_METHODS = METHODS["inf_k"]
+
+#: Methods whose answer depends on ``(samples, seed)``: Monte Carlo, and
+#: ``"auto"``, which may degrade to it.
+SAMPLING_METHODS = ("auto", "montecarlo")
+
+
+def ladder(op: str, method: str) -> Tuple[str, ...]:
+    """The methods a request for *method* may run, in attempt order."""
+    return AUTO_LADDERS[op] if method == "auto" else (method,)
 
 
 def inf_k(
@@ -35,22 +65,25 @@ def ric(
     p: Position,
     method: str = "exact",
     samples: int = 200,
-    rng: Optional[random.Random] = None,
     seed: int = 0,
+    pool=None,
 ) -> Union[Fraction, MCEstimate]:
     """The relative information content ``RIC_I(p | Σ) ∈ [0, 1]``.
 
     *method*: ``"exact"`` returns a :class:`~fractions.Fraction` (sweeps
     all revealed sets); ``"montecarlo"`` returns an
-    :class:`~repro.core.montecarlo.MCEstimate` and scales to instances the
-    exact sweep cannot handle.  The Monte-Carlo path is deterministic in
-    ``(samples, seed)`` unless an explicit *rng* is given (see
-    :func:`~repro.core.montecarlo.ric_montecarlo`).
+    :class:`~repro.core.montecarlo.MCEstimate`, deterministic in
+    ``(samples, seed)``, and scales to instances the exact sweep cannot
+    handle.  Given a *pool* (a :class:`repro.service.pool.WorkerPool`),
+    the Monte-Carlo sample range is sharded across it; the estimate is
+    bit-identical either way.
     """
     if method == "exact":
         return ric_exact(instance, p)
     if method == "montecarlo":
-        return ric_montecarlo(instance, p, samples=samples, rng=rng, seed=seed)
+        if pool is not None:
+            return pool.ric_montecarlo(instance, p, samples=samples, seed=seed)
+        return ric_montecarlo(instance, p, samples=samples, seed=seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -58,11 +91,10 @@ def ric_profile(
     instance: PositionedInstance,
     method: str = "exact",
     samples: int = 200,
-    rng: Optional[random.Random] = None,
     seed: int = 0,
 ) -> Dict[Position, Union[Fraction, MCEstimate]]:
     """``RIC`` for every position of the instance."""
     return {
-        p: ric(instance, p, method=method, samples=samples, rng=rng, seed=seed)
+        p: ric(instance, p, method=method, samples=samples, seed=seed)
         for p in instance.positions
     }

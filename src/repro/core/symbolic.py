@@ -31,6 +31,11 @@ from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
 
+#: The exact sweeps' default guard: more than ``EXACT_MAX_POSITIONS + 1``
+#: positions (``2^EXACT_MAX_POSITIONS`` revealed sets) is refused.
+EXACT_MAX_POSITIONS = 18
+
+
 def falling_factorial(n: int, b: int) -> int:
     """``n (n−1) ⋯ (n−b+1)``; 1 when ``b = 0``; 0 when ``n < b``."""
     if b < 0:
@@ -111,7 +116,7 @@ def inf_k_symbolic(
     instance: PositionedInstance,
     p: Position,
     k: int,
-    max_positions: int = 18,
+    max_positions: int = EXACT_MAX_POSITIONS,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` in bits (averaged over all revealed sets).
 
@@ -139,7 +144,7 @@ def inf_k_symbolic(
 def ric_exact(
     instance: PositionedInstance,
     p: Position,
-    max_positions: int = 18,
+    max_positions: int = EXACT_MAX_POSITIONS,
 ) -> Fraction:
     """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``."""
     n = len(instance.positions)

@@ -1,7 +1,7 @@
 """The plan/executor layer over the RIC engines.
 
-One place where cost estimation, engine choice, degradation, caching,
-and instrumentation live — callers build a
+One place where cost estimation, engine choice, degradation, and
+instrumentation live — callers build a
 :class:`~repro.engine.problem.Problem`, call :func:`plan_and_run`, and
 render the :class:`~repro.engine.planner.Plan`:
 
@@ -23,50 +23,33 @@ Modules:
   its content address (:meth:`Problem.canonical_key`);
 - :mod:`repro.engine.cost` — the cost model (world counts / sweep sizes
   per engine, pure functions of the IR);
-- :mod:`repro.engine.engines` — the engine registry wrapping the core
-  code paths (``exact``, ``montecarlo``, ``symbolic``, ``bruteforce``);
 - :mod:`repro.engine.planner` — the planner/executor with budget
-  fallback and plan-level result caching.
+  fallback; it runs each stage through the method table of
+  :mod:`repro.core.measure` (``exact``, ``montecarlo``, ``symbolic``,
+  ``bruteforce``).
 
-See ``src/repro/engine/README.md`` for how to register a new engine.
+See ``src/repro/engine/README.md`` for how to add an engine.
 """
 
 from repro.engine.cost import CostEstimate, CostModel
-from repro.engine.engines import (
-    Engine,
-    get_engine,
-    register,
-    registered_engines,
-)
 from repro.engine.planner import (
     PLANNER,
     ExecutionResult,
     Plan,
     Planner,
     PlanStep,
-    decode_value,
-    encode_value,
     plan_and_run,
 )
-from repro.engine.problem import INF_K_METHODS, OPS, RIC_METHODS, Problem
+from repro.engine.problem import Problem
 
 __all__ = [
     "CostEstimate",
     "CostModel",
-    "Engine",
     "ExecutionResult",
-    "INF_K_METHODS",
-    "OPS",
     "PLANNER",
     "Plan",
     "PlanStep",
     "Planner",
     "Problem",
-    "RIC_METHODS",
-    "decode_value",
-    "encode_value",
-    "get_engine",
     "plan_and_run",
-    "register",
-    "registered_engines",
 ]

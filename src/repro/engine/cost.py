@@ -11,7 +11,9 @@ compares estimates, it never interprets them as seconds.
 
 Feasibility mirrors the engines' own hard guards (the exact sweep's
 ``max_positions``, brute force's ``max_worlds``) so a plan never chooses
-a stage the engine itself would refuse.
+a stage the engine itself would refuse.  The sweep guard a plan applies
+is the budget's :attr:`~repro.service.budget.Budget.exact_max_positions`
+(default :data:`EXACT_MAX_POSITIONS`, the exact kernels' own default).
 
 **Calibration** (optional): ``python -m repro perf calibrate`` fits one
 observed seconds-per-unit constant per engine from recorded
@@ -30,13 +32,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.symbolic import EXACT_MAX_POSITIONS
 from repro.engine.problem import Problem
 
 #: Mirrors ``inf_k_bruteforce``'s default oracle-call ceiling.
 BRUTEFORCE_MAX_WORLDS = 5_000_000
-
-#: Mirrors the exact engines' default ``max_positions`` sweep guard.
-EXACT_MAX_POSITIONS = 18
 
 
 @dataclass(frozen=True)
@@ -109,25 +109,18 @@ def load_calibration(path: str) -> Dict[str, float]:
 class CostModel:
     """Estimates engine cost from the IR (see the module docstring).
 
-    *exact_max_positions* is the sweep guard used for exact-engine
-    feasibility; budgets carry their own threshold and the planner
-    substitutes it per call.  *calibration* maps engine names to
-    observed seconds-per-unit constants (see :func:`load_calibration`);
-    when present, estimates carry predicted wall seconds.
+    *calibration* maps engine names to observed seconds-per-unit
+    constants (see :func:`load_calibration`); when present, estimates
+    carry predicted wall seconds.
     """
 
-    def __init__(
-        self,
-        exact_max_positions: int = EXACT_MAX_POSITIONS,
-        calibration: Optional[Dict[str, float]] = None,
-    ):
-        self.exact_max_positions = exact_max_positions
+    def __init__(self, calibration: Optional[Dict[str, float]] = None):
         self.calibration = dict(calibration or {})
 
     @classmethod
-    def with_calibration(cls, path: str, **kwargs) -> "CostModel":
+    def with_calibration(cls, path: str) -> "CostModel":
         """A model whose calibration is loaded from *path*."""
-        return cls(calibration=load_calibration(path), **kwargs)
+        return cls(calibration=load_calibration(path))
 
     def predicted_seconds(self, engine: str, units: float) -> Optional[float]:
         """Calibrated wall-clock prediction (None when uncalibrated)."""
@@ -140,20 +133,16 @@ class CostModel:
         self,
         problem: Problem,
         engine: str,
-        exact_max_positions: Optional[int] = None,
+        exact_max_positions: int = EXACT_MAX_POSITIONS,
     ) -> CostEstimate:
-        """The :class:`CostEstimate` of *engine* on *problem*."""
+        """The :class:`CostEstimate` of *engine* on *problem*, with
+        *exact_max_positions* as the sweep guard."""
         n = problem.num_positions
         per_world = max(1, n) * (problem.num_dependencies + 1)
-        limit = (
-            self.exact_max_positions
-            if exact_max_positions is None
-            else exact_max_positions
-        )
 
         if engine in ("exact", "symbolic"):
             worlds = _pow2(max(0, n - 1))
-            feasible = n <= limit + 1
+            feasible = n <= exact_max_positions + 1
             units = worlds * per_world
             return CostEstimate(
                 engine=engine,
@@ -164,7 +153,7 @@ class CostModel:
                     ""
                     if feasible
                     else f"{n} positions exceed the exact-sweep "
-                    f"budget ({limit})"
+                    f"budget ({exact_max_positions})"
                 ),
                 seconds=self.predicted_seconds(engine, units),
             )
@@ -190,7 +179,8 @@ class CostModel:
                 completions = float("inf")
             units = worlds * completions
             feasible = (
-                n <= limit + 1 and units <= BRUTEFORCE_MAX_WORLDS * max(k, 1)
+                n <= exact_max_positions + 1
+                and units <= BRUTEFORCE_MAX_WORLDS * max(k, 1)
             )
             return CostEstimate(
                 engine=engine,

@@ -1,44 +1,40 @@
-"""The planner: one place where engine choice, budgets, caching, and
+"""The planner: one place where engine choice, budgets, and
 instrumentation live.
 
 ``plan(problem, budget)`` is a **deterministic pure function** of the
 problem IR and the budget limits: it costs every candidate engine
 through the :class:`~repro.engine.cost.CostModel`, pins the requested
-method (or walks the operation's preference ladder for ``"auto"``), and
-emits an explainable :class:`Plan` — the chosen engine, every estimate,
-and the fallback chain.  No engine runs during planning.
+method (or walks the operation's ``"auto"`` ladder from
+:mod:`repro.core.measure`), and emits an explainable :class:`Plan` — the
+chosen engine, every estimate, and the fallback chain.  No engine runs
+during planning.
 
-``execute`` then walks the plan under the budget's wall clock: a stage
-whose estimate was infeasible is skipped (recorded, like the old
-``service/budget.py`` degradation), a stage that exceeds the remaining
-allowance is abandoned on its sacrificial thread, and when the chain is
-exhausted the structured
-:class:`~repro.service.budget.BudgetExceeded` carries the full stage
-history — byte-compatible with the pre-planner behavior.
+``execute`` then walks the plan under the budget's wall clock, running
+each stage through the method table of :mod:`repro.core.measure`: a
+stage whose estimate was infeasible is skipped (recorded as a
+degradation), a stage that exceeds the remaining allowance is abandoned
+on its sacrificial thread, and when the chain is exhausted the
+structured :class:`~repro.service.budget.BudgetExceeded` carries the
+full stage history.
 
-``plan_and_run`` adds plan-level result caching: results are keyed by
-:meth:`Problem.canonical_key` through any
-:class:`~repro.service.cache.ResultCache`, so a cache hit skips engine
-execution entirely — and because the key includes method, samples, seed
-and ``k``, an exact result is never served for a sampled request (or
-vice versa).
+Results are not cached here: the batch runner's content-addressed
+:class:`~repro.service.cache.ResultCache`, keyed by
+:meth:`Problem.canonical_key`, is the one result cache.
 
 Instrumentation: ``plan`` and per-engine ``cost_estimate`` spans during
 planning, one ``engine_run`` span per attempted stage, and counters
-``planner.plans`` / ``planner.cache_hits`` / ``engine.runs{engine=…}``
-in the shared registry (reset per batch by ``run_batch``).
+``planner.plans`` / ``engine.runs{engine=…}`` in the shared registry
+(reset per batch by ``run_batch``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from time import perf_counter
 from typing import Any, Optional, Tuple
 
-from repro.core.montecarlo import MCEstimate
+from repro.core.measure import inf_k, ladder, ric
 from repro.engine.cost import CostEstimate, CostModel
-from repro.engine.engines import get_engine
 from repro.engine.problem import Problem
 from repro.service.budget import Budget, BudgetExceeded, run_time_boxed
 from repro.service.metrics import METRICS
@@ -48,13 +44,6 @@ try:  # concurrent.futures spells its timeout differently per version
     from concurrent.futures import TimeoutError as _StageTimeout
 except ImportError:  # pragma: no cover
     _StageTimeout = TimeoutError
-
-#: ``"auto"`` preference ladders per operation: exactness first, the
-#: scalable estimator (or the enumeration ground truth) as fallback.
-AUTO_LADDERS = {
-    "ric": ("exact", "montecarlo"),
-    "inf_k": ("symbolic", "bruteforce"),
-}
 
 
 @dataclass(frozen=True)
@@ -149,34 +138,21 @@ class ExecutionResult:
     value: Any
     engine: str
     plan: Plan
-    cached: bool = False
 
 
-def encode_value(value) -> dict:
-    """JSON-safe encoding of an engine result (for the plan cache)."""
-    if isinstance(value, MCEstimate):
-        return {
-            "kind": "montecarlo",
-            "mean": value.mean,
-            "stderr": value.stderr,
-            "samples": value.samples,
-        }
-    if isinstance(value, Fraction):
-        return {"kind": "exact", "fraction": str(value)}
-    return {"kind": "float", "value": float(value)}
-
-
-def decode_value(payload: dict):
-    """Invert :func:`encode_value` (bit-exact for every kind)."""
-    if payload["kind"] == "montecarlo":
-        return MCEstimate(
-            mean=payload["mean"],
-            stderr=payload["stderr"],
-            samples=payload["samples"],
-        )
-    if payload["kind"] == "exact":
-        return Fraction(payload["fraction"])
-    return payload["value"]
+def _run_engine(problem: Problem, engine: str, pool=None):
+    """Run *engine* on *problem* through the core method table."""
+    instance, p = problem.resolved_instance(), problem.position_obj()
+    if problem.op == "inf_k":
+        return inf_k(instance, p, problem.k, method=engine)
+    return ric(
+        instance,
+        p,
+        method=engine,
+        samples=problem.samples,
+        seed=problem.seed,
+        pool=pool,
+    )
 
 
 class Planner:
@@ -196,22 +172,11 @@ class Planner:
         Estimates then carry predicted wall seconds; engine *selection*
         is unchanged, so plans stay deterministic and bit-identical.
         """
-        from repro.engine.cost import load_calibration
-
-        self.cost_model = CostModel(
-            exact_max_positions=self.cost_model.exact_max_positions,
-            calibration=load_calibration(path),
-        )
+        self.cost_model = CostModel.with_calibration(path)
 
     # ------------------------------------------------------------------
     # planning (pure)
     # ------------------------------------------------------------------
-
-    def ladder(self, problem: Problem) -> Tuple[str, ...]:
-        """The engine chain the plan will consider, in attempt order."""
-        if problem.method != "auto":
-            return (problem.method,)
-        return AUTO_LADDERS[problem.op]
 
     def plan(
         self, problem: Problem, budget: Optional[Budget] = None
@@ -221,22 +186,18 @@ class Planner:
         Deterministic: the same ``(problem, budget)`` pair always yields
         an identical plan — no clocks, no randomness, no engine runs.
         """
-        limit = (
-            budget.exact_max_positions
-            if budget is not None
-            else self.cost_model.exact_max_positions
-        )
-        wall = budget.wall_seconds if budget is not None else None
+        budget = budget or Budget()
         key = problem.canonical_key()
         steps = []
         with TRACER.span(
             "plan", key=key[:16], op=problem.op, method=problem.method
         ):
-            for name in self.ladder(problem):
-                engine = get_engine(name)
+            for name in ladder(problem.op, problem.method):
                 with TRACER.span("cost_estimate", engine=name):
-                    estimate = engine.cost(
-                        problem, self.cost_model, exact_max_positions=limit
+                    estimate = self.cost_model.estimate(
+                        problem,
+                        name,
+                        exact_max_positions=budget.exact_max_positions,
                     )
                 steps.append(
                     PlanStep(
@@ -255,7 +216,7 @@ class Planner:
             method=problem.method,
             chosen=chosen,
             steps=tuple(steps),
-            wall_seconds=wall,
+            wall_seconds=budget.wall_seconds,
         )
 
     # ------------------------------------------------------------------
@@ -275,9 +236,7 @@ class Planner:
         degradation ladder recorded them; an exhausted chain raises the
         structured :class:`~repro.service.budget.BudgetExceeded`.
         """
-        budget = budget or Budget(
-            samples=problem.samples, seed=problem.seed
-        )
+        budget = budget or Budget()
         attempts = []
         started = perf_counter()
 
@@ -295,7 +254,6 @@ class Planner:
                     "budget.degrade", stage=step.engine, reason="size"
                 )
                 continue
-            engine = get_engine(step.engine)
             try:
                 # The span carries the stage's unit estimate (and the
                 # calibrated prediction, when one is loaded) next to its
@@ -312,7 +270,8 @@ class Planner:
                         span.set(predicted_seconds=step.estimate.seconds)
                     stage_started = perf_counter()
                     value = run_time_boxed(
-                        lambda: engine.run(problem, pool=pool), remaining()
+                        lambda: _run_engine(problem, step.engine, pool),
+                        remaining(),
                     )
                     span.set(ok=True)
                 METRICS.inc("engine.runs", engine=step.engine)
@@ -333,36 +292,10 @@ class Planner:
         problem: Problem,
         budget: Optional[Budget] = None,
         pool=None,
-        cache=None,
     ) -> ExecutionResult:
-        """Plan, consult the plan-level cache, execute on a miss.
-
-        *cache* is any :class:`~repro.service.cache.ResultCache`; entries
-        are keyed by :meth:`Problem.canonical_key` and store the encoded
-        value with the plan that produced it, so a hit skips engine
-        execution entirely and still renders an accurate plan.
-        """
+        """Plan *problem*, then execute that plan."""
         plan = self.plan(problem, budget=budget)
-        if cache is not None:
-            entry = cache.get(plan.key)
-            if isinstance(entry, dict) and "value" in entry:
-                METRICS.inc("planner.cache_hits")
-                return ExecutionResult(
-                    value=decode_value(entry["value"]),
-                    engine=entry.get("engine", plan.chosen or ""),
-                    plan=plan,
-                    cached=True,
-                )
         value, engine = self.execute(problem, plan, budget=budget, pool=pool)
-        if cache is not None:
-            cache.put(
-                plan.key,
-                {
-                    "value": encode_value(value),
-                    "engine": engine,
-                    "plan": plan.to_dict(),
-                },
-            )
         return ExecutionResult(value=value, engine=engine, plan=plan)
 
 
@@ -374,9 +307,6 @@ def plan_and_run(
     problem: Problem,
     budget: Optional[Budget] = None,
     pool=None,
-    cache=None,
 ) -> ExecutionResult:
     """Module-level convenience over :data:`PLANNER`."""
-    return PLANNER.plan_and_run(
-        problem, budget=budget, pool=pool, cache=cache
-    )
+    return PLANNER.plan_and_run(problem, budget=budget, pool=pool)

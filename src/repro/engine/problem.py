@@ -7,41 +7,52 @@ position, the operation (``"ric"`` — the limit measure — or ``"inf_k"``
 engine-relevant parameters (``samples``/``seed`` for sampled engines,
 ``k`` for finite-``k`` ones).
 
-Serialization reuses the canonicalization rules of
-:mod:`repro.service.jobs` — attribute order, dependency order, and row
-order are normalized away, and :func:`canonical_digest` is the same
-SHA-256-over-canonical-JSON helper that backs :func:`job_key` — so two
-textually different but semantically identical requests share one
-:meth:`Problem.canonical_key`.  Crucially, the key *includes* every
-engine-relevant parameter: the method, ``samples`` and ``seed`` whenever
-the method can sample, and ``k`` for finite-``k`` operations.  A cached
-exact result can therefore never be served for a Monte-Carlo request
-(or for a Monte-Carlo request with different samples), and vice versa.
+Serialization normalizes away attribute order, dependency order, and row
+order, so two textually different but semantically identical requests
+share one :meth:`Problem.canonical_key` — the content address both the
+batch runner's result cache and its checkpoints are keyed on.
+Crucially, the key *includes* every engine-relevant parameter: the
+method, ``samples`` and ``seed`` whenever the method can sample, and
+``k`` for finite-``k`` operations.  A cached exact result can therefore
+never be served for a Monte-Carlo request (or for a Monte-Carlo request
+with different samples), and vice versa.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
+from repro.core.measure import METHODS, SAMPLING_METHODS
 from repro.core.positions import Position, PositionedInstance
 from repro.service.errors import ValidationError
-from repro.service.jobs import canonical_digest
 from repro.service.validate import (
     MAX_SAMPLES,
+    check_int,
     check_method,
     check_positive_int,
 )
 
 #: Operations the planner understands.
-OPS = ("ric", "inf_k")
-
-#: Methods accepted per operation (``"auto"`` delegates to the planner).
-RIC_METHODS = ("auto", "exact", "montecarlo")
-INF_K_METHODS = ("auto", "symbolic", "bruteforce")
+OPS = tuple(METHODS)
 
 #: One relation of the IR: (schema text, dependency strings, row tuples).
 RelationIR = Tuple[str, Tuple[str, ...], Tuple[Tuple[Any, ...], ...]]
+
+
+def canonical_digest(payload: dict) -> str:
+    """SHA-256 over a canonical JSON rendering of *payload*.
+
+    The one digest rule of the runtime: sorted keys, compact separators,
+    ``default=str``.  Problem keys and the keys of the other batch job
+    kinds (:func:`repro.service.jobs.job_key`) all go through here.
+    """
+    blob = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=str
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _freeze_relation(
@@ -49,7 +60,7 @@ def _freeze_relation(
 ) -> RelationIR:
     return (
         str(schema),
-        tuple(sorted(str(d) for d in deps)),
+        tuple(str(d) for d in deps),
         tuple(tuple(row) for row in rows),
     )
 
@@ -58,11 +69,13 @@ def _freeze_relation(
 class Problem:
     """A canonical, hashable description of one RIC/entropy computation.
 
-    *relations* holds ``(schema_text, sorted_dep_strings, rows)`` triples
-    (rows in the canonical sorted-row order of
+    *relations* holds ``(schema_text, dep_strings, rows)`` triples
+    (dependencies in the order the kernels check them, rows in the
+    canonical sorted-row order of
     :class:`~repro.core.positions.PositionedInstance`); *position* is a
-    ``(relation, row, attribute)`` triple over that ordering.  Equality
-    and hashing cover exactly the fields that determine the answer.
+    ``(relation, row, attribute)`` triple over that ordering.  The key
+    normalizes dependency order away; equality and hashing cover the IR
+    fields as given.
     """
 
     op: str
@@ -83,8 +96,9 @@ class Problem:
             raise ValidationError(
                 f"unknown operation {self.op!r} (expected one of {OPS})"
             )
-        check_method("method", self.method, self.method_choices(self.op))
+        check_method("method", self.method, METHODS[self.op])
         check_positive_int("samples", self.samples, maximum=MAX_SAMPLES)
+        check_int("seed", self.seed)
         if self.op == "inf_k":
             if self.k is None:
                 raise ValidationError("inf_k problems need a domain size k")
@@ -113,11 +127,6 @@ class Problem:
     # construction
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def method_choices(op: str) -> Tuple[str, ...]:
-        """The method names valid for *op* (``"auto"`` always included)."""
-        return RIC_METHODS if op == "ric" else INF_K_METHODS
-
     @classmethod
     def from_design(
         cls,
@@ -133,19 +142,33 @@ class Problem:
         """Build from design notation text plus concrete rows.
 
         *position* is the ``(row_index, attribute)`` pair of the batch
-        job format (the relation is implied by the design).
+        job format, over the canonical (deduplicated, sorted) row order;
+        the relation is implied by the design.  The IR is built straight
+        from the parsed design: no instance is positioned until
+        :meth:`resolved_instance` needs one.
         """
         from repro.relational.parser import parse_design
-        from repro.relational.relation import Relation
 
         schema, deps = parse_design(design)
-        instance = PositionedInstance.from_relation(
-            Relation(schema, [tuple(r) for r in rows]), deps
-        )
-        return cls.from_instance(
-            instance,
-            instance.position(schema.name, int(position[0]), str(position[1])),
+        distinct = {tuple(r) for r in rows}
+        for r in distinct:
+            if len(r) != schema.arity:
+                raise ValidationError(
+                    f"row {r!r} has arity {len(r)}, "
+                    f"schema {schema} expects {schema.arity}"
+                )
+        rows = sorted(distinct, key=repr)
+        row, attribute = int(position[0]), str(position[1])
+        if not 0 <= row < len(rows) or attribute not in schema.attributes:
+            raise ValidationError(
+                f"no position ({row}, {attribute!r}) in {len(rows)} "
+                f"row(s) of {schema}",
+                details={"option": "position", "value": [row, attribute]},
+            )
+        return cls(
             op=op,
+            relations=((str(schema), (str(d) for d in deps), rows),),
+            position=(schema.name, row, attribute),
             method=method,
             samples=samples,
             seed=seed,
@@ -230,7 +253,7 @@ class Problem:
     @property
     def samples_if_sampled(self) -> Optional[int]:
         """``samples`` when the method can sample, else None."""
-        if self.method in ("auto", "montecarlo"):
+        if self.method in SAMPLING_METHODS:
             return self.samples
         return None
 
@@ -241,16 +264,15 @@ class Problem:
     def canonical(self) -> dict:
         """The canonical JSON-safe payload (see the module docstring).
 
-        Rows are re-sorted by ``repr`` exactly as
-        :meth:`repro.service.jobs.MeasureJob.canonical` does, so the key
-        is independent of row presentation order.
+        Rows are re-sorted by ``repr``, so the key is independent of row
+        presentation order.
         """
         payload = {
             "op": self.op,
             "relations": [
                 {
                     "schema": schema,
-                    "deps": list(deps),
+                    "deps": sorted(deps),
                     "rows": sorted([list(r) for r in rows], key=repr),
                 }
                 for schema, deps, rows in self.relations
@@ -268,13 +290,3 @@ class Problem:
     def canonical_key(self) -> str:
         """The content address of this problem (SHA-256, hex)."""
         return canonical_digest(self.canonical())
-
-    def instance_digest(self) -> str:
-        """A digest of the instance alone (schema + Σ + rows + position),
-        shared by every method/parameter variation over the same data."""
-        return canonical_digest(
-            {
-                "relations": self.canonical()["relations"],
-                "position": list(self.position),
-            }
-        )

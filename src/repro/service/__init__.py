@@ -2,13 +2,16 @@
 
 A parallel runtime over the measure/advisor/RPQ entry points:
 
-- :mod:`repro.service.jobs` — typed job requests with canonical
-  serialization (the cache-key basis);
-- :mod:`repro.service.cache` — a content-addressed LRU result cache;
+- :mod:`repro.service.jobs` — typed job requests, validated when built,
+  each with one content address (:func:`~repro.service.jobs.job_key`;
+  a measure job's is its planner problem's key);
+- :mod:`repro.service.cache` — the content-addressed LRU result cache
+  (the runtime's only result cache);
 - :mod:`repro.service.pool` — a worker pool that shards Monte-Carlo RIC
   estimation into mergeable chunks and fans out independent jobs;
-- :mod:`repro.service.budget` — per-job wall-clock budgets with graceful
-  degradation (exact sweep → Monte Carlo) and structured timeout errors;
+- :mod:`repro.service.budget` — per-job limits (wall clock, exact-sweep
+  size) that the planner's fallback chain runs under, and the structured
+  :class:`~repro.service.budget.BudgetExceeded` error;
 - :mod:`repro.service.metrics` — the counters/timers registry the core
   engines record into;
 - :mod:`repro.service.runner` — JSONL batch execution
@@ -51,7 +54,6 @@ _EXPORTS = {
     "Budget": "repro.service.budget",
     "BudgetExceeded": "repro.service.budget",
     "drain_abandoned": "repro.service.budget",
-    "measure_ric_with_budget": "repro.service.budget",
     "BatchRunner": "repro.service.runner",
     "run_batch": "repro.service.runner",
     "JobError": "repro.service.errors",

@@ -15,11 +15,10 @@ an unguarded service would hang on the first oversized request.  A
   carrying the stage history — never a hang, never a bare
   ``TimeoutError``.
 
-Which engines form the chain, and in which order, is **not** decided
-here: every selection decision lives in
-:class:`repro.engine.planner.Planner`.  :func:`measure_ric_with_budget`
-remains as the historical entry point — it builds a
-:class:`~repro.engine.problem.Problem` and delegates.
+Which engines form the chain, and in which order, is decided by
+:class:`repro.engine.planner.Planner`: a budgeted measurement is
+``plan_and_run(problem, budget=...)``, with the sampling parameters on
+the :class:`~repro.engine.problem.Problem`.
 
 Stage timeouts are enforced by running the stage on a sacrificial thread
 and abandoning it on expiry — the orphaned thread finishes its
@@ -33,15 +32,11 @@ import threading
 import weakref
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
+from repro.core.symbolic import EXACT_MAX_POSITIONS
 from repro.service.trace import TRACER
-from repro.service.validate import (
-    MAX_SAMPLES,
-    check_positive_int,
-    check_timeout,
-)
+from repro.service.validate import check_positive_int, check_timeout
 
 
 @dataclass(frozen=True)
@@ -49,28 +44,23 @@ class Budget:
     """Resource limits applied to a single job.
 
     ``wall_seconds=None`` disables the clock (size limits still apply);
-    ``exact_max_positions`` mirrors the engine's own sweep guard and is
-    the exact→Monte-Carlo degradation threshold; ``samples``/``seed``
-    parameterize the fallback estimator.
+    ``exact_max_positions`` is the exact sweep guard every plan applies,
+    and so the exact→Monte-Carlo degradation threshold (default: the
+    exact kernels' own guard, ``cost.EXACT_MAX_POSITIONS``).
     """
 
     wall_seconds: Optional[float] = None
-    exact_max_positions: int = 18
-    samples: int = 200
-    seed: int = 0
+    exact_max_positions: int = EXACT_MAX_POSITIONS
 
     def __post_init__(self):
         # Shared bounds validation (raises ValidationError, a ValueError).
         check_timeout("wall_seconds", self.wall_seconds)
         check_positive_int("exact_max_positions", self.exact_max_positions)
-        check_positive_int("samples", self.samples, maximum=MAX_SAMPLES)
 
     def to_dict(self) -> dict:
         return {
             "wall_seconds": self.wall_seconds,
             "exact_max_positions": self.exact_max_positions,
-            "samples": self.samples,
-            "seed": self.seed,
         }
 
 
@@ -155,34 +145,3 @@ def drain_abandoned(timeout: Optional[float] = None) -> int:
     for thread in list(_ABANDONED):
         thread.join(timeout)
     return sum(1 for thread in _ABANDONED if thread.is_alive())
-
-
-def measure_ric_with_budget(
-    instance,
-    p,
-    budget: Budget,
-    method: str = "auto",
-    pool=None,
-) -> Tuple[Union[Fraction, "object"], str]:
-    """``RIC_I(p | Σ)`` under *budget*; returns ``(value, engine_used)``.
-
-    Thin compatibility wrapper: builds the canonical
-    :class:`~repro.engine.problem.Problem` and lets the planner choose,
-    time-box, and degrade.  *method* ``"auto"`` walks the planner's full
-    chain; ``"exact"`` or ``"montecarlo"`` pins a single stage (still
-    size-checked and time-boxed).  When *pool* is a
-    :class:`repro.service.pool.WorkerPool`, the Monte-Carlo stage shards
-    across it; the estimate is identical either way.
-    """
-    from repro.engine import PLANNER, Problem
-
-    problem = Problem.from_instance(
-        instance,
-        p,
-        op="ric",
-        method=method,
-        samples=budget.samples,
-        seed=budget.seed,
-    )
-    result = PLANNER.plan_and_run(problem, budget=budget, pool=pool)
-    return result.value, result.engine

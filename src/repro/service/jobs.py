@@ -1,4 +1,4 @@
-"""Typed job requests for the batch runtime, with canonical serialization.
+"""Typed job requests for the batch runtime, with canonical keys.
 
 Three job kinds cover the library's entry points:
 
@@ -6,31 +6,39 @@ Three job kinds cover the library's entry points:
 - :class:`MeasureJob` — ``RIC`` of one position of a concrete instance;
 - :class:`RPQJob` — regular path query evaluation over an edge list.
 
-Each job knows its **canonical payload**: a JSON-safe dict in which every
-order-insensitive component (attribute order in the schema text,
-dependency order, row order, edge order) has been normalized, so that two
-textually different but semantically identical requests hash to the same
-:func:`job_key`.  The content-addressed cache is keyed on exactly this
-hash, which is why Monte-Carlo jobs carry ``(samples, seed)`` in their
-payload — the deterministic estimator makes the cached value a pure
-function of the key.
+Every job is validated when it is built: a bad design, method, sample
+count, seed, or position is a typed :class:`JobSpecError` (taxonomy kind
+``validation``) at parse time, carrying its JSONL line number — never a
+failure at execution time.
+
+Each job has one content address, :func:`job_key`.  A measure job builds
+its :class:`~repro.engine.problem.Problem` once, at construction, and is
+keyed by :meth:`~repro.engine.problem.Problem.canonical_key` — the same
+problem the runner plans and executes.  Advise and RPQ jobs key on a
+canonical payload in which every order-insensitive component (attribute
+order in the schema text, dependency order, edge order) is normalized.
+Monte-Carlo requests carry ``(samples, seed)`` in their key, so the
+deterministic estimator makes a cached value a pure function of the key.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
+from repro.core.measure import RIC_METHODS, SAMPLING_METHODS
+from repro.engine.problem import Problem, canonical_digest
 from repro.relational.parser import parse_design
-from repro.service.errors import JobError as _TaxonomyError
-from repro.service.errors import ValidationError
+from repro.service.errors import JobError, ValidationError
 from repro.service.faults import FAULTS
-from repro.service.validate import RIC_METHODS, check_method
-
-#: Methods accepted by measure-style jobs (the shared option schema).
-MEASURE_METHODS = RIC_METHODS
+from repro.service.validate import (
+    MAX_SAMPLES,
+    check_int,
+    check_method,
+    check_positive_int,
+)
 
 
 class JobSpecError(ValidationError):
@@ -42,16 +50,18 @@ class JobSpecError(ValidationError):
     """
 
 
-#: Back-compat alias (this was the module's error class before the
-#: structured taxonomy in :mod:`repro.service.errors` existed).
-JobError = JobSpecError
-
-
-def _canonical_design(design: str) -> Tuple[str, Tuple[str, ...]]:
-    """Normalize a design string: sorted-attribute schema text plus the
-    sorted dependency strings (parse-validated)."""
-    schema, deps = parse_design(design)
-    return str(schema), tuple(sorted(str(d) for d in deps))
+@contextmanager
+def _spec_errors():
+    """Re-raise a bad field value found while building a job as a
+    :class:`JobSpecError`."""
+    try:
+        yield
+    except JobSpecError:
+        raise
+    except (ValueError, TypeError, IndexError) as exc:
+        raise JobSpecError(
+            str(exc), details=getattr(exc, "details", None)
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -64,23 +74,27 @@ class AdviseJob:
     samples: int = 200
     seed: int = 0
     id: Optional[str] = None
+    #: The normalized design (schema text, sorted dependency strings).
+    _design: Tuple[str, Tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        check_method(
-            "method",
-            self.method,
-            choices=("exact", "montecarlo", "auto"),
-            error_cls=JobError,
+        with _spec_errors():
+            check_method("method", self.method, RIC_METHODS)
+            check_positive_int("samples", self.samples, maximum=MAX_SAMPLES)
+            check_int("seed", self.seed)
+            schema, deps = parse_design(self.design)
+        object.__setattr__(
+            self, "_design", (str(schema), tuple(sorted(map(str, deps))))
         )
-        if self.samples <= 0:
-            raise JobError("samples must be positive")
 
     @property
     def kind(self) -> str:
         return "advise"
 
     def canonical(self) -> dict:
-        schema, deps = _canonical_design(self.design)
+        schema, deps = self._design
         payload = {
             "kind": self.kind,
             "schema": schema,
@@ -91,7 +105,7 @@ class AdviseJob:
         # Any method that can sample ("montecarlo", or "auto" degrading
         # to it) must key on (samples, seed) — an exact result may never
         # answer a sampled request with different parameters.
-        if self.measure and self.method != "exact":
+        if self.measure and self.method in SAMPLING_METHODS:
             payload["samples"] = self.samples
             payload["seed"] = self.seed
         return payload
@@ -115,8 +129,9 @@ class MeasureJob:
     *design* gives the schema and Σ (``"R(A,B,C); B->C"``); *rows* the
     instance tuples in the schema's **sorted** attribute order; *position*
     a ``(row_index, attribute)`` pair over the canonical (sorted-row)
-    positioning.  *method* ``"auto"`` lets the budget ladder pick
-    exact-vs-Monte-Carlo at run time.
+    positioning.  *method* ``"auto"`` lets the planner pick
+    exact-vs-Monte-Carlo.  The job's :class:`~repro.engine.problem.Problem`
+    is built once, here, and is what the runner keys, plans, and runs.
     """
 
     design: str
@@ -126,42 +141,29 @@ class MeasureJob:
     samples: int = 200
     seed: int = 0
     id: Optional[str] = None
+    problem: Problem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rows", tuple(tuple(row) for row in self.rows)
-        )
-        object.__setattr__(
-            self, "position", (int(self.position[0]), str(self.position[1]))
-        )
-        check_method(
-            "method", self.method, choices=MEASURE_METHODS, error_cls=JobError
-        )
-        if self.samples <= 0:
-            raise JobError("samples must be positive")
-        if not self.rows:
-            raise JobError("measure job needs at least one row")
+        with _spec_errors():
+            object.__setattr__(
+                self, "rows", tuple(tuple(row) for row in self.rows)
+            )
+            if not self.rows:
+                raise JobSpecError("measure job needs at least one row")
+            problem = Problem.from_design(
+                self.design,
+                self.rows,
+                self.position,
+                method=self.method,
+                samples=self.samples,
+                seed=self.seed,
+            )
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "position", problem.position[1:])
 
     @property
     def kind(self) -> str:
         return "measure"
-
-    def canonical(self) -> dict:
-        schema, deps = _canonical_design(self.design)
-        payload = {
-            "kind": self.kind,
-            "schema": schema,
-            "deps": list(deps),
-            # Relations are sets: row order is not meaningful, and the
-            # canonical positioning sorts rows anyway.
-            "rows": sorted([list(r) for r in self.rows], key=repr),
-            "position": list(self.position),
-            "method": self.method,
-        }
-        if self.method != "exact":
-            payload["samples"] = self.samples
-            payload["seed"] = self.seed
-        return payload
 
     def to_dict(self) -> dict:
         return {
@@ -195,9 +197,11 @@ class RPQJob:
         )
         for edge in self.edges:
             if len(edge) != 3:
-                raise JobError(f"edge must be (source, label, target): {edge!r}")
+                raise JobSpecError(
+                    f"edge must be (source, label, target): {edge!r}"
+                )
         if not self.query:
-            raise JobError("rpq job needs a query")
+            raise JobSpecError("rpq job needs a query")
 
     @property
     def kind(self) -> str:
@@ -226,40 +230,32 @@ Job = Any  # AdviseJob | MeasureJob | RPQJob (3.10-friendly alias)
 _KINDS = {"advise": AdviseJob, "measure": MeasureJob, "rpq": RPQJob}
 
 
-def canonical_digest(payload: dict) -> str:
-    """SHA-256 over a canonical JSON rendering of *payload*.
-
-    The one digest rule of the runtime: sorted keys, compact separators,
-    ``default=str``.  Job keys and the planner's
-    :meth:`repro.engine.problem.Problem.canonical_key` both go through
-    here, so the two cache key spaces follow identical serialization.
-    """
-    blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def job_key(job: Job) -> str:
-    """The content address of *job*: SHA-256 of its canonical payload."""
+    """The content address of *job*: its problem's
+    :meth:`~repro.engine.problem.Problem.canonical_key` for a measure
+    job, else the SHA-256 of its canonical payload."""
+    if isinstance(job, MeasureJob):
+        return job.problem.canonical_key()
     return canonical_digest(job.canonical())
 
 
 def job_from_dict(data: dict) -> Job:
     """Build a job from a decoded JSONL record (``kind`` selects the type)."""
     if not isinstance(data, dict):
-        raise JobError(f"job record must be an object, got {type(data).__name__}")
+        raise JobSpecError(
+            f"job record must be an object, got {type(data).__name__}"
+        )
     kind = data.get("kind")
     cls = _KINDS.get(kind)
     if cls is None:
-        raise JobError(
+        raise JobSpecError(
             f"unknown job kind {kind!r} (expected one of {sorted(_KINDS)})"
         )
     fields = {k: v for k, v in data.items() if k != "kind"}
     try:
         return cls(**fields)
     except TypeError as exc:
-        raise JobError(f"bad {kind} job: {exc}") from None
+        raise JobSpecError(f"bad {kind} job: {exc}") from None
 
 
 def _parse_line(lineno: int, line: str) -> Job:
@@ -303,14 +299,14 @@ def parse_jsonl_lenient(
     of ``job``/``error`` is set per triple.  A malformed line therefore
     costs one failed entry in the batch report, never the batch.
     """
-    records: List[Tuple[int, Optional[Job], Optional[_TaxonomyError]]] = []
+    records: List[Tuple[int, Optional[Job], Optional[JobError]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             records.append((lineno, _parse_line(lineno, line), None))
-        except _TaxonomyError as exc:  # JobSpecError or an injected fault
+        except JobError as exc:  # JobSpecError or an injected fault
             if _strict:
                 raise
             records.append((lineno, None, exc))

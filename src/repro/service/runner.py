@@ -10,6 +10,9 @@ content-addressed cache for each, and executes the misses:
 - every other job fans out to the pool as an independent future (the
   inter-job axis).
 
+Each measure job carries one :class:`~repro.engine.problem.Problem`,
+keyed once by :func:`~repro.service.jobs.job_key` and planned once, on a
+cache miss, in the scheduling loop; the same plan is then executed.
 Which engines may run is the planner's decision — the runner only asks
 ``plan.uses("montecarlo")``; it holds no engine-selection logic of its
 own.
@@ -48,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.advisor import DesignReport, advise
 from repro.core.montecarlo import MCEstimate
-from repro.engine import PLANNER, Plan, Problem
+from repro.engine import PLANNER, Plan
 from repro.graph.graphdb import GraphDB
 from repro.graph.rpq import rpq_eval, rpq_reachable
 from repro.relational.attributes import fmt_attrs
@@ -161,12 +164,13 @@ class BatchRunner:
     # single-job execution (cache-oblivious)
     # ------------------------------------------------------------------
 
-    def execute(self, job: Job) -> dict:
-        """Run one job and return its JSON-safe value dict."""
+    def execute(self, job: Job, plan: Optional[Plan]) -> dict:
+        """Run one job and return its JSON-safe value dict (a measure
+        job runs *plan*, its :meth:`_plan`)."""
         if isinstance(job, AdviseJob):
             return self._execute_advise(job)
         if isinstance(job, MeasureJob):
-            return self._execute_measure(job)
+            return self._execute_measure(job, plan)
         if isinstance(job, RPQJob):
             return self._execute_rpq(job)
         raise TypeError(f"unsupported job: {job!r}")
@@ -182,54 +186,20 @@ class BatchRunner:
             )
         return report_payload(report)
 
-    def _measure_problem(self, job: MeasureJob) -> Problem:
-        return Problem.from_design(
-            job.design,
-            job.rows,
-            job.position,
-            method=job.method,
-            samples=job.samples,
-            seed=job.seed,
-        )
-
-    def _job_budget(self, job: MeasureJob) -> Budget:
-        return Budget(
-            wall_seconds=self.budget.wall_seconds,
-            exact_max_positions=self.budget.exact_max_positions,
-            samples=job.samples,
-            seed=job.seed,
-        )
-
-    def _plan_for(self, job: MeasureJob) -> Plan:
-        """The planner's decision for *job* (pure and deterministic, so
-        the scheduling-time plan and the execution-time plan agree)."""
-        return PLANNER.plan(
-            self._measure_problem(job), budget=self._job_budget(job)
-        )
-
-    def _shards_samples(self, job: Job) -> bool:
-        """Whether *job*'s plan may run the Monte-Carlo engine (the
-        sample range then shards across the pool instead of the job
-        fanning out as one future)."""
+    def _plan(self, job: Job) -> Optional[Plan]:
+        """The planner's decision for a measure job (None for others)."""
         if not isinstance(job, MeasureJob):
-            return False
-        try:
-            return self._plan_for(job).uses("montecarlo")
-        except Exception:  # noqa: BLE001 — scheduling guess only; the
-            # execution path re-raises and classifies the real error.
-            return False
+            return None
+        return PLANNER.plan(job.problem, budget=self.budget)
 
-    def _execute_measure(self, job: MeasureJob) -> dict:
-        problem = self._measure_problem(job)
+    def _execute_measure(self, job: MeasureJob, plan: Plan) -> dict:
         with self.metrics.timer("job.measure"):
-            result = PLANNER.plan_and_run(
-                problem,
-                budget=self._job_budget(job),
-                pool=self.shard_pool,
+            value, engine = PLANNER.execute(
+                job.problem, plan, budget=self.budget, pool=self.shard_pool
             )
-        payload = ric_payload(result.value)
-        payload["method"] = result.engine
-        payload["position"] = str(problem.position_obj())
+        payload = ric_payload(value)
+        payload["method"] = engine
+        payload["position"] = str(job.problem.position_obj())
         return payload
 
     def _execute_rpq(self, job: RPQJob) -> dict:
@@ -288,8 +258,8 @@ class BatchRunner:
         batch_start = perf_counter()
         resume_map = resume_map or {}
         results: List[Optional[dict]] = [None] * len(jobs)
-        sharded: List[Tuple[int, Job, str]] = []
-        fanout: List[Tuple[int, Job, str]] = []
+        sharded: List[Tuple[int, Job, str, Optional[Plan]]] = []
+        fanout: List[Tuple[int, Job, str, Optional[Plan]]] = []
         resumed = 0
 
         for index, job in enumerate(jobs):
@@ -311,18 +281,26 @@ class BatchRunner:
                 results[index] = entry
                 self.metrics.inc("runner.checkpoint_hits")
                 resumed += 1
-            elif self._shards_samples(job):
-                sharded.append((index, job, key))
             else:
-                fanout.append((index, job, key))
+                plan = self._plan(job)
+                axis = sharded if plan and plan.uses("montecarlo") else fanout
+                axis.append((index, job, key, plan))
 
         futures = [
-            (index, job, key, self.pool.executor.submit(self._timed, job, key))
-            for index, job, key in fanout
+            (
+                index,
+                job,
+                key,
+                self.pool.executor.submit(self._run_timed, job, key, plan),
+            )
+            for index, job, key, plan in fanout
         ]
-        for index, job, key in sharded:
+        for index, job, key, plan in sharded:
             results[index] = self._complete(
-                job, key, *self._run_timed(job, key), checkpoint=checkpoint
+                job,
+                key,
+                *self._run_timed(job, key, plan),
+                checkpoint=checkpoint,
             )
         for index, job, key, future in futures:
             results[index] = self._complete(
@@ -348,10 +326,7 @@ class BatchRunner:
             report["resumed"] = resumed
         return report
 
-    def _timed(self, job: Job, token: str):
-        return self._run_timed(job, token)
-
-    def _run_timed(self, job: Job, token: str):
+    def _run_timed(self, job: Job, token: str, plan: Optional[Plan]):
         """Execute one job, capturing ``(value|None, error|None, seconds)``.
 
         Failures are classified through the error taxonomy; transient
@@ -368,10 +343,10 @@ class BatchRunner:
             while True:
                 try:
                     FAULTS.maybe_raise("job", token)
-                    value = self.execute(job)
+                    value = self.execute(job, plan)
                     return value, None, perf_counter() - start
                 except Exception as exc:  # noqa: BLE001 — classified below
-                    error = self._classify(exc)
+                    error = from_exception(exc)
                     if (
                         self.retry.is_retryable(error.kind)
                         and attempt + 1 < self.retry.max_attempts
@@ -386,10 +361,6 @@ class BatchRunner:
                     self.metrics.inc("runner.errors", kind=error.kind)
                     span.set(failed=error.kind)
                     return None, error.to_dict(), perf_counter() - start
-
-    @staticmethod
-    def _classify(exc: BaseException) -> JobError:
-        return from_exception(exc)
 
     def _complete(
         self,

@@ -16,6 +16,7 @@ import math
 import os
 from typing import Optional
 
+from repro.core.measure import RIC_METHODS
 from repro.service.errors import ValidationError
 
 #: Hard ceilings: above these a value is a typo, not a configuration.
@@ -27,32 +28,20 @@ MAX_RETRIES = 100
 # ---------------------------------------------------------------------
 # The engine-option schema: ONE definition of --method/--samples/--seed
 # shared by the single-shot CLI, the batch runner's job records, and the
-# planner's problem IR — names, choices, bounds, defaults, and help text
-# all live here so the surfaces cannot drift apart.
+# planner's problem IR.  The method names come from the method table in
+# repro.core.measure; bounds, defaults, and help text live here so the
+# surfaces cannot drift apart.
 # ---------------------------------------------------------------------
-
-#: Witness/measure engine methods (``auto`` lets the planner choose).
-RIC_METHODS = ("auto", "exact", "montecarlo")
 
 #: Default Monte-Carlo parameters, shared by every entry point.
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 0
 
 
-def check_method(
-    name: str,
-    value,
-    choices=RIC_METHODS,
-    error_cls=ValidationError,
-):
-    """*value* as one of *choices*; raises a typed ``validation`` error.
-
-    *error_cls* lets job constructors raise their own
-    :class:`~repro.service.errors.ValidationError` subclass while the
-    option schema (choices, message shape) stays shared.
-    """
+def check_method(name: str, value, choices):
+    """*value* as one of *choices*; raises a typed ``validation`` error."""
     if value not in choices:
-        raise error_cls(
+        raise ValidationError(
             f"{name} must be one of {'|'.join(choices)}, got {value!r}",
             details={"option": name, "value": repr(value),
                      "choices": list(choices)},
@@ -60,20 +49,16 @@ def check_method(
     return value
 
 
-def add_engine_options(
-    parser,
-    methods=("exact", "montecarlo", "auto"),
-    default_method: str = "exact",
-) -> None:
+def add_engine_options(parser) -> None:
     """Install the shared ``--method/--samples/--seed`` options on an
-    :class:`argparse.ArgumentParser` (both CLIs call this)."""
+    :class:`argparse.ArgumentParser`."""
     parser.add_argument(
         "--method",
-        choices=methods,
-        default=default_method,
+        choices=RIC_METHODS,
+        default="exact",
         help="witness RIC engine: exact exponential sweep, the scalable "
         "deterministic Monte-Carlo estimator, or auto (the planner "
-        f"chooses by cost; default {default_method})",
+        "chooses by cost; default exact)",
     )
     parser.add_argument(
         "--samples",

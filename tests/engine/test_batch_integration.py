@@ -1,5 +1,7 @@
 """The planner inside the batch runtime: counters, spans, scheduling."""
 
+from repro.service.cache import ResultCache
+from repro.service.jobs import parse_jsonl
 from repro.service.metrics import METRICS
 from repro.service.runner import run_batch
 from repro.service.trace import TRACER, tracing
@@ -117,3 +119,47 @@ class TestPlanBasedScheduling:
         path = write_jobs(tmp_path, [MC_JOB])
         report = run_batch(path, workers=2)
         assert report["results"][0]["value"]["method"] == "montecarlo"
+
+
+#: A job whose plan skips exact by size and shards Monte Carlo.
+WIDE_AUTO_JOB = (
+    '{"kind": "measure", "id": "m4", "design": "W(A,B,C,D,E,F,G); B->C",'
+    ' "rows": [[1,2,3,4,5,6,7],[8,2,3,9,10,11,12],[13,14,15,16,17,18,19]],'
+    ' "position": [0, "C"], "method": "auto", "samples": 12, "seed": 1}'
+)
+
+
+class TestOneKeyOnePlan:
+    LINES = [MC_JOB, EXACT_JOB, AUTO_JOB, WIDE_AUTO_JOB]
+
+    def test_cold_batch_plans_each_job_exactly_once(self, tmp_path):
+        path = write_jobs(tmp_path, self.LINES)
+        with tracing():
+            report = run_batch(path, workers=2)
+        spans = TRACER.drain()
+        assert report["ok"] == len(self.LINES)
+        assert report["metrics"]["counters"]["planner.plans"] == len(
+            self.LINES
+        )
+        plan_keys = [s["attrs"]["key"] for s in spans if s["name"] == "plan"]
+        assert sorted(plan_keys) == sorted(
+            entry["key"][:16] for entry in report["results"]
+        )
+        by_id = {entry["id"]: entry for entry in report["results"]}
+        assert by_id["m4"]["value"]["method"] == "montecarlo"
+
+    def test_report_keys_are_the_problem_keys(self, tmp_path):
+        path = write_jobs(tmp_path, self.LINES)
+        report = run_batch(path, workers=2)
+        jobs = parse_jsonl("\n".join(self.LINES))
+        assert [entry["key"] for entry in report["results"]] == [
+            job.problem.canonical_key() for job in jobs
+        ]
+
+    def test_warm_batch_plans_nothing(self, tmp_path):
+        path = write_jobs(tmp_path, self.LINES)
+        cache = ResultCache()
+        run_batch(path, workers=2, cache=cache)
+        warm = run_batch(path, workers=2, cache=cache)
+        assert all(entry["cached"] for entry in warm["results"])
+        assert "planner.plans" not in warm["metrics"]["counters"]

@@ -1,4 +1,4 @@
-"""The planner: deterministic plans, budget fallback, the plan cache."""
+"""The planner: deterministic plans, budget fallback, the plan-keyed cache."""
 
 from fractions import Fraction
 
@@ -12,7 +12,10 @@ from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget, BudgetExceeded, drain_abandoned
 from repro.service.cache import ResultCache
 from repro.service.errors import ValidationError
-from repro.service.metrics import METRICS
+from repro.service.jobs import MeasureJob
+from repro.service.metrics import METRICS, Metrics
+from repro.service.pool import WorkerPool
+from repro.service.runner import BatchRunner
 from repro.service.trace import TRACER, tracing
 
 
@@ -32,7 +35,7 @@ def problem(n_rows=2, **kwargs):
 class TestPlanDeterminism:
     def test_plan_is_a_pure_function_of_problem_and_budget(self):
         prob = problem(3)
-        budget = Budget(exact_max_positions=4, samples=60, seed=2)
+        budget = Budget(exact_max_positions=4)
         assert PLANNER.plan(prob, budget) == PLANNER.plan(prob, budget)
         # A fresh planner instance agrees too: no hidden state.
         assert Planner().plan(prob, budget) == PLANNER.plan(prob, budget)
@@ -77,9 +80,7 @@ class TestFallbackChain:
     def test_exhausted_chain_raises_the_structured_error(self):
         # Same stage history the old degradation ladder produced.
         prob = problem(6, samples=2_000)
-        budget = Budget(
-            wall_seconds=0.05, exact_max_positions=4, samples=2_000
-        )
+        budget = Budget(wall_seconds=0.05, exact_max_positions=4)
         with pytest.raises(BudgetExceeded) as excinfo:
             PLANNER.plan_and_run(prob, budget=budget)
         assert excinfo.value.stages == [
@@ -100,7 +101,6 @@ class TestExecution:
         result = plan_and_run(problem(2))
         assert result.value == Fraction(7, 8)
         assert result.engine == "exact"
-        assert result.cached is False
 
     def test_pinned_montecarlo_runs_with_problem_parameters(self):
         result = plan_and_run(problem(2, method="montecarlo", samples=40))
@@ -114,54 +114,83 @@ class TestExecution:
         assert excinfo.value.details["option"] == "method"
 
 
+def measure_job(**params) -> MeasureJob:
+    """The batch form of ``problem(2, ...)``: R[0].C of the 2-row instance."""
+    return MeasureJob(
+        design="R(A,B,C); B->C",
+        rows=((0, 2, 3), (1, 2, 3)),
+        position=(0, "C"),
+        **params,
+    )
+
+
 class TestPlanCache:
+    """The runner's result cache is keyed by the plan's problem key."""
+
+    @staticmethod
+    def run(cache, *jobs):
+        metrics = Metrics()
+        runner = BatchRunner(
+            pool=WorkerPool(workers=2), cache=cache, metrics=metrics
+        )
+        try:
+            report = runner.run(list(jobs))
+        finally:
+            runner.pool.shutdown()
+        return report["results"], metrics.snapshot()["counters"]
+
     def test_cache_hit_skips_engine_execution_entirely(self):
         cache = ResultCache()
-        prob = problem(2)
-        METRICS.reset()
-        first = PLANNER.plan_and_run(prob, cache=cache)
-        assert first.cached is False
+        job = measure_job(method="auto")
+        [first], _ = self.run(cache, job)
+        assert first["cached"] is False
+        assert first["key"] == PLANNER.plan(job.problem).key
 
-        runs_after_first = METRICS.snapshot()["counters"].get(
-            "engine.runs{engine=exact}", 0
-        )
-        second = PLANNER.plan_and_run(prob, cache=cache)
-        counters = METRICS.snapshot()["counters"]
-        assert second.cached is True
-        assert second.value == first.value
-        assert second.engine == first.engine
-        assert counters.get("engine.runs{engine=exact}", 0) == runs_after_first
-        assert counters.get("planner.cache_hits") == 1
+        METRICS.reset()
+        [second], counters = self.run(cache, job)
+        assert second["cached"] is True
+        assert second["value"] == first["value"]
+        assert second["value"]["method"] == "exact"
+        assert counters.get("runner.cache_hits") == 1
+        shared = METRICS.snapshot()["counters"]
+        assert not any(k.startswith("engine.runs") for k in shared)
+        assert not any(k.startswith("planner.plans") for k in shared)
 
     def test_cached_mc_estimate_round_trips_bit_identically(self):
         cache = ResultCache()
-        prob = problem(2, method="montecarlo", samples=60, seed=3)
-        first = PLANNER.plan_and_run(prob, cache=cache)
-        second = PLANNER.plan_and_run(prob, cache=cache)
-        assert second.cached is True
-        assert second.value == first.value  # mean, stderr, samples all equal
+        job = measure_job(method="montecarlo", samples=60, seed=3)
+        [first], _ = self.run(cache, job)
+        [second], _ = self.run(cache, job)
+        assert second["cached"] is True
+        # mean, stderr, samples and the interval all equal, bit for bit
+        assert second["value"] == first["value"]
+        direct = plan_and_run(job.problem).value
+        assert (second["value"]["mean"], second["value"]["stderr"]) == (
+            direct.mean,
+            direct.stderr,
+        )
 
     def test_different_samples_never_share_a_cache_entry(self):
         # The regression the canonical key exists to prevent.
         cache = ResultCache()
-        coarse = PLANNER.plan_and_run(
-            problem(2, method="montecarlo", samples=40), cache=cache
-        )
-        fine = PLANNER.plan_and_run(
-            problem(2, method="montecarlo", samples=80), cache=cache
-        )
-        assert coarse.cached is False and fine.cached is False
-        assert coarse.value.samples == 40
-        assert fine.value.samples == 80
+        coarse, fine = self.run(
+            cache,
+            measure_job(method="montecarlo", samples=40),
+            measure_job(method="montecarlo", samples=80),
+        )[0]
+        assert coarse["key"] != fine["key"]
+        assert coarse["cached"] is False and fine["cached"] is False
+        assert coarse["value"]["samples"] == 40
+        assert fine["value"]["samples"] == 80
 
     def test_exact_result_never_answers_a_sampled_request(self):
         cache = ResultCache()
-        PLANNER.plan_and_run(problem(2, method="exact"), cache=cache)
-        sampled = PLANNER.plan_and_run(
-            problem(2, method="montecarlo", samples=40), cache=cache
+        self.run(cache, measure_job(method="exact"))
+        [sampled], _ = self.run(
+            cache, measure_job(method="montecarlo", samples=40)
         )
-        assert sampled.cached is False
-        assert isinstance(sampled.value, MCEstimate)
+        assert sampled["cached"] is False
+        assert sampled["value"]["kind"] == "montecarlo"
 
 
 class TestInstrumentation:

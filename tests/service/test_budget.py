@@ -7,13 +7,9 @@ import pytest
 from repro.core import PositionedInstance
 from repro.core.montecarlo import MCEstimate
 from repro.dependencies import FD
+from repro.engine import Problem, plan_and_run
 from repro.relational import Relation, RelationSchema
-from repro.service.budget import (
-    Budget,
-    BudgetExceeded,
-    drain_abandoned,
-    measure_ric_with_budget,
-)
+from repro.service.budget import Budget, BudgetExceeded, drain_abandoned
 
 
 def instance_with_rows(n_rows: int) -> PositionedInstance:
@@ -24,53 +20,52 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
     )
 
 
+def measure(n_rows: int, budget: Budget, **params):
+    """``(value, engine)`` of R[0].C under *budget* (method default auto)."""
+    inst = instance_with_rows(n_rows)
+    problem = Problem.from_instance(inst, inst.position("R", 0, "C"), **params)
+    result = plan_and_run(problem, budget=budget)
+    return result.value, result.engine
+
+
 class TestLadder:
     def test_small_instance_stays_exact(self):
-        inst = instance_with_rows(2)
-        p = inst.position("R", 0, "C")
-        value, method = measure_ric_with_budget(inst, p, Budget())
+        value, method = measure(2, Budget())
         assert method == "exact"
         assert value == Fraction(7, 8)
 
     def test_oversized_instance_degrades_to_montecarlo(self):
-        inst = instance_with_rows(3)  # 9 positions > 4-position allowance
-        p = inst.position("R", 0, "C")
-        budget = Budget(exact_max_positions=4, samples=60, seed=2)
-        value, method = measure_ric_with_budget(inst, p, budget)
+        # 9 positions > 4-position allowance
+        value, method = measure(
+            3, Budget(exact_max_positions=4), samples=60, seed=2
+        )
         assert method == "montecarlo"
         assert isinstance(value, MCEstimate)
         assert value.samples == 60
 
     def test_pinned_method_skips_the_ladder(self):
-        inst = instance_with_rows(2)
-        p = inst.position("R", 0, "C")
-        value, method = measure_ric_with_budget(
-            inst, p, Budget(samples=40), method="montecarlo"
+        value, method = measure(
+            2, Budget(), method="montecarlo", samples=40
         )
         assert method == "montecarlo"
         assert isinstance(value, MCEstimate)
 
     def test_degraded_estimate_is_deterministic(self):
-        inst = instance_with_rows(3)
-        p = inst.position("R", 0, "C")
-        budget = Budget(exact_max_positions=4, samples=50, seed=9)
-        first, _ = measure_ric_with_budget(inst, p, budget)
-        second, _ = measure_ric_with_budget(inst, p, budget)
+        budget = Budget(exact_max_positions=4)
+        first, _ = measure(3, budget, samples=50, seed=9)
+        second, _ = measure(3, budget, samples=50, seed=9)
         assert first == second
 
 
 class TestTimeout:
     def test_exhausted_ladder_raises_structured_error(self):
-        inst = instance_with_rows(6)  # exact skipped by size
-        p = inst.position("R", 0, "C")
         # A sample count worth seconds of work under a 50 ms clock: the
-        # Monte-Carlo stage cannot finish, so the ladder exhausts.  (The
-        # abandoned stage runs on a daemon thread and drains shortly.)
-        budget = Budget(
-            wall_seconds=0.05, exact_max_positions=4, samples=2_000
-        )
+        # Monte-Carlo stage cannot finish, so the ladder exhausts (exact
+        # is skipped by size).  The abandoned stage runs on a daemon
+        # thread and drains shortly.
+        budget = Budget(wall_seconds=0.05, exact_max_positions=4)
         with pytest.raises(BudgetExceeded) as excinfo:
-            measure_ric_with_budget(inst, p, budget)
+            measure(6, budget, samples=2_000)
         err = excinfo.value
         assert ("exact", "skipped:size") in err.stages
         assert ("montecarlo", "timeout") in err.stages
@@ -83,13 +78,11 @@ class TestTimeout:
         assert drain_abandoned() == 0
 
     def test_no_wall_clock_means_no_timeout(self):
-        inst = instance_with_rows(2)
-        p = inst.position("R", 0, "C")
-        value, _ = measure_ric_with_budget(inst, p, Budget(wall_seconds=None))
+        value, _ = measure(2, Budget(wall_seconds=None))
         assert value == Fraction(7, 8)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             Budget(wall_seconds=0)
         with pytest.raises(ValueError):
-            Budget(samples=0)
+            Budget(exact_max_positions=0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.service.jobs import (
     AdviseJob,
-    JobError,
+    JobSpecError,
     MeasureJob,
     RPQJob,
     job_from_dict,
@@ -70,19 +70,19 @@ class TestCanonicalKeys:
 
 class TestValidation:
     def test_unknown_kind(self):
-        with pytest.raises(JobError, match="unknown job kind"):
+        with pytest.raises(JobSpecError, match="unknown job kind"):
             job_from_dict({"kind": "frobnicate"})
 
     def test_unknown_field(self):
-        with pytest.raises(JobError, match="bad advise job"):
+        with pytest.raises(JobSpecError, match="bad advise job"):
             job_from_dict({"kind": "advise", "design": "R(A,B)", "nope": 1})
 
     def test_bad_method(self):
-        with pytest.raises(JobError, match="method"):
+        with pytest.raises(JobSpecError, match="method"):
             AdviseJob(design="R(A,B); A->B", method="guess")
 
     def test_bad_samples(self):
-        with pytest.raises(JobError, match="samples"):
+        with pytest.raises(JobSpecError, match="samples"):
             MeasureJob(
                 design="R(A,B); A->B",
                 rows=((1, 2),),
@@ -91,7 +91,7 @@ class TestValidation:
             )
 
     def test_bad_edge_shape(self):
-        with pytest.raises(JobError, match="edge"):
+        with pytest.raises(JobSpecError, match="edge"):
             RPQJob(edges=(("a", "b"),), query="l")
 
 
@@ -123,5 +123,5 @@ class TestJsonl:
         assert job_from_dict(job.to_dict()) == job
 
     def test_line_numbers_in_errors(self):
-        with pytest.raises(JobError, match="line 2"):
+        with pytest.raises(JobSpecError, match="line 2"):
             parse_jsonl('{"kind": "rpq", "edges": [], "query": "l"}\n{bad')

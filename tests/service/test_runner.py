@@ -6,9 +6,15 @@ import pytest
 
 from repro.__main__ import main
 from repro.service.budget import Budget, drain_abandoned
-from repro.service.jobs import AdviseJob, MeasureJob, RPQJob
+from repro.service.jobs import (
+    AdviseJob,
+    JobSpecError,
+    MeasureJob,
+    RPQJob,
+    parse_jsonl_lenient,
+)
 from repro.service.metrics import METRICS, Metrics
-from repro.service.runner import BatchRunner
+from repro.service.runner import BatchRunner, run_batch
 from repro.service.pool import WorkerPool
 
 THREE_JOBS = [
@@ -88,12 +94,9 @@ class TestBatchRunner:
             report = runner.run(
                 [
                     AdviseJob(design="R(A,B,C); B->C", id="good"),
-                    MeasureJob(
-                        design="T(A,B); A->B",
-                        rows=((1, 2),),
-                        position=(5, "B"),  # no such row
-                        id="bad",
-                    ),
+                    # A query that only fails when it is evaluated (bad
+                    # job fields are rejected earlier, when jobs are built).
+                    RPQJob(edges=(("a", "l", "b"),), query="((", id="bad"),
                 ]
             )
         finally:
@@ -131,6 +134,48 @@ class TestBatchRunner:
         assert entry["ok"] is False
         assert entry["error"]["error"] == "budget_exceeded"
         assert ["exact", "skipped:size"] in entry["error"]["stages"]
+
+
+MEASURE = (
+    '"kind": "measure", "design": "T(A,B,C); B->C",'
+    ' "rows": [[1,2,3],[4,2,3]], "method": "montecarlo"'
+)
+
+#: Records with a bad parameter value, each of which must be rejected
+#: when its job is built (line 1 is a good job).
+BAD_PARAMETERS = [
+    '{' + MEASURE + ', "position": [0, "C"], "samples": 20, "seed": "x"}',
+    '{"kind": "advise", "design": "R(A,B,C); B->C",'
+    ' "method": "montecarlo", "seed": 1.5}',
+    '{' + MEASURE + ', "position": [7, "C"]}',
+    '{' + MEASURE + ', "position": [0, "C"], "samples": true}',
+    '{' + MEASURE + ', "position": [0, "C"], "samples": 2.5}',
+    '{"kind": "advise", "design": "R(A,B,C); B->Q"}',
+]
+
+
+class TestParseTimeValidation:
+    def test_bad_parameters_are_line_numbered_validation_entries(
+        self, tmp_path
+    ):
+        path = write_jobs(tmp_path, [THREE_JOBS[0]] + BAD_PARAMETERS)
+        report = run_batch(path, workers=2)
+        assert report["ok"] == 1
+        assert report["parse_errors"] == len(BAD_PARAMETERS)
+        for lineno, entry in enumerate(report["results"][1:], start=2):
+            assert entry["ok"] is False
+            assert entry["line"] == lineno
+            assert entry["error"]["kind"] == "validation", entry
+
+    def test_each_bad_field_is_named(self):
+        records = parse_jsonl_lenient("\n".join(BAD_PARAMETERS))
+        messages = [str(error) for _, _, error in records]
+        assert all(isinstance(e, JobSpecError) for _, _, e in records)
+        for message, field in zip(
+            messages,
+            ["seed", "seed", "position", "samples", "samples", "schema"],
+        ):
+            assert field in message, message
 
 
 class TestBatchCLI:

@@ -75,10 +75,8 @@ class TestSharedWiring:
         with pytest.raises(ValidationError):
             Budget(wall_seconds=-1)
         with pytest.raises(ValidationError):
-            Budget(samples=0)
-        with pytest.raises(ValidationError):
             Budget(exact_max_positions=0)
-        Budget(wall_seconds=None, samples=10)  # valid
+        Budget(wall_seconds=None, exact_max_positions=10)  # valid
 
     def test_worker_pool_bounds(self):
         with pytest.raises(ValidationError):
