@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import revealed_subsets
-from repro.core.worlds import World
+from repro.core.worlds import World, check_deadline
 
 
 def world_entropy_k_bruteforce(world: World, k: int) -> float:
@@ -45,6 +45,7 @@ def inf_k_bruteforce(
     p: Position,
     k: int,
     max_worlds: Optional[int] = 5_000_000,
+    deadline: Optional[float] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` by literal enumeration.
 
@@ -61,6 +62,7 @@ def inf_k_bruteforce(
     total = 0.0
     count = 0
     for revealed in revealed_subsets(instance, p):
+        check_deadline(deadline)
         total += world_entropy_k_bruteforce(World(instance, p, revealed), k)
         count += 1
     return total / count

@@ -13,7 +13,7 @@ walks, are defined here, next to the table they index.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.bruteforce import inf_k_bruteforce
 from repro.core.montecarlo import MCEstimate, ric_montecarlo
@@ -47,16 +47,18 @@ def inf_k(
     p: Position,
     k: int,
     method: str = "symbolic",
+    deadline: Optional[float] = None,
 ) -> float:
     """``INF_I^k(p | Σ)`` in bits.
 
     *method*: ``"symbolic"`` (exact, pattern counting) or ``"bruteforce"``
-    (exact, literal enumeration; tiny instances only).
+    (exact, literal enumeration; tiny instances only).  Past *deadline*
+    (a :func:`time.monotonic` value) the kernel raises ``DeadlineExceeded``.
     """
     if method == "symbolic":
-        return inf_k_symbolic(instance, p, k)
+        return inf_k_symbolic(instance, p, k, deadline=deadline)
     if method == "bruteforce":
-        return inf_k_bruteforce(instance, p, k)
+        return inf_k_bruteforce(instance, p, k, deadline=deadline)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -67,6 +69,7 @@ def ric(
     samples: int = 200,
     seed: int = 0,
     pool=None,
+    deadline: Optional[float] = None,
 ) -> Union[Fraction, MCEstimate]:
     """The relative information content ``RIC_I(p | Σ) ∈ [0, 1]``.
 
@@ -76,14 +79,15 @@ def ric(
     ``(samples, seed)``, and scales to instances the exact sweep cannot
     handle.  Given a *pool* (a :class:`repro.service.pool.WorkerPool`),
     the Monte-Carlo sample range is sharded across it; the estimate is
-    bit-identical either way.
+    bit-identical either way.  *deadline* is as for :func:`inf_k`.
     """
     if method == "exact":
-        return ric_exact(instance, p)
+        return ric_exact(instance, p, deadline=deadline)
     if method == "montecarlo":
-        if pool is not None:
-            return pool.ric_montecarlo(instance, p, samples=samples, seed=seed)
-        return ric_montecarlo(instance, p, samples=samples, seed=seed)
+        estimate = ric_montecarlo if pool is None else pool.ric_montecarlo
+        return estimate(
+            instance, p, samples=samples, seed=seed, deadline=deadline
+        )
     raise ValueError(f"unknown method {method!r}")
 
 

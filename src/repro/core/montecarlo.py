@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import world_limit_ratio
-from repro.core.worlds import World
+from repro.core.worlds import World, check_deadline
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
@@ -95,6 +95,7 @@ def ric_mc_chunk(
     start: int,
     count: int,
     seed: int = 0,
+    deadline: Optional[float] = None,
 ) -> MCChunk:
     """Evaluate samples ``start … start+count−1`` of the seeded estimator.
 
@@ -109,9 +110,11 @@ def ric_mc_chunk(
     total_sq = 0.0
     with TRACER.span("mc.chunk", start=start, count=count, seed=seed):
         for j in range(start, start + count):
+            check_deadline(deadline)
             rng = _sample_rng(seed, j)
             revealed = frozenset(q for q in others if rng.random() < 0.5)
-            ratio = float(world_limit_ratio(World(instance, p, revealed)))
+            world = World(instance, p, revealed)
+            ratio = float(world_limit_ratio(world, deadline))
             total += ratio
             total_sq += ratio * ratio
     METRICS.inc("ric.mc.samples", count)
@@ -138,6 +141,7 @@ def ric_montecarlo(
     samples: int = 200,
     rng: Optional[random.Random] = None,
     seed: int = 0,
+    deadline: Optional[float] = None,
 ) -> MCEstimate:
     """Estimate ``RIC_I(p | Σ)`` from *samples* random revealed sets.
 
@@ -150,14 +154,16 @@ def ric_montecarlo(
     if samples <= 0:
         raise ValueError("need at least one sample")
     if rng is None:
-        return merge_mc_chunks([ric_mc_chunk(instance, p, 0, samples, seed)])
+        chunk = ric_mc_chunk(instance, p, 0, samples, seed, deadline)
+        return merge_mc_chunks([chunk])
 
     others = [q for q in instance.positions if q != p]
     total = 0.0
     total_sq = 0.0
     for _ in range(samples):
+        check_deadline(deadline)
         revealed = frozenset(q for q in others if rng.random() < 0.5)
-        ratio = float(world_limit_ratio(World(instance, p, revealed)))
+        ratio = float(world_limit_ratio(World(instance, p, revealed), deadline))
         total += ratio
         total_sq += ratio * ratio
     METRICS.inc("ric.mc.samples", samples)

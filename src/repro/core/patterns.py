@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.worlds import FRESH, FreshValue, Unknown, World
+from repro.core.worlds import FRESH, FreshValue, Unknown, World, check_deadline
 
 
 class PatternBudgetExceeded(RuntimeError):
@@ -81,7 +81,10 @@ def pattern_counts(
 
 
 def max_fresh(
-    world: World, candidate: Any, prune: bool = True
+    world: World,
+    candidate: Any,
+    prune: bool = True,
+    deadline: Optional[float] = None,
 ) -> Optional[Tuple[int, int]]:
     """The leading term of the satisfying-pattern polynomial.
 
@@ -99,6 +102,9 @@ def max_fresh(
     ``prune=False`` disables the certain-violation subtree pruning — kept
     only for the ablation benchmark (``bench_a01``); results must be
     identical either way.
+
+    *deadline* is checked at every node, not only at leaves: pruning
+    cuts most subtrees before they reach one.
     """
     fixed_labels: List[Any] = list(world.fixed_values)
     if candidate is FRESH:
@@ -130,6 +136,8 @@ def max_fresh(
         found = [0]
 
         def recurse(i: int, blocks: int, spent: int) -> None:
+            if deadline is not None:  # spare the call on every node
+                check_deadline(deadline)
             if i == erased:
                 if spent == budget and world.satisfies(cand_value, assignment):
                     found[0] += 1

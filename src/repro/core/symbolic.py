@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import Position, PositionedInstance
-from repro.core.worlds import FRESH, World
+from repro.core.worlds import FRESH, World, check_deadline
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
@@ -90,14 +90,16 @@ def world_entropy_k(world: World, k: int) -> float:
     return entropy
 
 
-def world_limit_ratio(world: World) -> Fraction:
+def world_limit_ratio(
+    world: World, deadline: Optional[float] = None
+) -> Fraction:
     """The exact limit ``lim_k H_k(p|X) / log2 k`` for the given world."""
     leading: List[Tuple[int, int]] = []  # (degree, coeff) for fixed candidates
     for v in world.fixed_values:
-        stat = max_fresh(world, v)
+        stat = max_fresh(world, v, deadline=deadline)
         if stat is not None:
             leading.append(stat)
-    fresh_stat = max_fresh(world, FRESH)
+    fresh_stat = max_fresh(world, FRESH, deadline=deadline)
 
     degree = max(
         [d for d, _c in leading]
@@ -117,6 +119,7 @@ def inf_k_symbolic(
     p: Position,
     k: int,
     max_positions: int = EXACT_MAX_POSITIONS,
+    deadline: Optional[float] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` in bits (averaged over all revealed sets).
 
@@ -133,6 +136,7 @@ def inf_k_symbolic(
     count = 0
     with TRACER.span("ric.sweep", engine="entropy_k", positions=n) as span:
         for revealed in revealed_subsets(instance, p):
+            check_deadline(deadline)
             total += world_entropy_k(World(instance, p, revealed), k)
             count += 1
         span.set(worlds=count)
@@ -145,6 +149,7 @@ def ric_exact(
     instance: PositionedInstance,
     p: Position,
     max_positions: int = EXACT_MAX_POSITIONS,
+    deadline: Optional[float] = None,
 ) -> Fraction:
     """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``."""
     n = len(instance.positions)
@@ -157,7 +162,8 @@ def ric_exact(
     count = 0
     with TRACER.span("ric.sweep", engine="exact", positions=n) as span:
         for revealed in revealed_subsets(instance, p):
-            total += world_limit_ratio(World(instance, p, revealed))
+            check_deadline(deadline)
+            total += world_limit_ratio(World(instance, p, revealed), deadline)
             count += 1
         span.set(worlds=count)
     METRICS.inc("ric.sweeps")

@@ -10,9 +10,21 @@ satisfying completions of a world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, List, Sequence, Tuple
+from time import monotonic
+from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.positions import Position, PositionedInstance
+
+
+class DeadlineExceeded(TimeoutError):
+    """A kernel ran past the deadline its caller gave it."""
+
+
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise :class:`DeadlineExceeded` once :func:`time.monotonic` (a
+    system-wide clock, so worker processes share it) passes *deadline*."""
+    if deadline is not None and monotonic() > deadline:
+        raise DeadlineExceeded()
 
 
 @dataclass(frozen=True)

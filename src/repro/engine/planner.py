@@ -12,10 +12,11 @@ during planning.
 ``execute`` then walks the plan under the budget's wall clock, running
 each stage through the method table of :mod:`repro.core.measure`: a
 stage whose estimate was infeasible is skipped (recorded as a
-degradation), a stage that exceeds the remaining allowance is abandoned
-on its sacrificial thread, and when the chain is exhausted the
-structured :class:`~repro.service.budget.BudgetExceeded` carries the
-full stage history.
+degradation), a stage runs with the remaining allowance as a deadline
+its kernel checks and stops when it passes it (recorded as a timeout),
+and when the chain is exhausted the structured
+:class:`~repro.service.budget.BudgetExceeded` carries the full stage
+history.
 
 Results are not cached here: the batch runner's content-addressed
 :class:`~repro.service.cache.ResultCache`, keyed by
@@ -30,20 +31,16 @@ planning, one ``engine_run`` span per attempted stage, and counters
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
+from time import monotonic, perf_counter
 from typing import Any, Optional, Tuple
 
 from repro.core.measure import inf_k, ladder, ric
+from repro.core.worlds import DeadlineExceeded
 from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.problem import Problem
-from repro.service.budget import Budget, BudgetExceeded, run_time_boxed
+from repro.service.budget import Budget, BudgetExceeded
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
-
-try:  # concurrent.futures spells its timeout differently per version
-    from concurrent.futures import TimeoutError as _StageTimeout
-except ImportError:  # pragma: no cover
-    _StageTimeout = TimeoutError
 
 
 @dataclass(frozen=True)
@@ -140,11 +137,11 @@ class ExecutionResult:
     plan: Plan
 
 
-def _run_engine(problem: Problem, engine: str, pool=None):
+def _run_engine(problem: Problem, engine: str, pool, deadline):
     """Run *engine* on *problem* through the core method table."""
     instance, p = problem.resolved_instance(), problem.position_obj()
     if problem.op == "inf_k":
-        return inf_k(instance, p, problem.k, method=engine)
+        return inf_k(instance, p, problem.k, method=engine, deadline=deadline)
     return ric(
         instance,
         p,
@@ -152,6 +149,7 @@ def _run_engine(problem: Problem, engine: str, pool=None):
         samples=problem.samples,
         seed=problem.seed,
         pool=pool,
+        deadline=deadline,
     )
 
 
@@ -240,11 +238,12 @@ class Planner:
         attempts = []
         started = perf_counter()
 
-        def remaining() -> Optional[float]:
+        def stage_deadline() -> Optional[float]:
+            """What is left of the budget (at least 1 ms), from now."""
             if budget.wall_seconds is None:
                 return None
             left = budget.wall_seconds - (perf_counter() - started)
-            return max(left, 0.001)
+            return monotonic() + max(left, 0.001)
 
         for step in plan.steps:
             if step.action != "run":
@@ -269,9 +268,8 @@ class Planner:
                     if step.estimate.seconds is not None:
                         span.set(predicted_seconds=step.estimate.seconds)
                     stage_started = perf_counter()
-                    value = run_time_boxed(
-                        lambda: _run_engine(problem, step.engine, pool),
-                        remaining(),
+                    value = _run_engine(
+                        problem, step.engine, pool, stage_deadline()
                     )
                     span.set(ok=True)
                 METRICS.inc("engine.runs", engine=step.engine)
@@ -280,7 +278,7 @@ class Planner:
                     perf_counter() - stage_started,
                 )
                 return value, step.engine
-            except _StageTimeout:
+            except DeadlineExceeded:
                 attempts.append((step.engine, "timeout"))
                 METRICS.inc("budget.timeouts")
                 TRACER.event("budget.timeout", stage=step.engine)

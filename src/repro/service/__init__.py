@@ -53,7 +53,6 @@ _EXPORTS = {
     "ric_montecarlo_parallel": "repro.service.pool",
     "Budget": "repro.service.budget",
     "BudgetExceeded": "repro.service.budget",
-    "drain_abandoned": "repro.service.budget",
     "BatchRunner": "repro.service.runner",
     "run_batch": "repro.service.runner",
     "JobError": "repro.service.errors",

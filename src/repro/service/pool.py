@@ -8,8 +8,8 @@ Two parallelism axes, both ``concurrent.futures``-backed:
   sufficient statistics.  Because the sampler is counter-based (sample
   ``j`` is seeded by ``(seed, j)``), the merged estimate is **bit-equal**
   to the serial one for any worker count;
-- **across jobs** — :meth:`WorkerPool.map` fans independent thunks out
-  over the same executor.
+- **across jobs** — the batch runner submits independent jobs to
+  :attr:`WorkerPool.executor`.
 
 Threads are the default executor: chunk evaluation releases no locks and
 the instances are small, so thread fan-out costs nothing to set up and is
@@ -24,7 +24,7 @@ with deterministic backoff.  A broken executor (``BrokenProcessPool``
 after a worker SIGKILL, a shut-down thread pool) is rebuilt in place
 before the retry round.  Because chunk results are order-merged
 sufficient statistics, a recovered estimate is still bit-identical to
-the failure-free one.
+the failure-free one.  A chunk past its deadline is never retried.
 
 Chunk evaluation is also the runtime's **cross-process telemetry seam**:
 a chunk that runs in a worker process snapshots its local
@@ -53,6 +53,7 @@ from repro.core.montecarlo import (
     ric_mc_chunk,
 )
 from repro.core.positions import Position, PositionedInstance
+from repro.core.worlds import DeadlineExceeded
 from repro.service.errors import from_exception
 from repro.service.faults import FAULTS
 from repro.service.metrics import METRICS, RETRIES
@@ -97,7 +98,8 @@ def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
     (same PID) telemetry is ``None`` — the engines already recorded into
     the shared registry.
     """
-    instance, p, start, count, seed, parent_pid, parent_span, trace = args
+    (instance, p, start, count, seed, deadline,
+     parent_pid, parent_span, trace) = args
     in_child = os.getpid() != parent_pid
     if in_child:
         METRICS.reset()
@@ -110,7 +112,7 @@ def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
         start=start,
         count=count,
     ):
-        chunk = ric_mc_chunk(instance, p, start, count, seed)
+        chunk = ric_mc_chunk(instance, p, start, count, seed, deadline)
     if not in_child:
         return chunk, None
     telemetry = {
@@ -176,15 +178,6 @@ class WorkerPool:
         self._executor = self._new_executor()
         METRICS.inc("pool.rebuilds")
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Apply *fn* to every item concurrently, preserving order.
-
-        Exceptions propagate from the first failing item, matching the
-        serial ``[fn(x) for x in items]`` contract.
-        """
-        futures = [self._executor.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
-
     def map_retrying(
         self,
         fn: Callable,
@@ -217,6 +210,8 @@ class WorkerPool:
             for index, future in futures.items():
                 try:
                     results[index] = future.result()
+                except DeadlineExceeded:
+                    raise  # the budget is spent: a retry cannot finish
                 except Exception as exc:  # noqa: BLE001 — classified below
                     error = from_exception(exc)
                     if not self.retry.is_retryable(error.kind):
@@ -257,12 +252,14 @@ class WorkerPool:
         p: Position,
         samples: int = 200,
         seed: int = 0,
+        deadline: Optional[float] = None,
     ) -> MCEstimate:
         """Sharded, deterministic Monte-Carlo ``RIC`` (see module doc).
 
         Chunks run through :meth:`map_retrying`, so transient worker
         failures re-execute only the affected ranges; the merged
         estimate is bit-identical to the failure-free serial result.
+        Every chunk stops at *deadline*, in worker processes too.
         """
         ranges = chunk_ranges(samples, self.workers)
         METRICS.inc("pool.mc.shards", len(ranges))
@@ -276,7 +273,7 @@ class WorkerPool:
             results = self.map_retrying(
                 _eval_chunk,
                 [
-                    (instance, p, start, count, seed,
+                    (instance, p, start, count, seed, deadline,
                      parent_pid, parent_span, trace)
                     for start, count in ranges
                 ],

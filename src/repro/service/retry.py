@@ -10,8 +10,9 @@ so a retried batch replays the exact same backoff schedule, which is
 what makes fault-injection tests (and post-mortem reproduction of a
 flaky run) deterministic.
 
-:func:`retry_call` is the execution loop shared by the runner (per-job
-retries) and the worker pool (per-chunk retries).
+:func:`retry_call` is the batch runner's per-job retry loop; the worker
+pool retries whole rounds of failed chunks in
+:meth:`~repro.service.pool.WorkerPool.map_retrying`.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ Fault tolerance (see also :mod:`repro.service.errors`):
 from __future__ import annotations
 
 import json
-import time as _time
 from fractions import Fraction
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -58,7 +57,7 @@ from repro.relational.attributes import fmt_attrs
 from repro.service.budget import Budget
 from repro.service.cache import ResultCache
 from repro.service.checkpoint import Checkpoint
-from repro.service.errors import JobError, from_exception
+from repro.service.errors import JobError
 from repro.service.faults import FAULTS
 from repro.service.jobs import (
     AdviseJob,
@@ -68,9 +67,9 @@ from repro.service.jobs import (
     job_key,
     parse_jsonl_lenient,
 )
-from repro.service.metrics import METRICS, RETRIES, Metrics
+from repro.service.metrics import METRICS, Metrics
 from repro.service.pool import WorkerPool
-from repro.service.retry import RetryPolicy, token_seed
+from repro.service.retry import RetryPolicy, retry_call, token_seed
 from repro.service.trace import TRACER
 
 
@@ -336,31 +335,26 @@ class BatchRunner:
         may they fail anonymously.
         """
         start = perf_counter()
-        attempt = 0
+
+        def attempt():
+            FAULTS.maybe_raise("job", token)
+            return self.execute(job, plan)
+
         with TRACER.span(
             "job", parent_id=self._batch_span, kind=job.kind, id=job.id
         ) as span:
-            while True:
-                try:
-                    FAULTS.maybe_raise("job", token)
-                    value = self.execute(job, plan)
-                    return value, None, perf_counter() - start
-                except Exception as exc:  # noqa: BLE001 — classified below
-                    error = from_exception(exc)
-                    if (
-                        self.retry.is_retryable(error.kind)
-                        and attempt + 1 < self.retry.max_attempts
-                    ):
-                        self.metrics.inc(RETRIES)
-                        span.event("retry", attempt=attempt, kind=error.kind)
-                        _time.sleep(
-                            self.retry.delay(attempt, token_seed(token))
-                        )
-                        attempt += 1
-                        continue
-                    self.metrics.inc("runner.errors", kind=error.kind)
-                    span.set(failed=error.kind)
-                    return None, error.to_dict(), perf_counter() - start
+            try:
+                value = retry_call(
+                    attempt,
+                    self.retry,
+                    seed=token_seed(token),
+                    metrics=self.metrics,
+                )
+            except JobError as error:
+                self.metrics.inc("runner.errors", kind=error.kind)
+                span.set(failed=error.kind)
+                return None, error.to_dict(), perf_counter() - start
+            return value, None, perf_counter() - start
 
     def _complete(
         self,

@@ -1,15 +1,24 @@
 """Budgets: degradation ladder, wall-clock timeouts, structured errors."""
 
+import json
+import resource
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 from repro.core import PositionedInstance
 from repro.core.montecarlo import MCEstimate
-from repro.dependencies import FD
+from repro.dependencies import FD, MVD
 from repro.engine import Problem, plan_and_run
 from repro.relational import Relation, RelationSchema
-from repro.service.budget import Budget, BudgetExceeded, drain_abandoned
+from repro.service.budget import Budget, BudgetExceeded
+from repro.service.jobs import job_from_dict
+from repro.service.metrics import Metrics
+from repro.service.pool import WorkerPool
+from repro.service.runner import BatchRunner, run_batch
+from repro.workloads.relational_gen import random_instance
 
 
 def instance_with_rows(n_rows: int) -> PositionedInstance:
@@ -61,8 +70,7 @@ class TestTimeout:
     def test_exhausted_ladder_raises_structured_error(self):
         # A sample count worth seconds of work under a 50 ms clock: the
         # Monte-Carlo stage cannot finish, so the ladder exhausts (exact
-        # is skipped by size).  The abandoned stage runs on a daemon
-        # thread and drains shortly.
+        # is skipped by size).
         budget = Budget(wall_seconds=0.05, exact_max_positions=4)
         with pytest.raises(BudgetExceeded) as excinfo:
             measure(6, budget, samples=2_000)
@@ -73,9 +81,6 @@ class TestTimeout:
         payload = err.to_dict()
         assert payload["error"] == "budget_exceeded"
         assert payload["budget"]["wall_seconds"] == 0.05
-        # Let the abandoned stage finish so its residual metric
-        # increments cannot bleed into later tests.
-        assert drain_abandoned() == 0
 
     def test_no_wall_clock_means_no_timeout(self):
         value, _ = measure(2, Budget(wall_seconds=None))
@@ -86,3 +91,106 @@ class TestTimeout:
             Budget(wall_seconds=0)
         with pytest.raises(ValueError):
             Budget(exact_max_positions=0)
+
+
+# ----------------------------------------------------------------------
+# an expired budget leaves no work running
+# ----------------------------------------------------------------------
+
+TIMEOUT = 0.05
+
+#: One sharded Monte-Carlo job worth seconds of work (6 rows, 18
+#: positions, 2,000 samples).
+MC_JOB = {
+    "kind": "measure",
+    "design": "R(A,B,C); B->C",
+    "rows": [[i, 2, 3] if i < 2 else [i, 20 + i, 30 + i] for i in range(6)],
+    "position": [0, "C"],
+    "method": "montecarlo",
+    "samples": 2_000,
+}
+
+
+def assert_no_work_left(threads_before):
+    """No thread outlives the call, and process CPU time stops."""
+    assert set(threading.enumerate()) <= threads_before
+    cpu = time.process_time()
+    time.sleep(0.5)
+    assert time.process_time() - cpu < 0.2
+
+
+def assert_timed_out(report):
+    entry = report["results"][0]
+    assert report["failed"] == 1
+    assert entry["error"]["error"] == "budget_exceeded"
+    assert entry["error"]["stages"] == [["montecarlo", "timeout"]]
+
+
+class TestBudgetBoundsWork:
+    def test_exact_sweep_stops_at_the_deadline(self):
+        # W1: 12 positions, a sweep of seconds.
+        deps = [FD("B", "C"), FD("A", "B")]
+        inst = PositionedInstance.from_relation(
+            random_instance("ABCD", fds=deps, n_rows=4, domain=3, seed=1),
+            deps,
+        )
+        problem = Problem.from_instance(
+            inst, inst.positions[2], method="exact"
+        )
+        threads = set(threading.enumerate())
+        with pytest.raises(BudgetExceeded) as excinfo:
+            plan_and_run(problem, budget=Budget(wall_seconds=TIMEOUT))
+        assert excinfo.value.stages == [("exact", "timeout")]
+        assert_no_work_left(threads)
+
+    def test_pattern_search_stops_inside_one_world(self):
+        # One sample of w4_mvd (21 positions) at seed 0 is a single
+        # world whose pattern search takes seconds; pruning cuts most
+        # subtrees before a leaf, so only a check at every node stops
+        # it near the deadline.
+        schema = RelationSchema("R", ("A", "B", "C"))
+        rows = [(a, 1, c) for a in (1, 2) for c in (1, 2, 3)] + [(1, 2, 1)]
+        inst = PositionedInstance.from_relation(
+            Relation(schema, rows), [MVD("B", "A")]
+        )
+        problem = Problem.from_instance(
+            inst, inst.positions[0], method="montecarlo", samples=1, seed=0
+        )
+        threads = set(threading.enumerate())
+        with pytest.raises(BudgetExceeded) as excinfo:
+            plan_and_run(problem, budget=Budget(wall_seconds=TIMEOUT))
+        assert excinfo.value.stages == [("montecarlo", "timeout")]
+        assert excinfo.value.elapsed < 0.25
+        assert_no_work_left(threads)
+
+    def test_sharded_job_spends_no_cpu_past_the_deadline(self):
+        cpu = time.process_time()
+        runner = BatchRunner(
+            pool=WorkerPool(workers=2),
+            budget=Budget(wall_seconds=TIMEOUT),
+            metrics=Metrics(),
+        )
+        try:
+            report = runner.run([job_from_dict(MC_JOB)])
+        finally:
+            runner.pool.shutdown()
+        assert_timed_out(report)
+        assert time.process_time() - cpu < 1.0
+
+    def test_worker_processes_stop_at_the_deadline(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(json.dumps(MC_JOB) + "\n")
+        children = resource.getrusage(resource.RUSAGE_CHILDREN)
+        report = run_batch(
+            str(path),
+            workers=2,
+            budget=Budget(wall_seconds=TIMEOUT),
+            metrics=Metrics(),
+            use_processes=True,
+        )
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert_timed_out(report)
+        cpu = (after.ru_utime - children.ru_utime) + (
+            after.ru_stime - children.ru_stime
+        )
+        assert cpu < 1.0

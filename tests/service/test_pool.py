@@ -75,22 +75,6 @@ class TestChunkedDeterminism:
 
 
 class TestWorkerPool:
-    def test_map_preserves_order(self):
-        with WorkerPool(workers=4) as pool:
-            assert pool.map(lambda x: x * x, list(range(20))) == [
-                x * x for x in range(20)
-            ]
-
-    def test_map_propagates_exceptions(self):
-        def boom(x):
-            if x == 3:
-                raise RuntimeError("job 3 failed")
-            return x
-
-        with WorkerPool(workers=2) as pool:
-            with pytest.raises(RuntimeError, match="job 3"):
-                pool.map(boom, list(range(5)))
-
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=0)

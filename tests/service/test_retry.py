@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.worlds import DeadlineExceeded
 from repro.service.errors import JobError, WorkerCrashError
 from repro.service.metrics import RETRIES, Metrics
 from repro.service.pool import WorkerPool
@@ -147,6 +148,19 @@ class TestPoolRetryWiring:
                 pool.map_retrying(bad, [0, 1, 2], sleep=lambda _s: None)
         assert excinfo.value.kind == "internal"
 
+    def test_map_retrying_passes_an_expired_deadline_through(self):
+        # The planner records a stage timeout from the bare exception.
+        calls = []
+
+        def late(x):
+            calls.append(x)
+            raise DeadlineExceeded()
+
+        with WorkerPool(workers=1) as pool:
+            with pytest.raises(DeadlineExceeded):
+                pool.map_retrying(late, [0], sleep=lambda _s: None)
+        assert calls == [0]
+
     def test_map_retrying_exhaustion(self):
         def always(x):
             raise WorkerCrashError("down forever")
@@ -164,7 +178,7 @@ class TestPoolRetryWiring:
         try:
             pool.rebuild()
             assert pool.executor is not first
-            assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+            assert pool.map_retrying(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
         finally:
             pool.shutdown()
 

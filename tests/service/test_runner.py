@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.service.budget import Budget, drain_abandoned
+from repro.service.budget import Budget
 from repro.service.jobs import (
     AdviseJob,
     JobSpecError,
@@ -129,7 +129,6 @@ class TestBatchRunner:
             )
         finally:
             runner.pool.shutdown()
-            drain_abandoned()
         entry = report["results"][0]
         assert entry["ok"] is False
         assert entry["error"]["error"] == "budget_exceeded"
