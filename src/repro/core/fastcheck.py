@@ -77,103 +77,6 @@ def _compile_mvd(mvd: MVD, schema: RelationSchema, rows) -> Callable[[], bool]:
     return check
 
 
-def compile_certain_violation(
-    dep: Any, schema: RelationSchema, rows: List[List[Any]], is_unknown
-) -> Callable[[], bool]:
-    """A sound ``() -> bool`` that is True only when *dep* is violated for
-    **every** concretization of the cells *is_unknown* flags.
-
-    Used to prune pattern-search subtrees: assigned cells are concrete,
-    unassigned cells are Unknown sentinels.  JDs yield no sound cheap
-    test, so they always report ``False`` (no pruning).
-    """
-    if isinstance(dep, FD):
-        return _certain_fd(dep, schema, rows, is_unknown)
-    if isinstance(dep, MVD):
-        return _certain_mvd(dep, schema, rows, is_unknown)
-    if isinstance(dep, JD):
-        return lambda: False
-    raise TypeError(f"unsupported dependency: {dep!r}")
-
-
-def _certain_fd(fd: FD, schema, rows, is_unknown) -> Callable[[], bool]:
-    lhs_idx = tuple(schema.index(a) for a in sorted(fd.lhs))
-    rhs_idx = tuple(schema.index(a) for a in sorted(fd.rhs))
-
-    def check() -> bool:
-        seen: dict = {}
-        for row in rows:
-            key = tuple(row[i] for i in lhs_idx)
-            if any(is_unknown(v) for v in key):
-                continue
-            val = tuple(row[i] for i in rhs_idx)
-            for prior in seen.setdefault(key, []):
-                for a, b in zip(prior, val):
-                    if a != b and not is_unknown(a) and not is_unknown(b):
-                        return True
-            seen[key].append(val)
-        return False
-
-    return check
-
-
-def _certain_mvd(mvd: MVD, schema, rows, is_unknown) -> Callable[[], bool]:
-    uni = schema.attrset
-    lhs_idx = tuple(schema.index(a) for a in sorted(mvd.lhs & uni))
-    mid_idx = tuple(schema.index(a) for a in sorted((mvd.rhs - mvd.lhs) & uni))
-    rest_idx = tuple(schema.index(a) for a in sorted(uni - mvd.lhs - mvd.rhs))
-
-    witness_idx = lhs_idx + mid_idx + rest_idx
-
-    def check() -> bool:
-        n = len(rows)
-        keys = []
-        for t in rows:
-            key = tuple(t[i] for i in lhs_idx)
-            known = True
-            for v in key:
-                if is_unknown(v):
-                    known = False
-                    break
-            keys.append(key if known else None)
-        for a in range(n):
-            key1 = keys[a]
-            if key1 is None:
-                continue
-            t1 = rows[a]
-            for b in range(n):
-                if b == a or keys[b] != key1:
-                    continue
-                t2 = rows[b]
-                # Required witness: lhs/mid from t1, rest from t2.
-                witness_vals = [t1[i] for i in lhs_idx + mid_idx] + [
-                    t2[i] for i in rest_idx
-                ]
-                pinned = True
-                for v in witness_vals:
-                    if is_unknown(v):
-                        pinned = False
-                        break
-                if not pinned:
-                    continue  # witness not pinned yet; might still appear
-                found_possible = False
-                for row in rows:
-                    compatible = True
-                    for i, v in zip(witness_idx, witness_vals):
-                        cell = row[i]
-                        if cell != v and not is_unknown(cell):
-                            compatible = False
-                            break
-                    if compatible:
-                        found_possible = True
-                        break
-                if not found_possible:
-                    return True
-        return False
-
-    return check
-
-
 def _compile_jd(jd: JD, schema: RelationSchema, rows) -> Callable[[], bool]:
     comp_idx = [
         tuple(schema.index(a) for a in sorted(comp & schema.attrset))

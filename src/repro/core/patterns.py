@@ -31,24 +31,22 @@ class PatternBudgetExceeded(RuntimeError):
     """Raised when pattern enumeration would exceed the configured budget."""
 
 
-def _candidate_value(candidate: Any) -> Any:
-    """The concrete (or sentinel) value the candidate class stands for."""
-    return candidate  # FRESH is itself a FreshValue sentinel
-
-
 def pattern_counts(
-    world: World, candidate: Any, max_leaves: int = 2_000_000
+    world: World,
+    candidate: Any,
+    max_leaves: int = 2_000_000,
+    deadline: Optional[float] = None,
 ) -> Dict[int, int]:
     """Count satisfying patterns by number of fresh blocks.
 
     Returns ``{b: count}`` for the given candidate class.  *max_leaves*
     bounds the number of leaf oracle calls (raises
-    :class:`PatternBudgetExceeded` beyond it).
+    :class:`PatternBudgetExceeded` beyond it); *deadline* is checked at
+    every node, as in :func:`max_fresh`.
     """
     fixed_labels: List[Any] = list(world.fixed_values)
     if candidate is FRESH:
         fixed_labels.append(FRESH)
-    cand_value = _candidate_value(candidate)
 
     erased = world.num_erased
     assignment: List[Any] = [None] * erased
@@ -56,6 +54,8 @@ def pattern_counts(
     leaves = [0]
 
     def recurse(i: int, blocks: int) -> None:
+        if deadline is not None:
+            check_deadline(deadline)
         if i == erased:
             leaves[0] += 1
             if leaves[0] > max_leaves:
@@ -63,7 +63,7 @@ def pattern_counts(
                     f"more than {max_leaves} patterns for world "
                     f"(erased={erased})"
                 )
-            if world.satisfies(cand_value, assignment):
+            if world.satisfies(candidate, assignment):
                 counts[blocks] = counts.get(blocks, 0) + 1
             return
         for label in fixed_labels:
@@ -109,28 +109,16 @@ def max_fresh(
     fixed_labels: List[Any] = list(world.fixed_values)
     if candidate is FRESH:
         fixed_labels.append(FRESH)
-    cand_value = _candidate_value(candidate)
     erased = world.num_erased
     unknowns = [Unknown(i) for i in range(erased)]
     assignment: List[Any] = list(unknowns)
+    fresh = [FreshValue(b) for b in range(erased)]
 
-    if prune and world.certainly_violated(cand_value, assignment):
+    # Cell 0 of the world is p, cell i + 1 is erased[i]; each check assigns one.
+    prune = prune and world.prunable
+    violated = world.certainly_violated
+    if prune and violated(0, candidate):
         return None  # violated whatever the completion: dead class
-
-    # The deepening rounds revisit identical prefixes; the certain-violation
-    # verdict depends only on the assigned prefix (the suffix is the same
-    # Unknown sentinels every time), so it is memoized across rounds.
-    memo = {}
-
-    def violated_prefix(i: int) -> bool:
-        if not prune:
-            return False
-        key = tuple(assignment[: i + 1])
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = world.certainly_violated(cand_value, assignment)
-            memo[key] = verdict
-        return verdict
 
     def count_at_deficit(budget: int) -> int:
         found = [0]
@@ -139,25 +127,21 @@ def max_fresh(
             if deadline is not None:  # spare the call on every node
                 check_deadline(deadline)
             if i == erased:
-                if spent == budget and world.satisfies(cand_value, assignment):
+                if spent == budget and world.satisfies(candidate, assignment):
                     found[0] += 1
                 return
             # New fresh block: free.
-            assignment[i] = FreshValue(blocks)
-            if not violated_prefix(i):
+            value = assignment[i] = fresh[blocks]
+            if not (prune and violated(i + 1, value)):
                 recurse(i + 1, blocks + 1, spent)
             # Reusing a block or taking a fixed label costs one deficit;
             # skip when the budget cannot be met exactly anyway.  Patterns
             # that underspend are produced by smaller budgets, so the leaf
             # requires spent == budget — no double counting across rounds.
             if spent < budget:
-                for block in range(blocks):
-                    assignment[i] = FreshValue(block)
-                    if not violated_prefix(i):
-                        recurse(i + 1, blocks, spent + 1)
-                for label in fixed_labels:
-                    assignment[i] = label
-                    if not violated_prefix(i):
+                for value in fresh[:blocks] + fixed_labels:
+                    assignment[i] = value
+                    if not (prune and violated(i + 1, value)):
                         recurse(i + 1, blocks, spent + 1)
             assignment[i] = unknowns[i]
 

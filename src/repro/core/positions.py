@@ -18,6 +18,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.chase.engine import Dependency
 from repro.core.fastcheck import compile_check
+from repro.core.pruning import PruningState
 from repro.relational.relation import DatabaseInstance, Relation
 
 
@@ -130,15 +131,6 @@ class PositionedInstance:
         """The dependency list attached to *relation*."""
         return list(self._constraints.get(relation, []))
 
-    @property
-    def all_constraints(self) -> List[Tuple[str, Dependency]]:
-        """Flat list of (relation, dependency) pairs."""
-        return [
-            (name, dep)
-            for name, deps in self._constraints.items()
-            for dep in deps
-        ]
-
     # ------------------------------------------------------------------
     # the satisfaction oracle
     # ------------------------------------------------------------------
@@ -200,40 +192,18 @@ class PositionedInstance:
 
         return oracle
 
-    def make_certain_checker(self, variable_positions: Sequence[Position]):
-        """Three-valued companion of :meth:`make_oracle`.
-
-        Returns ``checker(values)`` that is True only when some constraint
-        is violated regardless of how the
-        :class:`~repro.core.worlds.Unknown` cells among *values* are
-        concretized — the sound pruning test of the pattern search.
-        """
-        from repro.core.fastcheck import compile_certain_violation
-        from repro.core.worlds import Unknown
-
-        def is_unknown(value: Any) -> bool:
-            return isinstance(value, Unknown)
-
-        var_cells = [self._cell_of[p] for p in variable_positions]
-        base: List[List[List[Any]]] = [
-            [list(row) for row in rows] for rows in self._rows
-        ]
-        checks = [
-            compile_certain_violation(dep, self._schemas[r], base[r], is_unknown)
-            for r, schema in enumerate(self._schemas)
-            for dep in self._constraints.get(schema.name, ())
-        ]
-        originals = [self.value_at(p) for p in variable_positions]
-
-        def checker(values: Sequence[Any]) -> bool:
-            for (r, i, c), value in zip(var_cells, values):
-                base[r][i][c] = value
-            doomed = any(check() for check in checks)
-            for (r, i, c), original in zip(var_cells, originals):
-                base[r][i][c] = original
-            return doomed
-
-        return checker
+    def make_pruning_state(self, variable_positions: Sequence[Position]):
+        """Three-valued companion of :meth:`make_oracle`: a
+        :class:`~repro.core.pruning.PruningState` over the same variable
+        positions, all unassigned — the pattern search's pruning test —
+        or ``None`` when no constraint can be pruned."""
+        state = PruningState(
+            self._schemas,
+            self._rows,
+            self._constraints,
+            [self._cell_of[p] for p in variable_positions],
+        )
+        return state if state.checks else None
 
     def check_original(self) -> bool:
         """Sanity check: the unmodified instance satisfies its constraints."""

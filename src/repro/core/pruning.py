@@ -1,0 +1,254 @@
+"""Incremental certain-violation state: the pattern search's pruning test.
+
+:func:`repro.core.patterns.max_fresh` assigns a world's cells one at a
+time and cuts a prefix once some dependency is *certainly* violated:
+violated however the unassigned cells are filled in.  It extends only
+prefixes that are not, so a new violation must involve the cell just
+assigned.  The root of a search (cell 0) runs the full check; every later
+assignment runs a delta check of what that one cell can break.
+
+- FD ``X → Y``: rows with known, equal ``X`` and a ``Y`` cell known on both
+  and different.
+- MVD ``X ↠ Y`` (``Z`` the rest): rows ``t1, t2`` with known, equal ``X``
+  require the witness ``t1[XY] + t2[Z]``, certainly missing when its cells
+  are known and no row fits it (each cell unknown or equal).
+- JD over the whole schema: each split of its components into ``G1 | G2``
+  implies the MVD ``(∪G1 ∩ ∪G2) ↠ ∪G1``; pruning through those is sound for
+  every JD and complete for two components.
+
+Cells hold values encoded as small ints (``None`` when unassigned) and each
+column a bitmask of rows per value, so the checks are mask operations.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
+from typing import Any, Dict, List
+
+from repro.dependencies.fd import FD
+from repro.dependencies.jd import JD
+from repro.dependencies.mvd import MVD
+
+
+class PruningState:
+    """The live rows of one world and the certain-violation test on them.
+
+    *schemas*, *rows* and *constraints* (relation name -> dependencies)
+    describe the relations; *var_cells* holds the ``(relation, row,
+    column)`` of each variable cell, in assignment order, all unassigned.
+    """
+
+    def __init__(self, schemas, rows, constraints, var_cells):
+        self._codes: Dict[Any, int] = {}
+        codes = self._codes
+        tables = [
+            _Table([[codes.setdefault(v, len(codes)) for v in row] for row in rel], s)
+            for rel, s in zip(rows, schemas)
+        ]
+        checks = [
+            [ch for dep in constraints.get(s.name, ()) for ch in _compile(dep, s)]
+            for s in schemas
+        ]
+        self.checks = [(ch, t) for chs, t in zip(checks, tables) for ch in chs]
+        self._cells = []
+        for r, i, c in var_cells:
+            table = tables[r]
+            row, bit, eq = table.rows[i], 1 << i, table.eq[c]
+            eq[row[c]] &= ~bit
+            table.unknown[c] |= bit
+            row[c] = None
+            deltas = tuple(ch.delta for ch in checks[r] if c in ch.columns)
+            self._cells.append((row, c, bit, eq, table.unknown, table, i, deltas))
+        self._depth = 0
+
+    def violated(self) -> bool:
+        """The full check: is some dependency certainly violated?"""
+        return any(check.violated(table) for check, table in self.checks)
+
+    def extend(self, cell: int, value: Any) -> bool:
+        """Assign variable *cell*, every later cell unknown: is some
+        dependency now certainly violated?  Cell 0 runs the full check,
+        any other the delta check: sound, and equal to the full check when
+        the rows were not certainly violated before the call."""
+        cells = self._cells
+        depth = self._depth
+        while depth > cell:
+            depth -= 1
+            row, c, bit, eq, unknown = cells[depth][:5]
+            old = row[c]
+            if old is not None:
+                row[c] = None
+                eq[old] &= ~bit
+                unknown[c] |= bit
+        self._depth = cell + 1
+        row, c, bit, eq, unknown, table, i, deltas = cells[cell]
+        code = self._codes.setdefault(value, len(self._codes))
+        row[c] = code
+        eq[code] = eq.get(code, 0) | bit
+        unknown[c] &= ~bit
+        if cell == 0:
+            return self.violated()
+        for delta in deltas:
+            if delta(table, i, c):
+                return True
+        return False
+
+
+class _Table:
+    """One relation's live rows; ``eq[k][v]`` is the bitmask of rows whose
+    column ``k`` holds ``v``, ``unknown[k]`` of rows where it is unset."""
+
+    def __init__(self, rows: List[List[Any]], schema: Any):
+        self.rows = rows
+        self.all = (1 << len(rows)) - 1
+        self.eq: List[Dict[int, int]] = [{} for _ in range(schema.arity)]
+        self.unknown = [0] * schema.arity
+        for i, row in enumerate(rows):
+            for k, v in enumerate(row):
+                self.eq[k][v] = self.eq[k].get(v, 0) | 1 << i
+
+    def known(self, cols) -> int:
+        """Rows with every cell of *cols* assigned."""
+        mask = self.all
+        for k in cols:
+            mask &= ~self.unknown[k]
+        return mask
+
+    def agree(self, cols, row) -> int:
+        """Rows equal to *row* on its known cells among *cols*."""
+        eq = self.eq
+        mask = self.all
+        for k in cols:
+            if row[k] is not None:
+                mask &= eq[k][row[k]]
+        return mask
+
+    def fit(self, cols, t: int) -> int:
+        """Rows compatible with row *t* (known on *cols*) on *cols*: each
+        cell unknown or equal."""
+        row, eq, unknown = self.rows[t], self.eq, self.unknown
+        mask = self.all
+        for k in cols:
+            mask &= eq[k][row[k]] | unknown[k]
+        return mask
+
+
+@lru_cache(maxsize=256)
+def _compile(dep: Any, schema: Any) -> tuple:
+    """The checks enforcing *dep* (none when it cannot be pruned)."""
+    uni = schema.attrset
+
+    def cols(attrs):
+        return tuple(schema.index(a) for a in sorted(attrs))
+
+    if isinstance(dep, FD):
+        rhs = cols(dep.rhs - dep.lhs)
+        return (_FD(cols(dep.lhs), rhs),) if rhs else ()
+    if isinstance(dep, MVD):
+        splits = {(dep.lhs & uni, (dep.rhs - dep.lhs) & uni)}
+    elif isinstance(dep, JD):
+        # Each split G1 | G2 of the components (G1 holding the first); a JD
+        # over part of the schema implies no MVD of it and is not pruned.
+        first, *rest = dep.components
+        splits = set()
+        for size in range(len(rest)) if dep.attributes == uni else ():
+            for group in combinations(rest, size):
+                g1 = first.union(*group)
+                x = g1 & frozenset().union(*(c for c in rest if c not in group))
+                splits.add((x, g1 - x))
+    else:
+        raise TypeError(f"unsupported dependency: {dep!r}")
+    return tuple(
+        _MVD(cols(x), cols(y), cols(uni - x - y))
+        for x, y in sorted(splits, key=lambda split: [sorted(s) for s in split])
+        if y and uni - x - y
+    )
+
+
+class _FD:
+    """Certain violations of ``X → Y``."""
+
+    def __init__(self, lhs, rhs):
+        self.lhs, self.rhs = lhs, rhs
+        self.columns = frozenset(lhs + rhs)
+
+    def violated(self, table: _Table) -> bool:
+        return any(self.clash(table, i, self.rhs) for i in range(len(table.rows)))
+
+    def delta(self, table: _Table, i: int, c: int) -> bool:
+        return self.clash(table, i, self.rhs if c in self.lhs else (c,))
+
+    def clash(self, table: _Table, i: int, cols) -> bool:
+        """Does row *i* certainly clash with another row on *cols*?"""
+        row, eq = table.rows[i], table.eq
+        same = table.all & ~(1 << i)
+        for k in self.lhs:
+            if row[k] is None:
+                return False
+            same &= eq[k][row[k]]
+        if same:
+            for k in cols:
+                v = row[k]
+                if v is not None and same & ~table.unknown[k] & ~eq[k][v]:
+                    return True
+        return False
+
+
+class _MVD:
+    """Certain violations of ``X ↠ Y`` (``Z`` the rest): rows ``t1`` known
+    on ``XY`` and ``t2`` known on ``XZ`` in the same ``X`` group require the
+    witness ``t1[XY] + t2[Z]``, which a row covers when it fits ``t1`` on
+    ``XY`` and ``t2`` on ``Z``."""
+
+    def __init__(self, x, y, z):
+        self.x, self.z, self.xy, self.xz = x, z, x + y, x + z
+        self.columns = frozenset(x + y + z)
+        self.in_y, self.in_z = frozenset(y), frozenset(z)
+
+    def missing(self, table: _Table, fits: int, t2s: int) -> bool:
+        """Does the witness of a t1 that the rows *fits* fit on ``XY`` with
+        some row of *t2s* have no row fitting it?"""
+        while t2s:
+            fits_z = table.fit(self.z, (t2s & -t2s).bit_length() - 1)
+            if not fits & fits_z:
+                return True
+            t2s &= ~fits_z  # the t2s with the same Z: same witness
+        return False
+
+    def uncovered(self, table: _Table, t1s: int, t2s: int) -> bool:
+        """Is some witness of a row of *t1s* with a row of *t2s* in its
+        ``X`` group missing?"""
+        while t1s:
+            t1 = (t1s & -t1s).bit_length() - 1
+            fits = table.fit(self.xy, t1)
+            group = table.agree(self.x, table.rows[t1])
+            if self.missing(table, fits, t2s & group):
+                return True
+            t1s &= ~fits  # the t1s with the same X and Y: same witnesses
+        return False
+
+    def violated(self, table: _Table) -> bool:
+        return self.uncovered(table, table.known(self.xy), table.known(self.xz))
+
+    def delta(self, table: _Table, i: int, c: int) -> bool:
+        row = table.rows[i]
+        t1s, t2s = table.known(self.xy), table.known(self.xz)
+        # The witnesses the changed row now pins, as t1 or as t2.
+        if c not in self.in_z and t1s >> i & 1:
+            group = table.agree(self.x, row)
+            if self.missing(table, table.fit(self.xy, i), t2s & group):
+                return True
+        if c not in self.in_y and t2s >> i & 1:
+            if self.uncovered(table, t1s & table.agree(self.x, row), 1 << i):
+                return True
+        # The witnesses it covered only while cell c was unknown: they
+        # agree with it elsewhere and differ at c.
+        masked = list(row)
+        masked[c] = None
+        differ = ~table.eq[c][row[c]]
+        t1s &= table.agree(self.xy, masked)
+        t2s &= table.agree(self.z, masked)
+        if c in self.in_z:
+            return self.uncovered(table, t1s, t2s & differ)
+        return self.uncovered(table, t1s & differ, t2s)

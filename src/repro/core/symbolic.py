@@ -58,7 +58,7 @@ def revealed_subsets(
             yield frozenset(combo)
 
 
-def world_entropy_k(world: World, k: int) -> float:
+def world_entropy_k(world: World, k: int, deadline: Optional[float] = None) -> float:
     """Exact ``H_k(p | X)`` in bits for the given world."""
     m = len(world.fixed_values)
     if k < m:
@@ -66,10 +66,10 @@ def world_entropy_k(world: World, k: int) -> float:
 
     weights: List[Tuple[int, int]] = []  # (count of candidates, N per candidate)
     for v in world.fixed_values:
-        counts = pattern_counts(world, v)
+        counts = pattern_counts(world, v, deadline=deadline)
         n_v = sum(c * falling_factorial(k - m, b) for b, c in counts.items())
         weights.append((1, n_v))
-    fresh_counts = pattern_counts(world, FRESH)
+    fresh_counts = pattern_counts(world, FRESH, deadline=deadline)
     n_f = sum(
         c * falling_factorial(k - m - 1, b) for b, c in fresh_counts.items()
     )
@@ -137,7 +137,7 @@ def inf_k_symbolic(
     with TRACER.span("ric.sweep", engine="entropy_k", positions=n) as span:
         for revealed in revealed_subsets(instance, p):
             check_deadline(deadline)
-            total += world_entropy_k(World(instance, p, revealed), k)
+            total += world_entropy_k(World(instance, p, revealed), k, deadline)
             count += 1
         span.set(worlds=count)
     METRICS.inc("ric.sweeps")

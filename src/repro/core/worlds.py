@@ -87,10 +87,10 @@ class World:
             sorted({instance.value_at(q) for q in self.revealed}, key=repr)
         )
         self._oracle = instance.make_oracle([p] + self.erased)
-        make_certain = getattr(instance, "make_certain_checker", None)
-        self._certain = (
-            make_certain([p] + self.erased) if make_certain is not None else None
-        )
+        make_pruning = getattr(instance, "make_pruning_state", None)
+        self._pruning = make_pruning([p] + self.erased) if make_pruning else None
+        #: Can the pattern search prune?  (Not XML, nor unprunable constraints.)
+        self.prunable = self._pruning is not None
 
     @property
     def num_erased(self) -> int:
@@ -110,12 +110,14 @@ class World:
         positions satisfy every constraint?"""
         return self._oracle([candidate] + list(completion))
 
-    def certainly_violated(self, candidate: Any, partial: Sequence[Any]) -> bool:
-        """Sound pruning test: is some constraint violated no matter how
-        the :class:`Unknown` cells of *partial* are concretized?
-
-        Returns ``False`` when no three-valued checker is available.
+    def certainly_violated(self, cell: int, value: Any) -> bool:
+        """Sound pruning test of the pattern search: assign *value* to cell
+        *cell* (0 is ``p``, ``i + 1`` is ``erased[i]``) with every later
+        cell :class:`Unknown`; is some constraint now violated however the
+        unknown cells are filled in?  See
+        :class:`~repro.core.pruning.PruningState`; ``False`` when the
+        instance has no three-valued checker.
         """
-        if self._certain is None:
+        if self._pruning is None:
             return False
-        return self._certain([candidate] + list(partial))
+        return self._pruning.extend(cell, value)

@@ -2,14 +2,16 @@
 
 The compiled closures must agree with the reference ``is_satisfied_by``
 methods on every instance — checked exhaustively on small value grids and
-under Hypothesis.
+under Hypothesis.  The three-valued full check of
+:class:`~repro.core.pruning.PruningState` is tested here on fixed rows.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastcheck import compile_certain_violation, compile_check
+from repro.core.fastcheck import compile_check
+from repro.core.pruning import PruningState
 from repro.core.worlds import Unknown
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
@@ -56,64 +58,85 @@ class TestCompiledAgreesWithReference:
             compile_check(object(), SCHEMA, [])
 
 
+def certain(dep, rows, schema=SCHEMA):
+    """The full check of a pruning state whose variable cells are the
+    :class:`Unknown` cells of *rows*."""
+    var_cells = [
+        (0, i, c)
+        for i, row in enumerate(rows)
+        for c, v in enumerate(row)
+        if isinstance(v, Unknown)
+    ]
+    state = PruningState([schema], [rows], {schema.name: [dep]}, var_cells)
+    return state.violated()
+
+
 class TestCertainViolation:
-    @staticmethod
-    def is_unknown(v):
-        return isinstance(v, Unknown)
-
-    def certain(self, dep, rows):
-        return compile_certain_violation(dep, SCHEMA, rows, self.is_unknown)()
-
     def test_fd_concrete_violation_is_certain(self):
         rows = [[1, 2, 3], [1, 9, 3]]
-        assert self.certain(FD("A", "B"), rows)
+        assert certain(FD("A", "B"), rows)
 
     def test_fd_unknown_masks_violation(self):
         rows = [[1, Unknown(0), 3], [1, 9, 3]]
-        assert not self.certain(FD("A", "B"), rows)
+        assert not certain(FD("A", "B"), rows)
 
     def test_fd_unknown_in_lhs_masks(self):
         rows = [[Unknown(0), 2, 3], [1, 9, 3]]
-        assert not self.certain(FD("A", "B"), rows)
+        assert not certain(FD("A", "B"), rows)
 
     def test_fd_third_row_violation_found(self):
         # Row 0's rhs is unknown but rows 1 and 2 certainly clash.
         rows = [[1, Unknown(0), 0], [1, 5, 0], [1, 6, 0]]
-        assert self.certain(FD("A", "B"), rows)
+        assert certain(FD("A", "B"), rows)
 
     def test_mvd_missing_pinned_witness_is_certain(self):
         # Rows agree on A; the required witness (1, 2, 6) cannot be any
         # row: all cells concrete and no row compatible.
         rows = [[1, 2, 3], [1, 5, 6], [1, 9, 9], [1, 8, 8]]
-        assert self.certain(MVD("A", "B"), rows)
+        assert certain(MVD("A", "B"), rows)
 
     def test_mvd_unknown_witness_cell_not_certain(self):
         # The (t1=row0, t2=row1) witness (1,2,?) is not pinned, and the
         # (t1=row1, t2=row0) witness (1,5,3) is matched by row1 itself
         # via its unknown C — no certain violation either way.
         rows = [[1, 2, 3], [1, 5, Unknown(0)]]
-        assert not self.certain(MVD("A", "B"), rows)
+        assert not certain(MVD("A", "B"), rows)
 
     def test_mvd_compatible_row_with_unknowns_not_certain(self):
         rows = [[1, 2, 3], [1, 5, 6], [1, Unknown(0), Unknown(1)], [1, 8, 8]]
-        assert not self.certain(MVD("A", "B"), rows)
+        assert not certain(MVD("A", "B"), rows)
 
-    def test_jd_never_prunes(self):
-        rows = [[1, 2, 3]]
-        assert not self.certain(JD("AB", "AC"), rows)
+    def test_two_component_jd_prunes_like_its_mvd(self):
+        # JD(AB, AC) is MVD A ->> B: the witness (1, 2, 6) is missing.
+        rows = [[1, 2, 3], [1, 5, 6], [1, 9, 9], [1, 8, 8]]
+        assert certain(JD("AB", "AC"), rows)
+        rows = [[1, 2, 3], [1, 5, 6], [1, Unknown(0), Unknown(1)], [1, 8, 8]]
+        assert not certain(JD("AB", "AC"), rows)
+
+    def test_cyclic_jd_prunes_through_each_implied_mvd(self):
+        # JD(AB, BC, CD, DA) implies AC ->> B and BD ->> A.
+        schema = RelationSchema("R", ("A", "B", "C", "D"))
+        jd = JD("AB", "BC", "CD", "DA")
+        assert certain(jd, [[1, 1, 1, 1], [1, 2, 1, 2]], schema)  # AC ->> B
+        assert certain(jd, [[1, 1, 1, 1], [2, 1, 2, 1]], schema)  # BD ->> A
+        assert not certain(jd, [[1, 1, 1, 1], [2, 2, 2, 2]], schema)
+
+    def test_jd_over_part_of_the_schema_never_prunes(self):
+        # On ABC alone this would be a missing B ->> A witness (1, 2, 6).
+        schema = RelationSchema("R", ("A", "B", "C", "D"))
+        rows = [[1, 2, 3, 0], [5, 2, 6, 0]]
+        assert not certain(JD("AB", "BC"), rows, schema)
 
     @settings(max_examples=40, deadline=None)
     @given(rows3, st.sampled_from(DEPS))
     def test_soundness_on_concrete_rows(self, rows, dep):
         """With no unknowns, 'certainly violated' must equal 'violated'
-        for FDs/MVDs (JDs opt out of pruning)."""
+        for FDs, MVDs and two-component JDs, and imply it for any JD."""
         relation = Relation(SCHEMA, rows)
         mutable = [list(r) for r in relation.sorted_rows()]
-        certain = compile_certain_violation(
-            dep, SCHEMA, mutable, self.is_unknown
-        )()
+        found = certain(dep, mutable)
         actual = not dep.is_satisfied_by(relation)
-        if isinstance(dep, JD):
-            assert certain is False
+        if isinstance(dep, JD) and len(dep.components) > 2:
+            assert actual or not found
         else:
-            assert certain == actual
+            assert found == actual

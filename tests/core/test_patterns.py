@@ -1,9 +1,15 @@
 """Tests for the equality-pattern enumeration."""
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import PositionedInstance
+from repro.core.symbolic import ric_exact
 from repro.core.worlds import FRESH, World
 from repro.dependencies.fd import FD
+from repro.dependencies.jd import JD
+from repro.dependencies.mvd import MVD
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 
@@ -91,3 +97,83 @@ class TestMaxFresh:
                 assert stat == (max(counts), counts[max(counts)])
             else:
                 assert stat is None
+
+
+ABC = RelationSchema("R", ("A", "B", "C"))
+
+DEPS = [
+    (ABC, FD("A", "B")),
+    (ABC, MVD("A", "B")),
+    (ABC, MVD("", "B")),
+    (ABC, JD("AB", "BC")),
+    (ABC, JD("AB", "BC", "CA")),
+]
+
+
+@st.composite
+def worlds(draw):
+    """A small instance satisfying one dependency, and one of its worlds."""
+    schema, dep = draw(st.sampled_from(DEPS))
+    rows = draw(
+        st.sets(
+            st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    relation = Relation(schema, rows)
+    assume(dep.is_satisfied_by(relation))
+    inst = PositionedInstance.from_relation(relation, [dep])
+    p = draw(st.sampled_from(inst.positions))
+    others = [q for q in inst.positions if q != p]
+    revealed = draw(st.sets(st.sampled_from(others)))
+    assume(len(others) - len(revealed) <= 6)
+    return World(inst, p, frozenset(revealed))
+
+
+def counting(world):
+    """Wrap *world*'s oracle; returns the call counter."""
+    calls = [0]
+    oracle = world.satisfies
+
+    def satisfies(*args):
+        calls[0] += 1
+        return oracle(*args)
+
+    world.satisfies = satisfies
+    return calls
+
+
+class TestPruningKeepsResults:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(worlds())
+    def test_pruned_search_equals_unpruned(self, world):
+        calls = counting(world)
+        for candidate in world.candidate_classes():
+            calls[0] = 0
+            pruned = max_fresh(world, candidate, prune=True)
+            pruned_calls = calls[0]
+            calls[0] = 0
+            plain = max_fresh(world, candidate, prune=False)
+            assert pruned == plain
+            assert pruned_calls <= calls[0]
+
+
+def test_jd_searches_like_its_mvd(monkeypatch):
+    """A two-component JD prunes exactly as its MVD does."""
+    rows = [(1, 1, 1), (2, 1, 1), (3, 2, 5)]
+    calls = []
+    oracle = World.satisfies
+
+    def satisfies(self, *args):
+        calls[-1] += 1
+        return oracle(self, *args)
+
+    monkeypatch.setattr(World, "satisfies", satisfies)
+    results = []
+    for dep in (MVD("B", "A"), JD("AB", "BC")):
+        inst = PositionedInstance.from_relation(Relation(ABC, rows), [dep])
+        calls.append(0)
+        results.append(ric_exact(inst, inst.positions[0]))
+    assert results[0] == results[1]
+    assert calls[0] == calls[1]

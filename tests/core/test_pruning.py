@@ -1,0 +1,159 @@
+"""Property tests for the incremental pruning state.
+
+The pattern search cuts a prefix when :class:`PruningState` reports a
+certain violation.  The delta check after one assignment must equal the
+from-scratch full check whenever the rows before it were not certainly
+violated, and the full check must be sound.  That pruning never changes
+what the search returns is tested in ``test_patterns.py``.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.pruning import PruningState
+from repro.dependencies.fd import FD
+from repro.dependencies.jd import JD
+from repro.dependencies.mvd import MVD
+from repro.relational.relation import Relation
+from repro.relational.schema import RelationSchema
+
+ABC = RelationSchema("R", ("A", "B", "C"))
+ABCD = RelationSchema("R", ("A", "B", "C", "D"))
+
+CASES = [
+    (ABC, FD("A", "B")),
+    (ABCD, FD("AB", "CD")),
+    (ABC, MVD("A", "B")),
+    (ABC, MVD("", "B")),
+    (ABCD, MVD("AB", "C")),
+    (ABC, JD("AB", "BC")),
+    (ABC, JD("AB", "BC", "CA")),
+    (ABCD, JD("AB", "BC", "CD", "DA")),
+]
+
+
+def state_for(schema, dep, rows, var_cells):
+    return PruningState([schema], [rows], {"R": [dep]}, var_cells)
+
+
+@st.composite
+def runs(draw):
+    """A dependency, rows over a small domain, variable cells in random
+    order, and a walk of assignments: each step goes *back* cells up from
+    the deepest assigned one (0 extends the prefix) and assigns *value*."""
+    schema, dep = draw(st.sampled_from(CASES))
+    width = schema.arity
+    n_rows = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(1, 2), min_size=width, max_size=width),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    cells = draw(
+        st.permutations([(0, i, c) for i in range(n_rows) for c in range(width)])
+    )
+    var_cells = cells[: draw(st.integers(1, len(cells)))]
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from([0, 0, 0, 1, 2]), st.integers(1, 4)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return schema, dep, rows, var_cells, steps
+
+
+def step(state, values, cell, value):
+    """Assign *value* at *cell* after *values* at the cells before it, and
+    compare the delta verdict with the full check."""
+    if cell:
+        # Reassigning the previous cell returns every later one to
+        # unknown: the rows as they were before this step.
+        state.extend(cell - 1, values[cell - 1])
+    before = state.violated()
+    verdict = state.extend(cell, value)
+    after = state.violated()
+    assert after or not verdict  # sound in any case
+    if cell == 0 or not before:
+        assert verdict == after
+
+
+class TestDeltaEqualsFull:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(runs())
+    def test_delta_verdict_equals_full_verdict(self, run):
+        schema, dep, rows, var_cells, steps = run
+        state = state_for(schema, dep, rows, var_cells)
+        values = []
+        for back, value in steps:
+            cell = max(0, min(len(values), len(var_cells) - 1) - back)
+            del values[cell:]
+            # Every value the cell can take (3 and 4 are new to the
+            # rows), then the drawn one, which stays assigned.
+            for candidate in (1, 2, 3, 4, value):
+                step(state, values, cell, candidate)
+            values.append(value)
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(runs())
+    def test_every_extension_of_a_search(self, run):
+        """The walk of the pattern search over up to four variable cells:
+        every value at every cell below a prefix that is not violated."""
+        schema, dep, rows, var_cells, _steps = run
+        state = state_for(schema, dep, rows, var_cells[:4])
+        values = []
+
+        def walk(cell):
+            for value in (1, 2, 3, 4):
+                step(state, values, cell, value)
+                if cell + 1 < len(var_cells[:4]) and not state.violated():
+                    values.append(value)
+                    walk(cell + 1)
+                    values.pop()
+
+        walk(0)
+
+
+def completions(rows, unknown_cells, domain):
+    """Every way of filling *unknown_cells* from *domain*."""
+    for fill in product(domain, repeat=len(unknown_cells)):
+        filled = [list(row) for row in rows]
+        for (i, c), v in zip(unknown_cells, fill):
+            filled[i][c] = v
+        yield filled
+
+
+class TestFullCheckIsSound:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_certain_violation_holds_in_every_completion(self, data):
+        schema, dep = data.draw(st.sampled_from(CASES))
+        width = schema.arity
+        rows = data.draw(
+            st.lists(
+                st.lists(st.integers(1, 2), min_size=width, max_size=width),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        cells = [(i, c) for i in range(len(rows)) for c in range(width)]
+        unknown = data.draw(
+            st.lists(st.sampled_from(cells), unique=True, max_size=3)
+        )
+        state = state_for(schema, dep, rows, [(0, i, c) for i, c in unknown])
+        if not state.violated():
+            return
+        # 1, 2 and one fresh value per unknown cell cover every pattern.
+        domain = [1, 2] + [10 + k for k in range(len(unknown))]
+        for filled in completions(rows, unknown, domain):
+            assert not dep.is_satisfied_by(Relation(schema, filled))
+
+
+def test_empty_relation_is_never_violated():
+    for schema, dep in CASES:
+        assert not state_for(schema, dep, [], []).violated()

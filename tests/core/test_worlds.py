@@ -60,13 +60,14 @@ class TestWorld:
 
     def test_certainly_violated_on_partial(self):
         _inst, _p, world = make_world([(0, "B"), (1, "B")])
-        # erased: row 1's A. candidate 3 with row-1 A unknown: not certain
-        # (row 1's A could differ) — wait, candidate sits at row 0's A and
-        # row 1's A = 3 is original.  Use the pinned case:
-        assert not world.certainly_violated(9, [Unknown(0)])
+        # Cell 0 is p (row 0's A), cell 1 the erased row-1 A.  Candidate 9
+        # with row 1's A unknown: not certain (row 1's A could differ).
+        assert not world.certainly_violated(0, 9)
+        assert not world.certainly_violated(0, 3)
         # Pin row 1's A equal to the candidate: rows agree on A but B
         # values 2 vs 4 are revealed-distinct: certain violation.
-        assert world.certainly_violated(3, [3])
+        assert world.certainly_violated(1, 3)
+        assert not world.certainly_violated(1, 9)  # cell 1 reassigned
 
 
 class TestSentinels:

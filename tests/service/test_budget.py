@@ -163,6 +163,24 @@ class TestBudgetBoundsWork:
         assert excinfo.value.elapsed < 0.25
         assert_no_work_left(threads)
 
+    def test_inf_k_stops_inside_one_world(self):
+        # The sweep's first world reveals nothing, so pattern_counts
+        # enumerates every pattern of 9 erased cells (~1.4 s here); only
+        # a check inside the world stops it near the deadline.
+        schema = RelationSchema("R", ("A", "B"))
+        inst = PositionedInstance.from_relation(
+            Relation(schema, [(i, i % 2) for i in range(5)]), [FD("A", "B")]
+        )
+        problem = Problem.from_instance(
+            inst, inst.positions[0], op="inf_k", method="symbolic", k=12
+        )
+        threads = set(threading.enumerate())
+        with pytest.raises(BudgetExceeded) as excinfo:
+            plan_and_run(problem, budget=Budget(wall_seconds=TIMEOUT))
+        assert excinfo.value.stages == [("symbolic", "timeout")]
+        assert excinfo.value.elapsed < 0.25
+        assert_no_work_left(threads)
+
     def test_sharded_job_spends_no_cpu_past_the_deadline(self):
         cpu = time.process_time()
         runner = BatchRunner(
