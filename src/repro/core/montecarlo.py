@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.positions import Position, PositionedInstance
-from repro.core.symbolic import world_limit_ratio
+from repro.core.symbolic import require_consistent, world_limit_ratio
 from repro.core.worlds import World, check_deadline
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
@@ -153,6 +153,7 @@ def ric_montecarlo(
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
+    require_consistent(instance)
     if rng is None:
         chunk = ric_mc_chunk(instance, p, 0, samples, seed, deadline)
         return merge_mc_chunks([chunk])

@@ -17,7 +17,9 @@ Two enumerators:
   the erased-position count, so it is guarded).
 - :func:`max_fresh` — only the maximum ``b`` and how many patterns attain
   it (the leading term of the polynomial; branch-and-bound pruned, fast in
-  the common all-fresh-satisfiable case).
+  the common all-fresh-satisfiable case).  Its ``max_deficit`` cap lets
+  :func:`repro.core.symbolic.world_limit_ratio` stop a fixed class's
+  search at the one deficit that can still change the world's ratio.
 """
 
 from __future__ import annotations
@@ -85,12 +87,15 @@ def max_fresh(
     candidate: Any,
     prune: bool = True,
     deadline: Optional[float] = None,
+    max_deficit: Optional[int] = None,
 ) -> Optional[Tuple[int, int]]:
     """The leading term of the satisfying-pattern polynomial.
 
     Returns ``(d, c)``: the maximum number of fresh blocks ``d`` over
     satisfying patterns and the number ``c`` of patterns attaining it, or
-    ``None`` if no pattern satisfies the constraints.
+    ``None`` if no pattern satisfies the constraints.  With *max_deficit*
+    the deepening stops there: ``None`` then also means that every
+    satisfying pattern has a deficit above the cap.
 
     Iterative deepening on the *deficit* (number of erased positions not
     opening a fresh block): a pattern with deficit ``δ`` has
@@ -148,7 +153,8 @@ def max_fresh(
         recurse(0, 0, 0)
         return found[0]
 
-    for deficit in range(erased + 1):
+    last = erased if max_deficit is None else min(erased, max_deficit)
+    for deficit in range(last + 1):
         count = count_at_deficit(deficit)
         if count:
             return erased - deficit, count

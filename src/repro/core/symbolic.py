@@ -15,6 +15,21 @@ Built on :mod:`repro.core.patterns`.  For every revealed set ``X``:
 
   with ``D = max(max_v d_v, d_g + 1)``.  The relative information content
   is the exact average of ``r(X)`` over all ``X`` — a rational number.
+
+A class's degree is ``erased − δ`` for its minimal deficit ``δ`` (erased
+cells that open no fresh block), so the fresh class has degree
+``erased − δ_g + 1`` and a fixed class ``erased − δ_v``.  Hence
+:func:`world_limit_ratio` searches the fresh class first and decides:
+
+- no satisfying fresh pattern: ``r = 0``;
+- ``δ_g = 0``: no fixed class can reach the fresh degree, ``r = 1``;
+- otherwise only fixed classes with ``δ_v ≤ δ_g − 1`` matter, so their
+  search is capped there: one with ``δ_v < δ_g − 1`` outranks the fresh
+  class (``r = 0``), and those with ``δ_v = δ_g − 1`` tie with it.
+
+The kernels refuse an instance that violates its own ``Σ``
+(:func:`require_consistent`): on one, some worlds have no satisfying
+class at all.
 """
 
 from __future__ import annotations
@@ -46,6 +61,20 @@ def falling_factorial(n: int, b: int) -> int:
         if result == 0:
             return 0
     return max(result, 0) if n >= b else 0
+
+
+def require_consistent(instance: PositionedInstance) -> None:
+    """Refuse an instance that violates its own ``Σ``.
+
+    The measure is defined only for instances that satisfy ``Σ``; on one
+    that does not, some worlds have no satisfying completion at all, and
+    a kernel would return a number that means nothing.
+    """
+    if not instance.check_original():
+        raise ValueError(
+            "the instance violates its own constraints Σ; "
+            "the measure is defined only for instances that satisfy them"
+        )
 
 
 def revealed_subsets(
@@ -93,24 +122,25 @@ def world_entropy_k(world: World, k: int, deadline: Optional[float] = None) -> f
 def world_limit_ratio(
     world: World, deadline: Optional[float] = None
 ) -> Fraction:
-    """The exact limit ``lim_k H_k(p|X) / log2 k`` for the given world."""
-    leading: List[Tuple[int, int]] = []  # (degree, coeff) for fixed candidates
-    for v in world.fixed_values:
-        stat = max_fresh(world, v, deadline=deadline)
-        if stat is not None:
-            leading.append(stat)
-    fresh_stat = max_fresh(world, FRESH, deadline=deadline)
+    """The exact limit ``lim_k H_k(p|X) / log2 k`` for the given world.
 
-    degree = max(
-        [d for d, _c in leading]
-        + ([fresh_stat[0] + 1] if fresh_stat is not None else [])
-    )
-    fixed_mass = sum(c for d, c in leading if d == degree)
-    fresh_mass = (
-        fresh_stat[1]
-        if fresh_stat is not None and fresh_stat[0] + 1 == degree
-        else 0
-    )
+    The fresh class is searched first; its deficit ``δ_g`` caps the
+    search of every fixed class at ``δ_g − 1`` (see the module docstring).
+    """
+    fresh = max_fresh(world, FRESH, deadline=deadline)
+    if fresh is None:
+        return Fraction(0)
+    fresh_blocks, fresh_mass = fresh
+    cap = world.num_erased - fresh_blocks - 1  # δ_g − 1
+    if cap < 0:
+        return Fraction(1)
+    fixed_mass = 0
+    for v in world.fixed_values:
+        stat = max_fresh(world, v, deadline=deadline, max_deficit=cap)
+        if stat is not None:
+            if world.num_erased - stat[0] < cap:
+                return Fraction(0)
+            fixed_mass += stat[1]
     return Fraction(fresh_mass, fixed_mass + fresh_mass)
 
 
@@ -132,6 +162,7 @@ def inf_k_symbolic(
             f"{n} positions exceed the exact-sweep budget; "
             "use ric_montecarlo / sampled engines instead"
         )
+    require_consistent(instance)
     total = 0.0
     count = 0
     with TRACER.span("ric.sweep", engine="entropy_k", positions=n) as span:
@@ -158,6 +189,7 @@ def ric_exact(
             f"{n} positions exceed the exact-sweep budget; "
             "use ric_montecarlo instead"
         )
+    require_consistent(instance)
     total = Fraction(0)
     count = 0
     with TRACER.span("ric.sweep", engine="exact", positions=n) as span:

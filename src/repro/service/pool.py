@@ -53,6 +53,7 @@ from repro.core.montecarlo import (
     ric_mc_chunk,
 )
 from repro.core.positions import Position, PositionedInstance
+from repro.core.symbolic import require_consistent
 from repro.core.worlds import DeadlineExceeded
 from repro.service.errors import from_exception
 from repro.service.faults import FAULTS
@@ -261,6 +262,7 @@ class WorkerPool:
         estimate is bit-identical to the failure-free serial result.
         Every chunk stops at *deadline*, in worker processes too.
         """
+        require_consistent(instance)
         ranges = chunk_ranges(samples, self.workers)
         METRICS.inc("pool.mc.shards", len(ranges))
         parent_pid = os.getpid()

@@ -6,6 +6,7 @@ small enough for literal enumeration.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,44 @@ from repro.dependencies.fd import FD
 from repro.dependencies.mvd import MVD
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.service.pool import WorkerPool
 
 AB = RelationSchema("R", ("A", "B"))
+
+
+class TestInconsistentInstances:
+    """The kernels refuse an instance that violates its own Σ."""
+
+    # R[0] and R[1] agree on A but not on B: A -> B fails.
+    ROWS = [(1, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            ric_exact,
+            lambda inst, p: inf_k_symbolic(inst, p, 4),
+            lambda inst, p: ric_montecarlo(inst, p, samples=20),
+            lambda inst, p: ric_montecarlo(inst, p, 20, rng=random.Random(0)),
+        ],
+        ids=["ric_exact", "inf_k_symbolic", "montecarlo", "montecarlo-rng"],
+    )
+    @pytest.mark.parametrize("row,attr", [(0, "B"), (2, "A")])
+    def test_kernels_raise(self, kernel, row, attr):
+        inst = self.instance()
+        assert not inst.check_original()
+        with pytest.raises(ValueError, match="violates its own"):
+            kernel(inst, inst.position("R", row, attr))
+
+    def test_sharded_montecarlo_raises(self):
+        inst = self.instance()
+        with WorkerPool(workers=2) as pool:
+            with pytest.raises(ValueError, match="violates its own"):
+                pool.ric_montecarlo(inst, inst.position("R", 2, "A"), 20)
+
+    def instance(self):
+        return PositionedInstance.from_relation(
+            Relation(AB, self.ROWS), [FD("A", "B")]
+        )
 
 
 class TestFallingFactorial:

@@ -1,17 +1,24 @@
 """Tests for the equality-pattern enumeration."""
 
+import os
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import PositionedInstance
-from repro.core.symbolic import ric_exact
+from repro.core.symbolic import revealed_subsets, ric_exact, world_limit_ratio
 from repro.core.worlds import FRESH, World
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.workloads.relational_gen import random_instance
+from repro.workloads.xml_gen import dblp_dtd, dblp_xfds, tiny_dblp_document
+from repro.xml.measure import PositionedDocument
 
 SCHEMA = RelationSchema("R", ("A", "B"))
 
@@ -99,6 +106,39 @@ class TestMaxFresh:
                 assert stat is None
 
 
+def forced_fresh_world():
+    """A world whose fresh class needs deficit 1: the FD B -> C forces the
+    erased ``T[1].C`` to equal the candidate ``p = T[0].C``."""
+    schema = RelationSchema("T", ("A", "B", "C"))
+    rel = Relation(schema, [(1, 2, 3), (4, 2, 3)])
+    inst = PositionedInstance.from_relation(rel, [FD("B", "C")])
+    p = inst.position("T", 0, "C")
+    revealed = frozenset({inst.position("T", 0, "B"), inst.position("T", 1, "B")})
+    return World(inst, p, revealed)
+
+
+class TestMaxDeficitCap:
+    def test_none_below_the_minimal_deficit(self):
+        world = forced_fresh_world()
+        assert max_fresh(world, FRESH) == (world.num_erased - 1, 1)
+        assert max_fresh(world, FRESH, max_deficit=0) is None
+
+    def test_same_answer_at_or_above_the_minimal_deficit(self):
+        world = forced_fresh_world()
+        for candidate in world.candidate_classes():
+            uncapped = max_fresh(world, candidate)
+            assert uncapped is not None
+            deficit = world.num_erased - uncapped[0]
+            for cap in range(deficit, world.num_erased + 2):
+                assert max_fresh(world, candidate, max_deficit=cap) == uncapped
+
+    def test_cap_zero_is_one_oracle_call(self):
+        world = world_for([(1, 2), (3, 4)], [FD("A", "B")], (0, "A"), [])
+        calls = counting(world)
+        assert max_fresh(world, FRESH, max_deficit=0) == (world.num_erased, 1)
+        assert calls[0] == 1
+
+
 ABC = RelationSchema("R", ("A", "B", "C"))
 
 DEPS = [
@@ -177,3 +217,97 @@ def test_jd_searches_like_its_mvd(monkeypatch):
         results.append(ric_exact(inst, inst.positions[0]))
     assert results[0] == results[1]
     assert calls[0] == calls[1]
+
+
+def relational(rows, dep):
+    return PositionedInstance.from_relation(Relation(ABC, rows), [dep])
+
+
+def uncapped_ratio(world):
+    """The per-world limit with every class searched to completion: the
+    leading terms of all classes, then the mass of the top degree that
+    the fresh continuum (degree ``b_g + 1``) carries."""
+    leading = []
+    for v in world.fixed_values:
+        stat = max_fresh(world, v)
+        if stat is not None:
+            leading.append(stat)
+    fresh = max_fresh(world, FRESH)
+    degree = max(
+        [d for d, _c in leading] + ([fresh[0] + 1] if fresh is not None else [])
+    )
+    fixed_mass = sum(c for d, c in leading if d == degree)
+    fresh_mass = fresh[1] if fresh is not None and fresh[0] + 1 == degree else 0
+    return Fraction(fresh_mass, fixed_mass + fresh_mass)
+
+
+#: Tier-1 checks a fixed derandomized corpus; ``HYPOTHESIS_PROFILE=ci``
+#: (see ``tests/conftest.py``) checks that profile's larger random one.
+if os.environ.get("HYPOTHESIS_PROFILE", "default") == "default":
+    RATIO_CORPUS = settings(max_examples=80, deadline=None, derandomize=True)
+else:
+    RATIO_CORPUS = settings(deadline=None)
+
+
+class TestFreshFirstRatio:
+    """``world_limit_ratio`` searches the fresh class first and caps the
+    fixed classes at ``δ_g − 1``; it must equal the uncapped ratio."""
+
+    @RATIO_CORPUS
+    @given(worlds())
+    def test_equals_the_uncapped_ratio(self, world):
+        assert world_limit_ratio(world) == uncapped_ratio(world)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: relational([(1, 2, 3), (4, 2, 3)], FD("B", "C")),
+            lambda: relational([(1, 2, 3), (1, 2, 1)], MVD("A", "B")),
+            lambda: relational([(1, 1, 1), (1, 2, 1)], MVD("", "B")),
+            lambda: relational([(1, 1, 1), (2, 2, 1)], JD("AB", "BC")),
+            lambda: relational(
+                [(1, 1, 1), (1, 1, 2), (2, 1, 1)], JD("AB", "BC", "CA")
+            ),
+            lambda: PositionedDocument(
+                tiny_dblp_document(), dblp_dtd(), dblp_xfds()
+            ),
+        ],
+        ids=["fd", "mvd", "mvd-empty-lhs", "jd2", "jd3", "xml"],
+    )
+    def test_equals_the_uncapped_ratio_on_every_world(self, make):
+        inst = make()
+        for p in inst.positions:
+            for revealed in revealed_subsets(inst, p):
+                world = World(inst, p, revealed)
+                assert world_limit_ratio(world) == uncapped_ratio(world)
+
+
+class TestSavedWork:
+    """The fresh-first order skips every class that cannot change
+    ``r(X)``; these oracle-call ceilings fail if a change walks them again."""
+
+    def exact_with_calls(self, monkeypatch, inst, p):
+        calls = [0]
+        oracle = World.satisfies
+
+        def satisfies(self, *args):
+            calls[0] += 1
+            return oracle(self, *args)
+
+        monkeypatch.setattr(World, "satisfies", satisfies)
+        return ric_exact(inst, p), calls[0]
+
+    def test_w1_fd(self, monkeypatch):
+        deps = [FD("B", "C"), FD("A", "B")]
+        relation = random_instance("ABCD", fds=deps, n_rows=4, domain=3, seed=1)
+        inst = PositionedInstance.from_relation(relation, deps)
+        value, calls = self.exact_with_calls(monkeypatch, inst, inst.positions[2])
+        assert value == Fraction(7, 8)
+        assert calls <= 1792
+
+    def test_w2_mvd(self, monkeypatch):
+        rows = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
+        inst = PositionedInstance.from_relation(Relation(ABC, rows), [MVD("B", "A")])
+        value, calls = self.exact_with_calls(monkeypatch, inst, inst.positions[0])
+        assert value == Fraction(10049, 12288)
+        assert calls <= 2851

@@ -27,7 +27,9 @@ SMALL_INSTANCES = [
         "mvd",
         ("A", "B", "C"),
         [MVD("A", "B")],
-        [(1, 2, 3), (1, 3, 2)],
+        # Consistent (the kernels refuse an instance violating its Σ):
+        # with A revealed equal and C different, B is forced to 2.
+        [(1, 2, 3), (1, 2, 1)],
         "B",
     ),
 ]

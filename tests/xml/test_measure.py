@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.measure import ric
+from repro.core.measure import inf_k, ric
 from repro.core.montecarlo import ric_montecarlo
 from repro.workloads.xml_gen import dblp_dtd, dblp_xfds, tiny_dblp_document
 from repro.xml.measure import PositionedDocument
@@ -66,6 +66,19 @@ class TestXMLRIC:
         pd = PositionedDocument(result.doc, result.dtd, result.sigma)
         for p in pd.positions:
             assert ric(pd, p) == 1
+
+    def test_kernels_refuse_a_document_violating_its_xfds(self):
+        doc = tiny_dblp_document()
+        papers = [n for n in doc.walk() if n.label == "inproceedings"]
+        papers[1].attrs["year"] = 1999  # the shared-year XFD now fails
+        pd = PositionedDocument(doc, dblp_dtd(), dblp_xfds())
+        assert not pd.check_original()
+        key = [p for p in pd.positions if p.attribute == "key"][0]
+        for method in ("exact", "montecarlo"):
+            with pytest.raises(ValueError, match="violates its own"):
+                ric(pd, key, method=method)
+        with pytest.raises(ValueError, match="violates its own"):
+            inf_k(pd, key, 4)
 
     def test_montecarlo_works_on_documents(self):
         pd = tiny_positioned()
