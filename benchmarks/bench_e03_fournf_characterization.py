@@ -9,8 +9,6 @@ sweep is reserved for the single spot-checked position.
 Expected shape: agreement on every row; witness positions < 1.
 """
 
-import random
-
 from repro.core import PositionedInstance, ric, ric_montecarlo
 from repro.core.welldesign import witness_instance
 from repro.dependencies import FD, MVD
@@ -37,9 +35,7 @@ def test_e3_table(benchmark):
                 agree = syntactic
             else:
                 inst, pos = witness
-                estimate = ric_montecarlo(
-                    inst, pos, samples=120, rng=random.Random(0)
-                )
+                estimate = ric_montecarlo(inst, pos, samples=120, seed=0)
                 measured = f"RIC({pos}) ~ {estimate.mean:.3f}"
                 agree = (not syntactic) and estimate.mean < 1 - 2 * max(
                     estimate.stderr, 1e-6

@@ -11,8 +11,6 @@ Expected shape: the schema fails PJ/NF; on the forced-tuple instance the
 forced positions measure < 1 while a JD-free control instance measures 1.
 """
 
-import random
-
 from repro.core import PositionedInstance, ric_montecarlo
 from repro.core.measure import ric
 from repro.dependencies import JD
@@ -41,12 +39,11 @@ def test_e4_table(benchmark):
         rows.append(("PJ/NF?", is_pjnf("ABC", [], [JD3]), "paper: No"))
 
         inst = PositionedInstance.from_relation(forced_instance(), [JD3])
-        rng = random.Random(1)
         ordered = sorted(forced_instance().rows, key=repr)
         forced_row = ordered.index((1, 2, 3))
         for attr in "ABC":
             pos = inst.position("R", forced_row, attr)
-            est = ric_montecarlo(inst, pos, samples=100, rng=rng)
+            est = ric_montecarlo(inst, pos, samples=100, seed=1)
             rows.append(
                 (f"RIC forced-tuple {attr}", f"{est.mean:.3f}", "paper: < 1")
             )

@@ -11,7 +11,6 @@ MC absolute error shrinking with samples and covered by its own stderr.
 """
 
 import math
-import random
 
 from repro.core import (
     PositionedInstance,
@@ -77,7 +76,7 @@ def test_e9_mc_convergence(benchmark):
     def run():
         rows = []
         for samples in (25, 100, 400):
-            est = ric_montecarlo(inst, p, samples=samples, rng=random.Random(7))
+            est = ric_montecarlo(inst, p, samples=samples, seed=7)
             rows.append(
                 (
                     samples,

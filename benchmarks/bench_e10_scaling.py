@@ -9,7 +9,6 @@ Monte Carlo grows mildly (per-world cost only) — the crossover justifies
 the engine split documented in DESIGN.md.
 """
 
-import random
 import time
 
 from repro.core import PositionedInstance, ric_exact, ric_montecarlo
@@ -41,7 +40,7 @@ def test_e10_table(benchmark):
             exact_time = time.perf_counter() - start
 
             start = time.perf_counter()
-            est = ric_montecarlo(inst, p, samples=100, rng=random.Random(3))
+            est = ric_montecarlo(inst, p, samples=100, seed=3)
             mc_time = time.perf_counter() - start
 
             rows.append(
@@ -119,7 +118,7 @@ def test_e10_mc_kernel(benchmark):
     inst = instance_with_rows(4)
     p = inst.position("R", 0, "C")
     benchmark.pedantic(
-        lambda: ric_montecarlo(inst, p, samples=50, rng=random.Random(0)),
+        lambda: ric_montecarlo(inst, p, samples=50, seed=0),
         rounds=1,
         iterations=1,
     )

@@ -26,10 +26,10 @@ per-engine cost estimates, and the fallback chain.
 :mod:`repro.service.jobs`) through the worker pool and the
 content-addressed result cache, and prints a JSON report with per-job
 timing plus cache and engine-metrics summaries.  ``--trace-out`` records
-a span tree (Chrome/Perfetto format), ``--metrics-out`` /
-``--prometheus-out`` export the metrics snapshot, and ``--processes``
-shards Monte-Carlo sampling over worker processes (their counters and
-spans are merged back).  ``--profile`` attaches the stdlib stack
+a span tree (Chrome/Perfetto format), ``--metrics-out`` exports the
+metrics snapshot, and ``--processes`` shards Monte-Carlo sampling over
+worker processes (their counters and spans are merged back).
+``--profile`` attaches the stdlib stack
 sampler for the whole batch (``--profile-out`` writes flamegraph-ready
 collapsed stacks).  ``metrics-report`` pretty-prints those artifacts,
 and ``perf`` hosts the performance observatory: the benchmark
@@ -177,12 +177,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "min/max, latency histograms with p50/p95/p99) as JSON here",
     )
     parser.add_argument(
-        "--prometheus-out",
-        metavar="PATH",
-        help="write the metrics snapshot in Prometheus text exposition "
-        "format here (scrape-file / textfile-collector friendly)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="attach the sampling profiler for the whole batch and "
@@ -302,7 +296,7 @@ def batch_main(argv: List[str]) -> int:
     from repro.service.budget import Budget
     from repro.service.cache import ResultCache
     from repro.service.errors import JobError
-    from repro.service.export import prometheus_text, save_trace
+    from repro.service.export import save_trace
     from repro.service.faults import FAULTS, parse_fault_spec
     from repro.service.retry import RetryPolicy
     from repro.service.runner import format_report, run_batch
@@ -335,7 +329,6 @@ def batch_main(argv: List[str]) -> int:
             ("--out", args.out),
             ("--trace-out", args.trace_out),
             ("--metrics-out", args.metrics_out),
-            ("--prometheus-out", args.prometheus_out),
             ("--profile-out", args.profile_out),
             ("--checkpoint", args.checkpoint),
             ("--resume", args.resume),
@@ -403,9 +396,6 @@ def batch_main(argv: List[str]) -> int:
             with open(args.metrics_out, "w", encoding="utf-8") as handle:
                 json.dump(report["metrics"], handle, indent=2, default=str)
                 handle.write("\n")
-        if args.prometheus_out:
-            with open(args.prometheus_out, "w", encoding="utf-8") as handle:
-                handle.write(prometheus_text(report["metrics"]))
         if sampler is not None and args.profile_out:
             sampler.write_collapsed(args.profile_out)
     except OSError as exc:

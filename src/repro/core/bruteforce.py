@@ -9,21 +9,29 @@ Exponential in everything — guarded accordingly.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import product
 from typing import Optional
 
 from repro.core.positions import Position, PositionedInstance
-from repro.core.symbolic import revealed_subsets
+from repro.core.symbolic import sweep
 from repro.core.worlds import World, check_deadline
 
 
-def world_entropy_k_bruteforce(world: World, k: int) -> float:
-    """``H_k(p | X)`` by literal enumeration (values are ``1..k``)."""
+def world_entropy_k_bruteforce(
+    world: World, k: int, deadline: Optional[float] = None
+) -> float:
+    """``H_k(p | X)`` by literal enumeration (values are ``1..k``).
+
+    *deadline* is checked per completion: one world alone enumerates
+    ``k^(e+1)`` of them.
+    """
     counts = {}
     domain = range(1, k + 1)
     for a in domain:
         n_a = 0
         for completion in product(domain, repeat=world.num_erased):
+            check_deadline(deadline)
             if world.satisfies(a, completion):
                 n_a += 1
         counts[a] = n_a
@@ -50,7 +58,9 @@ def inf_k_bruteforce(
     """Exact ``INF_I^k(p | Σ)`` by literal enumeration.
 
     *max_worlds* bounds ``2^(n−1) · k^(e+1)`` oracle calls (roughly); it
-    exists to keep accidental large runs from hanging.
+    exists to keep accidental large runs from hanging.  The sweep itself
+    (its guard, consistency check and deadline) is
+    :func:`repro.core.symbolic.sweep`.
     """
     n = len(instance.positions)
     rough_cost = (2 ** (n - 1)) * (k ** min(n, 1 + n - 1))
@@ -59,10 +69,5 @@ def inf_k_bruteforce(
             f"brute force over {n} positions at k={k} is out of budget; "
             "use the symbolic engine"
         )
-    total = 0.0
-    count = 0
-    for revealed in revealed_subsets(instance, p):
-        check_deadline(deadline)
-        total += world_entropy_k_bruteforce(World(instance, p, revealed), k)
-        count += 1
-    return total / count
+    per_world = partial(world_entropy_k_bruteforce, k=k)
+    return sweep(instance, p, per_world, 0.0, "bruteforce", deadline=deadline)

@@ -19,11 +19,9 @@ order — so a chunked parallel run (:func:`ric_mc_chunk` sharded over
 the serial result **exactly**, and cache keys built from ``(…, samples,
 seed)`` are sound.
 
-``ric_montecarlo`` therefore never touches the global :mod:`random`
-state: with no arguments it uses ``seed=0`` (reproducible by default).
-Passing an explicit ``rng`` selects the legacy single-stream path kept
-for the pre-existing benchmarks; that path depends on sample order and
-cannot be chunked.
+``ric_montecarlo`` is one chunk over ``[0, samples)`` and never touches
+the global :mod:`random` state: with no arguments it uses ``seed=0``
+(reproducible by default).
 """
 
 from __future__ import annotations
@@ -139,37 +137,15 @@ def ric_montecarlo(
     instance: PositionedInstance,
     p: Position,
     samples: int = 200,
-    rng: Optional[random.Random] = None,
     seed: int = 0,
     deadline: Optional[float] = None,
 ) -> MCEstimate:
     """Estimate ``RIC_I(p | Σ)`` from *samples* random revealed sets.
 
-    By default the counter-based sampler under *seed* is used (see the
-    module docstring): deterministic, chunkable, never the global
-    :mod:`random` state.  Passing *rng* selects the legacy single-stream
-    sampler instead (kept for the E9/E10 benchmarks); *seed* is then
-    ignored.
+    The counter-based sampler under *seed* (see the module docstring):
+    deterministic, chunkable, never the global :mod:`random` state.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
     require_consistent(instance)
-    if rng is None:
-        chunk = ric_mc_chunk(instance, p, 0, samples, seed, deadline)
-        return merge_mc_chunks([chunk])
-
-    others = [q for q in instance.positions if q != p]
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(samples):
-        check_deadline(deadline)
-        revealed = frozenset(q for q in others if rng.random() < 0.5)
-        ratio = float(world_limit_ratio(World(instance, p, revealed), deadline))
-        total += ratio
-        total_sq += ratio * ratio
-    METRICS.inc("ric.mc.samples", samples)
-
-    mean = total / samples
-    variance = max(0.0, total_sq / samples - mean * mean)
-    stderr = math.sqrt(variance / samples)
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples)
+    return merge_mc_chunks([ric_mc_chunk(instance, p, 0, samples, seed, deadline)])

@@ -10,27 +10,106 @@ fresh values.  A pattern with ``b`` fresh blocks accounts for exactly
 distinct fixed values — so satisfying-completion counts are polynomials in
 ``k`` and the ``k → ∞`` limit of the entropy ratio is computable exactly.
 
-Two enumerators:
+One walker, :func:`deficit_walker`, enumerates the patterns of a class by
+their *deficit* (erased positions opening no fresh block, so ``b =
+erased − deficit``), cutting certainly violated prefixes.  Two callers:
 
 - :func:`pattern_counts` — all satisfying patterns grouped by ``b``
-  (exact finite-``k`` counts; cost grows like an augmented Bell number of
-  the erased-position count, so it is guarded).
+  (exact finite-``k`` counts; one walk over every deficit, whose cost
+  grows like an augmented Bell number of the erased-position count, so it
+  is guarded).
 - :func:`max_fresh` — only the maximum ``b`` and how many patterns attain
-  it (the leading term of the polynomial; branch-and-bound pruned, fast in
-  the common all-fresh-satisfiable case).  Its ``max_deficit`` cap lets
-  :func:`repro.core.symbolic.world_limit_ratio` stop a fixed class's
+  it (the leading term of the polynomial; one walk per deficit from 0 up,
+  fast in the common all-fresh-satisfiable case).  Its ``max_deficit`` cap
+  lets :func:`repro.core.symbolic.world_limit_ratio` stop a fixed class's
   search at the one deficit that can still change the world's ratio.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.worlds import FRESH, FreshValue, Unknown, World, check_deadline
 
 
 class PatternBudgetExceeded(RuntimeError):
     """Raised when pattern enumeration would exceed the configured budget."""
+
+
+def deficit_walker(
+    world: World,
+    candidate: Any,
+    prune: bool = True,
+    deadline: Optional[float] = None,
+    max_leaves: Optional[int] = None,
+) -> Optional[Callable[[int, int], Dict[int, int]]]:
+    """The pattern search of one candidate class, split by deficit.
+
+    Returns ``None`` for a dead class (violated whatever the completion),
+    else ``walk(low, high)``, which counts the satisfying patterns whose
+    deficit lies in ``[low, high]`` and returns ``{deficit: count}``.
+    Each walk visits the patterns in the same order: a new fresh block
+    first (free), then a reused block or a fixed label (one deficit each).
+
+    ``prune=False`` disables the certain-violation subtree pruning — kept
+    only for the ablation benchmark (``bench_a01``); results must be
+    identical either way.  *deadline* is checked at every node, not only
+    at leaves: pruning cuts most subtrees before they reach one.
+    *max_leaves* bounds the leaves reached over all walks (raises
+    :class:`PatternBudgetExceeded` beyond it).
+    """
+    fixed_labels: List[Any] = list(world.fixed_values)
+    if candidate is FRESH:
+        fixed_labels.append(FRESH)
+    erased = world.num_erased
+    unknowns = [Unknown(i) for i in range(erased)]
+    assignment: List[Any] = list(unknowns)
+    fresh = [FreshValue(b) for b in range(erased)]
+    leaves = 0
+
+    # Cell 0 of the world is p, cell i + 1 is erased[i]; each check assigns one.
+    prune = prune and world.prunable
+    violated = world.certainly_violated
+    if prune and violated(0, candidate):
+        return None
+
+    def walk(low: int, high: int) -> Dict[int, int]:
+        found: Dict[int, int] = {}
+
+        def recurse(i: int, blocks: int, spent: int) -> None:
+            nonlocal leaves
+            if deadline is not None:  # spare the call on every node
+                check_deadline(deadline)
+            if i == erased:
+                if max_leaves is not None:
+                    leaves += 1
+                    if leaves > max_leaves:
+                        raise PatternBudgetExceeded(
+                            f"more than {max_leaves} patterns for world "
+                            f"(erased={erased})"
+                        )
+                # A pattern that spent less than ``low`` belongs to a walk
+                # over a lower range: walks over disjoint ranges never
+                # count a pattern twice.
+                if spent >= low and world.satisfies(candidate, assignment):
+                    found[spent] = found.get(spent, 0) + 1
+                return
+            # New fresh block: free.
+            value = assignment[i] = fresh[blocks]
+            if not (prune and violated(i + 1, value)):
+                recurse(i + 1, blocks + 1, spent)
+            # Reusing a block or taking a fixed label costs one deficit.
+            if spent < high:
+                for value in fresh[:blocks] + fixed_labels:
+                    assignment[i] = value
+                    if not (prune and violated(i + 1, value)):
+                        recurse(i + 1, blocks, spent + 1)
+            assignment[i] = unknowns[i]
+
+        recurse(0, 0, 0)
+        return found
+
+    return walk
 
 
 def pattern_counts(
@@ -42,44 +121,15 @@ def pattern_counts(
     """Count satisfying patterns by number of fresh blocks.
 
     Returns ``{b: count}`` for the given candidate class.  *max_leaves*
-    bounds the number of leaf oracle calls (raises
+    bounds the number of leaves reached (raises
     :class:`PatternBudgetExceeded` beyond it); *deadline* is checked at
     every node, as in :func:`max_fresh`.
     """
-    fixed_labels: List[Any] = list(world.fixed_values)
-    if candidate is FRESH:
-        fixed_labels.append(FRESH)
-
+    walk = deficit_walker(world, candidate, deadline=deadline, max_leaves=max_leaves)
+    if walk is None:
+        return {}
     erased = world.num_erased
-    assignment: List[Any] = [None] * erased
-    counts: Dict[int, int] = {}
-    leaves = [0]
-
-    def recurse(i: int, blocks: int) -> None:
-        if deadline is not None:
-            check_deadline(deadline)
-        if i == erased:
-            leaves[0] += 1
-            if leaves[0] > max_leaves:
-                raise PatternBudgetExceeded(
-                    f"more than {max_leaves} patterns for world "
-                    f"(erased={erased})"
-                )
-            if world.satisfies(candidate, assignment):
-                counts[blocks] = counts.get(blocks, 0) + 1
-            return
-        for label in fixed_labels:
-            assignment[i] = label
-            recurse(i + 1, blocks)
-        for block in range(blocks):
-            assignment[i] = FreshValue(block)
-            recurse(i + 1, blocks)
-        assignment[i] = FreshValue(blocks)
-        recurse(i + 1, blocks + 1)
-        assignment[i] = None
-
-    recurse(0, 0)
-    return counts
+    return {erased - deficit: c for deficit, c in walk(0, erased).items()}
 
 
 def max_fresh(
@@ -97,65 +147,20 @@ def max_fresh(
     the deepening stops there: ``None`` then also means that every
     satisfying pattern has a deficit above the cap.
 
-    Iterative deepening on the *deficit* (number of erased positions not
-    opening a fresh block): a pattern with deficit ``δ`` has
+    Iterative deepening on the deficit: a pattern with deficit ``δ`` has
     ``b = erased − δ`` fresh blocks, and constraint forcing pins only a
     few cells in practice, so the search is exponential in ``δ`` only.
     Deficit 0 is the all-distinct completion — a single oracle call in the
-    common well-designed case.
-
-    ``prune=False`` disables the certain-violation subtree pruning — kept
-    only for the ablation benchmark (``bench_a01``); results must be
-    identical either way.
-
-    *deadline* is checked at every node, not only at leaves: pruning
-    cuts most subtrees before they reach one.
+    common well-designed case.  *prune* and *deadline* are as in
+    :func:`deficit_walker`.
     """
-    fixed_labels: List[Any] = list(world.fixed_values)
-    if candidate is FRESH:
-        fixed_labels.append(FRESH)
+    walk = deficit_walker(world, candidate, prune, deadline)
+    if walk is None:
+        return None
     erased = world.num_erased
-    unknowns = [Unknown(i) for i in range(erased)]
-    assignment: List[Any] = list(unknowns)
-    fresh = [FreshValue(b) for b in range(erased)]
-
-    # Cell 0 of the world is p, cell i + 1 is erased[i]; each check assigns one.
-    prune = prune and world.prunable
-    violated = world.certainly_violated
-    if prune and violated(0, candidate):
-        return None  # violated whatever the completion: dead class
-
-    def count_at_deficit(budget: int) -> int:
-        found = [0]
-
-        def recurse(i: int, blocks: int, spent: int) -> None:
-            if deadline is not None:  # spare the call on every node
-                check_deadline(deadline)
-            if i == erased:
-                if spent == budget and world.satisfies(candidate, assignment):
-                    found[0] += 1
-                return
-            # New fresh block: free.
-            value = assignment[i] = fresh[blocks]
-            if not (prune and violated(i + 1, value)):
-                recurse(i + 1, blocks + 1, spent)
-            # Reusing a block or taking a fixed label costs one deficit;
-            # skip when the budget cannot be met exactly anyway.  Patterns
-            # that underspend are produced by smaller budgets, so the leaf
-            # requires spent == budget — no double counting across rounds.
-            if spent < budget:
-                for value in fresh[:blocks] + fixed_labels:
-                    assignment[i] = value
-                    if not (prune and violated(i + 1, value)):
-                        recurse(i + 1, blocks, spent + 1)
-            assignment[i] = unknowns[i]
-
-        recurse(0, 0, 0)
-        return found[0]
-
     last = erased if max_deficit is None else min(erased, max_deficit)
     for deficit in range(last + 1):
-        count = count_at_deficit(deficit)
+        count = walk(deficit, deficit).get(deficit)
         if count:
             return erased - deficit, count
     return None

@@ -1,11 +1,12 @@
 """Incremental certain-violation state: the pattern search's pruning test.
 
-:func:`repro.core.patterns.max_fresh` assigns a world's cells one at a
-time and cuts a prefix once some dependency is *certainly* violated:
-violated however the unassigned cells are filled in.  It extends only
-prefixes that are not, so a new violation must involve the cell just
-assigned.  The root of a search (cell 0) runs the full check; every later
-assignment runs a delta check of what that one cell can break.
+The pattern search (:func:`repro.core.patterns.deficit_walker`) assigns
+a world's cells one at a time and cuts a prefix once some dependency is
+*certainly* violated: violated however the unassigned cells are filled
+in.  It extends only prefixes that are not, so a new violation must
+involve the cell just assigned.  The root of a search (cell 0) runs the
+full check; every later assignment runs a delta check of what that one
+cell can break.
 
 - FD ``X → Y``: rows with known, equal ``X`` and a ``Y`` cell known on both
   and different.

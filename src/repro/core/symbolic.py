@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import Position, PositionedInstance
@@ -144,6 +145,45 @@ def world_limit_ratio(
     return Fraction(fresh_mass, fixed_mass + fresh_mass)
 
 
+def sweep(
+    instance: PositionedInstance,
+    p: Position,
+    per_world: Callable[..., Any],
+    zero: Any,
+    engine: str,
+    max_positions: int = EXACT_MAX_POSITIONS,
+    deadline: Optional[float] = None,
+) -> Any:
+    """The exact average of ``per_world(world, deadline=deadline)`` over
+    every world of ``p``.
+
+    Starts the sum from *zero* (``Fraction(0)`` or ``0.0``) and visits the
+    revealed sets in :func:`revealed_subsets` order, so the result is the
+    same bit for bit whichever kernel calls it.  The sweep is over
+    ``2^(n−1)`` revealed sets; *max_positions* guards the exponent (use
+    the Monte-Carlo engine beyond it).  *deadline* is checked per world
+    here and inside one by *per_world*.
+    """
+    n = len(instance.positions)
+    if n > max_positions + 1:
+        raise ValueError(
+            f"{n} positions exceed the exact-sweep budget; "
+            "use ric_montecarlo instead"
+        )
+    require_consistent(instance)
+    total = zero
+    count = 0
+    with TRACER.span("ric.sweep", engine=engine, positions=n) as span:
+        for revealed in revealed_subsets(instance, p):
+            check_deadline(deadline)
+            total += per_world(World(instance, p, revealed), deadline=deadline)
+            count += 1
+        span.set(worlds=count)
+    METRICS.inc("ric.sweeps")
+    METRICS.inc("ric.sweep.worlds", count)
+    return total / count
+
+
 def inf_k_symbolic(
     instance: PositionedInstance,
     p: Position,
@@ -151,29 +191,9 @@ def inf_k_symbolic(
     max_positions: int = EXACT_MAX_POSITIONS,
     deadline: Optional[float] = None,
 ) -> float:
-    """Exact ``INF_I^k(p | Σ)`` in bits (averaged over all revealed sets).
-
-    The sweep is over ``2^(n−1)`` revealed sets; *max_positions* guards the
-    exponent (use the Monte-Carlo engine beyond it).
-    """
-    n = len(instance.positions)
-    if n > max_positions + 1:
-        raise ValueError(
-            f"{n} positions exceed the exact-sweep budget; "
-            "use ric_montecarlo / sampled engines instead"
-        )
-    require_consistent(instance)
-    total = 0.0
-    count = 0
-    with TRACER.span("ric.sweep", engine="entropy_k", positions=n) as span:
-        for revealed in revealed_subsets(instance, p):
-            check_deadline(deadline)
-            total += world_entropy_k(World(instance, p, revealed), k, deadline)
-            count += 1
-        span.set(worlds=count)
-    METRICS.inc("ric.sweeps")
-    METRICS.inc("ric.sweep.worlds", count)
-    return total / count
+    """Exact ``INF_I^k(p | Σ)`` in bits (averaged over all revealed sets)."""
+    per_world = partial(world_entropy_k, k=k)
+    return sweep(instance, p, per_world, 0.0, "entropy_k", max_positions, deadline)
 
 
 def ric_exact(
@@ -183,21 +203,6 @@ def ric_exact(
     deadline: Optional[float] = None,
 ) -> Fraction:
     """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``."""
-    n = len(instance.positions)
-    if n > max_positions + 1:
-        raise ValueError(
-            f"{n} positions exceed the exact-sweep budget; "
-            "use ric_montecarlo instead"
-        )
-    require_consistent(instance)
-    total = Fraction(0)
-    count = 0
-    with TRACER.span("ric.sweep", engine="exact", positions=n) as span:
-        for revealed in revealed_subsets(instance, p):
-            check_deadline(deadline)
-            total += world_limit_ratio(World(instance, p, revealed), deadline)
-            count += 1
-        span.set(worlds=count)
-    METRICS.inc("ric.sweeps")
-    METRICS.inc("ric.sweep.worlds", count)
-    return total / count
+    return sweep(
+        instance, p, world_limit_ratio, Fraction(0), "exact", max_positions, deadline
+    )

@@ -20,33 +20,3 @@ Four pieces close the loop from measurement to planning:
   observed ``engine_run`` latencies recorded by the tracer, writing a
   ``cost_calibration.json`` the planner optionally loads.
 """
-
-from repro.perf.calibrate import (
-    calibrate,
-    collect_engine_runs,
-    fit_calibration,
-)
-from repro.perf.check import check_regressions, render_findings, trend_table
-from repro.perf.profiler import StackSampler
-from repro.perf.records import (
-    SCHEMA_VERSION,
-    env_fingerprint,
-    load_document,
-    new_document,
-    summarize_samples,
-)
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "StackSampler",
-    "calibrate",
-    "check_regressions",
-    "collect_engine_runs",
-    "env_fingerprint",
-    "fit_calibration",
-    "load_document",
-    "new_document",
-    "render_findings",
-    "summarize_samples",
-    "trend_table",
-]

@@ -30,8 +30,8 @@ A parallel runtime over the measure/advisor/RPQ entry points:
   (``--trace-out``, Chrome/Perfetto export, cross-process adoption);
 - :mod:`repro.service.hist` — fixed-bucket log2 latency histograms
   (p50/p95/p99 behind ``METRICS.observe``);
-- :mod:`repro.service.export` — trace/Prometheus/report exporters
-  (``--metrics-out``, ``--prometheus-out``, ``metrics-report``).
+- :mod:`repro.service.export` — trace/report exporters
+  (``--trace-out``, ``metrics-report``).
 
 Submodules are re-exported lazily (PEP 562): the low-level engines import
 ``repro.service.metrics`` directly, and an eager import of the runner here
@@ -80,7 +80,6 @@ _EXPORTS = {
     "tracing": "repro.service.trace",
     "Histogram": "repro.service.hist",
     "chrome_trace": "repro.service.export",
-    "prometheus_text": "repro.service.export",
     "render_report": "repro.service.export",
     "save_trace": "repro.service.export",
     "validate_chrome_trace": "repro.service.export",

@@ -1,16 +1,12 @@
-"""Exporters: Chrome/Perfetto traces, Prometheus text, run reports.
+"""Exporters: Chrome/Perfetto traces and run reports.
 
-Three renderings of the observability layer's raw material:
+Two renderings of the observability layer's raw material:
 
 - :func:`chrome_trace` turns drained spans into the Chrome Trace Event
   JSON format (``{"traceEvents": [...]}``, complete ``"X"`` events plus
   instant ``"i"`` events) — load the file at ``chrome://tracing`` or
   https://ui.perfetto.dev to see the per-job → per-chunk → per-engine
   tree on a timeline, with worker processes on their own ``pid`` lanes;
-- :func:`prometheus_text` renders a :meth:`Metrics.snapshot` in the
-  Prometheus text exposition format (counters with parsed labels, timers
-  as ``_count``/``_sum``/``_min``/``_max``, histograms as cumulative
-  ``_bucket{le=...}`` series ending in ``+Inf``);
 - :func:`render_report` pretty-prints a run for humans — top spans by
   self-time, latency quantiles, and the retry/fault/cache tallies —
   behind ``python -m repro metrics-report``.
@@ -23,9 +19,6 @@ from __future__ import annotations
 
 import json
 from typing import Dict, List, Optional, Sequence
-
-#: Metric name prefix in the Prometheus rendering.
-PROM_PREFIX = "repro_"
 
 
 # ----------------------------------------------------------------------
@@ -103,100 +96,6 @@ def save_trace(path: str, spans: Sequence[dict]) -> dict:
         json.dump(document, handle)
         handle.write("\n")
     return document
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-
-
-def _prom_name(name: str) -> str:
-    """Sanitize a dotted metric name into a Prometheus identifier."""
-    cleaned = "".join(
-        c if c.isalnum() or c == "_" else "_" for c in name
-    )
-    if cleaned and cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return PROM_PREFIX + cleaned
-
-
-def _prom_escape(value: str) -> str:
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _split_labels(key: str) -> (str, Dict[str, str]):
-    """Split a registry key (``name{k=v,...}`` or plain) back apart."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, inner = key[:-1].partition("{")
-    labels: Dict[str, str] = {}
-    for part in inner.split(","):
-        if not part:
-            continue
-        label, _, value = part.partition("=")
-        labels[label] = value
-    return name, labels
-
-
-def _prom_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{k}="{_prom_escape(v)}"' for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def prometheus_text(snapshot: dict) -> str:
-    """Render a :meth:`Metrics.snapshot` as Prometheus text exposition."""
-    lines: List[str] = []
-    typed: set = set()
-
-    def declare(name: str, kind: str) -> None:
-        if name not in typed:
-            typed.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for key, value in snapshot.get("counters", {}).items():
-        name, labels = _split_labels(key)
-        prom = _prom_name(name) + "_total"
-        declare(prom, "counter")
-        lines.append(f"{prom}{_prom_labels(labels)} {value}")
-
-    for key, stats in snapshot.get("timers", {}).items():
-        base = _prom_name(key) + "_seconds"
-        declare(base, "summary")
-        lines.append(f"{base}_count {stats['count']}")
-        lines.append(f"{base}_sum {_fmt(stats['seconds'])}")
-        for bound in ("min", "max"):
-            if bound in stats:
-                gauge = f"{base}_{bound}"
-                declare(gauge, "gauge")
-                lines.append(f"{gauge} {_fmt(stats[bound])}")
-
-    for key, hist in snapshot.get("histograms", {}).items():
-        base = _prom_name(key) + "_latency_seconds"
-        declare(base, "histogram")
-        cumulative = 0
-        for bound, count in hist.get("buckets", []):
-            cumulative += count
-            lines.append(f'{base}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
-        lines.append(f'{base}_bucket{{le="+Inf"}} {hist["count"]}')
-        lines.append(f"{base}_count {hist['count']}")
-        lines.append(f"{base}_sum {_fmt(hist['sum'])}")
-
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _fmt(value: float) -> str:
-    """Render a float without exponent noise for small latencies."""
-    text = repr(float(value))
-    return text
 
 
 # ----------------------------------------------------------------------

@@ -48,8 +48,7 @@ def label_key(name: str, labels: Dict[str, object]) -> str:
     """The canonical registry key of a labeled counter.
 
     Labels are sorted and rendered as ``name{k=v,...}``; the encoding is
-    stable, so the same labels always hit the same counter and the
-    Prometheus renderer can split the key back apart unambiguously.
+    stable, so the same labels always hit the same counter.
     """
     if not labels:
         return name

@@ -6,7 +6,6 @@ small enough for literal enumeration.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -40,10 +39,10 @@ class TestInconsistentInstances:
         [
             ric_exact,
             lambda inst, p: inf_k_symbolic(inst, p, 4),
+            lambda inst, p: inf_k_bruteforce(inst, p, 4),
             lambda inst, p: ric_montecarlo(inst, p, samples=20),
-            lambda inst, p: ric_montecarlo(inst, p, 20, rng=random.Random(0)),
         ],
-        ids=["ric_exact", "inf_k_symbolic", "montecarlo", "montecarlo-rng"],
+        ids=["ric_exact", "inf_k_symbolic", "inf_k_bruteforce", "montecarlo"],
     )
     @pytest.mark.parametrize("row,attr", [(0, "B"), (2, "A")])
     def test_kernels_raise(self, kernel, row, attr):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import PositionedInstance
 from repro.core.symbolic import revealed_subsets, ric_exact, world_limit_ratio
-from repro.core.worlds import FRESH, World
+from repro.core.worlds import FRESH, FreshValue, World
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
@@ -249,6 +249,27 @@ else:
     RATIO_CORPUS = settings(deadline=None)
 
 
+#: Five small instances and a tiny XML document, checked on every world.
+SMALL_INSTANCES = {
+    "fd": lambda: relational([(1, 2, 3), (4, 2, 3)], FD("B", "C")),
+    "mvd": lambda: relational([(1, 2, 3), (1, 2, 1)], MVD("A", "B")),
+    "mvd-empty-lhs": lambda: relational([(1, 1, 1), (1, 2, 1)], MVD("", "B")),
+    "jd2": lambda: relational([(1, 1, 1), (2, 2, 1)], JD("AB", "BC")),
+    "jd3": lambda: relational(
+        [(1, 1, 1), (1, 1, 2), (2, 1, 1)], JD("AB", "BC", "CA")
+    ),
+    "xml": lambda: PositionedDocument(
+        tiny_dblp_document(), dblp_dtd(), dblp_xfds()
+    ),
+}
+
+
+def every_world(inst):
+    for p in inst.positions:
+        for revealed in revealed_subsets(inst, p):
+            yield World(inst, p, revealed)
+
+
 class TestFreshFirstRatio:
     """``world_limit_ratio`` searches the fresh class first and caps the
     fixed classes at ``δ_g − 1``; it must equal the uncapped ratio."""
@@ -258,28 +279,60 @@ class TestFreshFirstRatio:
     def test_equals_the_uncapped_ratio(self, world):
         assert world_limit_ratio(world) == uncapped_ratio(world)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: relational([(1, 2, 3), (4, 2, 3)], FD("B", "C")),
-            lambda: relational([(1, 2, 3), (1, 2, 1)], MVD("A", "B")),
-            lambda: relational([(1, 1, 1), (1, 2, 1)], MVD("", "B")),
-            lambda: relational([(1, 1, 1), (2, 2, 1)], JD("AB", "BC")),
-            lambda: relational(
-                [(1, 1, 1), (1, 1, 2), (2, 1, 1)], JD("AB", "BC", "CA")
-            ),
-            lambda: PositionedDocument(
-                tiny_dblp_document(), dblp_dtd(), dblp_xfds()
-            ),
-        ],
-        ids=["fd", "mvd", "mvd-empty-lhs", "jd2", "jd3", "xml"],
-    )
-    def test_equals_the_uncapped_ratio_on_every_world(self, make):
-        inst = make()
-        for p in inst.positions:
-            for revealed in revealed_subsets(inst, p):
-                world = World(inst, p, revealed)
-                assert world_limit_ratio(world) == uncapped_ratio(world)
+    @pytest.mark.parametrize("name", SMALL_INSTANCES)
+    def test_equals_the_uncapped_ratio_on_every_world(self, name):
+        for world in every_world(SMALL_INSTANCES[name]()):
+            assert world_limit_ratio(world) == uncapped_ratio(world)
+
+
+def unpruned_pattern_counts(world, candidate):
+    """``{b: count}`` by plain enumeration of every pattern: the reference
+    for :func:`pattern_counts`, whose walker cuts certainly violated
+    prefixes."""
+    fixed_labels = list(world.fixed_values)
+    if candidate is FRESH:
+        fixed_labels.append(FRESH)
+    erased = world.num_erased
+    assignment = [None] * erased
+    counts = {}
+
+    def recurse(i, blocks):
+        if i == erased:
+            if world.satisfies(candidate, assignment):
+                counts[blocks] = counts.get(blocks, 0) + 1
+            return
+        for label in fixed_labels:
+            assignment[i] = label
+            recurse(i + 1, blocks)
+        for block in range(blocks):
+            assignment[i] = FreshValue(block)
+            recurse(i + 1, blocks)
+        assignment[i] = FreshValue(blocks)
+        recurse(i + 1, blocks + 1)
+        assignment[i] = None
+
+    recurse(0, 0)
+    return counts
+
+
+class TestPrunedPatternCounts:
+    """``pattern_counts`` prunes; it must equal the plain enumeration."""
+
+    @RATIO_CORPUS
+    @given(worlds())
+    def test_equals_the_unpruned_counts(self, world):
+        for candidate in world.candidate_classes():
+            expected = unpruned_pattern_counts(world, candidate)
+            assert pattern_counts(world, candidate) == expected
+
+    # Not jd3: the cyclic JD implies no nontrivial MVD, so nothing is
+    # pruned, and enumerating its 9 positions unpruned takes minutes.
+    @pytest.mark.parametrize("name", sorted(set(SMALL_INSTANCES) - {"jd3"}))
+    def test_equals_the_unpruned_counts_on_every_world(self, name):
+        for world in every_world(SMALL_INSTANCES[name]()):
+            for candidate in world.candidate_classes():
+                expected = unpruned_pattern_counts(world, candidate)
+                assert pattern_counts(world, candidate) == expected
 
 
 class TestSavedWork:

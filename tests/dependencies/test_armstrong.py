@@ -66,15 +66,12 @@ class TestArmstrongRelation:
         """An Armstrong relation realizes every redundancy its FD set
         permits: for a non-BCNF set it must contain positions with
         measurably reduced information content."""
-        import random
-
         from repro.core.montecarlo import ric_montecarlo
         from repro.core.positions import PositionedInstance
 
         fds = [FD("B", "C")]
         relation = armstrong_relation("ABC", fds)
         inst = PositionedInstance.from_relation(relation, fds)
-        rng = random.Random(0)
         # The closed set {B, C} contributes a pair of rows agreeing on
         # (B, C): their C slots are redundant.
         rows = list(relation.sorted_rows())
@@ -90,5 +87,5 @@ class TestArmstrongRelation:
         assert pairs, "Armstrong construction must realize the FD's group"
         i, _j = pairs[0]
         pos = inst.position(relation.schema.name, i, "C")
-        estimate = ric_montecarlo(inst, pos, samples=150, rng=rng)
+        estimate = ric_montecarlo(inst, pos, samples=150, seed=0)
         assert estimate.mean < 1 - 2 * max(estimate.stderr, 1e-9)

@@ -165,8 +165,8 @@ class TestBudgetBoundsWork:
 
     def test_inf_k_stops_inside_one_world(self):
         # The sweep's first world reveals nothing, so pattern_counts
-        # enumerates every pattern of 9 erased cells (~1.4 s here); only
-        # a check inside the world stops it near the deadline.
+        # walks the patterns of 9 erased cells (~0.4 s here); only a
+        # check inside the world stops it near the deadline.
         schema = RelationSchema("R", ("A", "B"))
         inst = PositionedInstance.from_relation(
             Relation(schema, [(i, i % 2) for i in range(5)]), [FD("A", "B")]
@@ -178,6 +178,24 @@ class TestBudgetBoundsWork:
         with pytest.raises(BudgetExceeded) as excinfo:
             plan_and_run(problem, budget=Budget(wall_seconds=TIMEOUT))
         assert excinfo.value.stages == [("symbolic", "timeout")]
+        assert excinfo.value.elapsed < 0.25
+        assert_no_work_left(threads)
+
+    def test_bruteforce_stops_inside_one_world(self):
+        # One world of brute force at k=40 enumerates 40^4 completions
+        # (seconds); only a check per completion stops it near the
+        # deadline.
+        schema = RelationSchema("R", ("A", "B"))
+        inst = PositionedInstance.from_relation(
+            Relation(schema, [(1, 1), (2, 2)]), [FD("A", "B")]
+        )
+        problem = Problem.from_instance(
+            inst, inst.positions[0], op="inf_k", method="bruteforce", k=40
+        )
+        threads = set(threading.enumerate())
+        with pytest.raises(BudgetExceeded) as excinfo:
+            plan_and_run(problem, budget=Budget(wall_seconds=TIMEOUT))
+        assert excinfo.value.stages == [("bruteforce", "timeout")]
         assert excinfo.value.elapsed < 0.25
         assert_no_work_left(threads)
 

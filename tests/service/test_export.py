@@ -1,4 +1,4 @@
-"""The exporters: Chrome trace documents, Prometheus text, run reports."""
+"""The exporters: Chrome trace documents and run reports."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.service.export import (
     chrome_trace,
-    prometheus_text,
     render_report,
     save_trace,
     validate_chrome_trace,
@@ -84,45 +83,6 @@ class TestChromeTrace:
         save_trace(str(path), _sample_spans())
         loaded = json.loads(path.read_text())
         assert validate_chrome_trace(loaded) == 3
-
-
-class TestPrometheusText:
-    def _snapshot(self):
-        metrics = Metrics()
-        metrics.inc("chase.runs", 3)
-        metrics.inc("runner.errors", 2, kind="budget")
-        metrics.observe("job.measure", 0.002)
-        metrics.observe("job.measure", 0.004)
-        return metrics.snapshot()
-
-    def test_counters_render_with_type_and_labels(self):
-        text = prometheus_text(self._snapshot())
-        assert "# TYPE repro_chase_runs_total counter" in text
-        assert "repro_chase_runs_total 3" in text
-        assert 'repro_runner_errors_total{kind="budget"} 2' in text
-
-    def test_timers_render_summary_and_extreme_gauges(self):
-        text = prometheus_text(self._snapshot())
-        assert "# TYPE repro_job_measure_seconds summary" in text
-        assert "repro_job_measure_seconds_count 2" in text
-        assert "repro_job_measure_seconds_min 0.002" in text
-        assert "repro_job_measure_seconds_max 0.004" in text
-
-    def test_histograms_render_cumulative_buckets_ending_inf(self):
-        lines = prometheus_text(self._snapshot()).splitlines()
-        buckets = [
-            line for line in lines
-            if line.startswith("repro_job_measure_latency_seconds_bucket")
-        ]
-        assert buckets[-1] == (
-            'repro_job_measure_latency_seconds_bucket{le="+Inf"} 2'
-        )
-        counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
-        assert counts == sorted(counts)  # cumulative, monotone
-        assert "repro_job_measure_latency_seconds_count 2" in lines
-
-    def test_empty_snapshot_renders_empty(self):
-        assert prometheus_text(Metrics().snapshot()) == ""
 
 
 class TestRenderReport:

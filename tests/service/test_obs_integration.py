@@ -136,7 +136,6 @@ class TestObservabilityCLI:
     def test_batch_emits_trace_and_metrics_files(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
-        prom_path = tmp_path / "metrics.prom"
         code = main(
             [
                 "batch",
@@ -144,7 +143,6 @@ class TestObservabilityCLI:
                 "--workers", "2",
                 "--trace-out", str(trace_path),
                 "--metrics-out", str(metrics_path),
-                "--prometheus-out", str(prom_path),
             ]
         )
         capsys.readouterr()
@@ -160,10 +158,6 @@ class TestObservabilityCLI:
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["counters"]["ric.mc.samples"] == 80
         assert "job.measure" in snapshot["timers"]
-
-        prom = prom_path.read_text()
-        assert "repro_ric_mc_samples_total 80" in prom
-        assert 'le="+Inf"' in prom
 
     def test_metrics_report_renders_both_inputs(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"

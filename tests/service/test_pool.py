@@ -65,7 +65,7 @@ class TestChunkedDeterminism:
         assert a != b
 
     def test_default_rng_is_seeded_not_global(self):
-        """rng=None must be the deterministic seed-0 path, never the
+        """No seed must mean the deterministic seed-0 path, never the
         global random module (cache keys depend on this)."""
         inst = bench_instance()
         p = inst.position("R", 0, "C")
