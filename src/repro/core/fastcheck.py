@@ -3,10 +3,11 @@
 The possible-worlds engines call the satisfaction oracle millions of
 times; constructing :class:`~repro.relational.relation.Relation` objects
 per call dominates the cost.  :func:`compile_check` specializes each
-dependency against a fixed schema and a *mutable* row array (list of
-lists) and returns a zero-argument closure reading the array's current
-contents.  Semantics match the ``is_satisfied_by`` methods exactly,
-including set-collapse of duplicate rows.
+dependency against a fixed schema and returns a closure taking a row
+array (list of lists), so one compiled check serves every world of an
+instance, each with its own rows.  Semantics match the
+``is_satisfied_by`` methods exactly, including set-collapse of duplicate
+rows.
 """
 
 from __future__ import annotations
@@ -20,24 +21,25 @@ from repro.dependencies.mvd import MVD
 from repro.relational.schema import RelationSchema
 
 
-def compile_check(
-    dep: Any, schema: RelationSchema, rows: List[List[Any]]
-) -> Callable[[], bool]:
-    """A fast ``() -> bool`` evaluating *dep* on the live *rows* array."""
+Check = Callable[[List[List[Any]]], bool]
+
+
+def compile_check(dep: Any, schema: RelationSchema) -> Check:
+    """A fast ``check(rows) -> bool`` evaluating *dep* on a row array."""
     if isinstance(dep, FD):
-        return _compile_fd(dep, schema, rows)
+        return _compile_fd(dep, schema)
     if isinstance(dep, MVD):
-        return _compile_mvd(dep, schema, rows)
+        return _compile_mvd(dep, schema)
     if isinstance(dep, JD):
-        return _compile_jd(dep, schema, rows)
+        return _compile_jd(dep, schema)
     raise TypeError(f"unsupported dependency: {dep!r}")
 
 
-def _compile_fd(fd: FD, schema: RelationSchema, rows) -> Callable[[], bool]:
+def _compile_fd(fd: FD, schema: RelationSchema) -> Check:
     lhs_idx = tuple(schema.index(a) for a in sorted(fd.lhs))
     rhs_idx = tuple(schema.index(a) for a in sorted(fd.rhs))
 
-    def check() -> bool:
+    def check(rows) -> bool:
         seen: dict = {}
         for row in rows:
             key = tuple(row[i] for i in lhs_idx)
@@ -50,13 +52,13 @@ def _compile_fd(fd: FD, schema: RelationSchema, rows) -> Callable[[], bool]:
     return check
 
 
-def _compile_mvd(mvd: MVD, schema: RelationSchema, rows) -> Callable[[], bool]:
+def _compile_mvd(mvd: MVD, schema: RelationSchema) -> Check:
     uni = schema.attrset
     lhs_idx = tuple(schema.index(a) for a in sorted(mvd.lhs & uni))
     mid_idx = tuple(schema.index(a) for a in sorted((mvd.rhs - mvd.lhs) & uni))
     rest_idx = tuple(schema.index(a) for a in sorted(uni - mvd.lhs - mvd.rhs))
 
-    def check() -> bool:
+    def check(rows) -> bool:
         groups: dict = {}
         for row in rows:
             key = tuple(row[i] for i in lhs_idx)
@@ -77,7 +79,7 @@ def _compile_mvd(mvd: MVD, schema: RelationSchema, rows) -> Callable[[], bool]:
     return check
 
 
-def _compile_jd(jd: JD, schema: RelationSchema, rows) -> Callable[[], bool]:
+def _compile_jd(jd: JD, schema: RelationSchema) -> Check:
     comp_idx = [
         tuple(schema.index(a) for a in sorted(comp & schema.attrset))
         for comp in jd.components
@@ -93,7 +95,7 @@ def _compile_jd(jd: JD, schema: RelationSchema, rows) -> Callable[[], bool]:
     col_source = [attr_sources[a][0] for a in schema.attributes]
     shared = {a: srcs for a, srcs in attr_sources.items() if len(srcs) > 1}
 
-    def check() -> bool:
+    def check(rows) -> bool:
         row_set = {tuple(row) for row in rows}
         projections = [
             {tuple(row[i] for i in idx) for row in row_set} for idx in comp_idx

@@ -42,17 +42,21 @@ def deficit_walker(
     prune: bool = True,
     deadline: Optional[float] = None,
     max_leaves: Optional[int] = None,
-) -> Optional[Callable[[int, int], Dict[int, int]]]:
+) -> Optional[Tuple[int, Callable[[int, int], Dict[int, int]]]]:
     """The pattern search of one candidate class, split by deficit.
 
     Returns ``None`` for a dead class (violated whatever the completion),
-    else ``walk(low, high)``, which counts the satisfying patterns whose
-    deficit lies in ``[low, high]`` and returns ``{deficit: count}``.
+    else ``(floor, walk)``: every satisfying pattern has a deficit of at
+    least *floor*, and ``walk(low, high)`` counts the satisfying patterns
+    whose deficit lies in ``[low, high]`` and returns ``{deficit: count}``.
     Each walk visits the patterns in the same order: a new fresh block
     first (free), then a reused block or a fixed label (one deficit each).
+    It cuts a prefix that is certainly violated, that must spend more
+    than ``high`` (see :mod:`repro.core.pruning`), or whose cells left
+    cannot reach ``low``.
 
-    ``prune=False`` disables the certain-violation subtree pruning — kept
-    only for the ablation benchmark (``bench_a01``); results must be
+    ``prune=False`` disables the pruning state — kept only for the
+    ablation benchmark (``bench_a01``), with *floor* 0; results must be
     identical either way.  *deadline* is checked at every node, not only
     at leaves: pruning cuts most subtrees before they reach one.
     *max_leaves* bounds the leaves reached over all walks (raises
@@ -67,16 +71,25 @@ def deficit_walker(
     fresh = [FreshValue(b) for b in range(erased)]
     leaves = 0
 
-    # Cell 0 of the world is p, cell i + 1 is erased[i]; each check assigns one.
+    # Cell 0 of the world is p, cell i + 1 is erased[i]; each check assigns
+    # one, and cuts when the cells after it must spend more than its budget.
     prune = prune and world.prunable
     violated = world.certainly_violated
-    if prune and violated(0, candidate):
-        return None
+    floor = 0
+    # The root's bound is the floor: the least budget it passes (0 mostly).
+    if prune and violated(0, candidate, 0):
+        if violated(0, candidate, erased):
+            return None
+        floor = 1
+        while violated(0, candidate, floor):
+            floor += 1
 
     def walk(low: int, high: int) -> Dict[int, int]:
         found: Dict[int, int] = {}
 
         def recurse(i: int, blocks: int, spent: int) -> None:
+            # Invariant: spent + (erased - i) >= low, so every leaf reached
+            # lies in [low, high].
             nonlocal leaves
             if deadline is not None:  # spare the call on every node
                 check_deadline(deadline)
@@ -88,28 +101,28 @@ def deficit_walker(
                             f"more than {max_leaves} patterns for world "
                             f"(erased={erased})"
                         )
-                # A pattern that spent less than ``low`` belongs to a walk
-                # over a lower range: walks over disjoint ranges never
-                # count a pattern twice.
-                if spent >= low and world.satisfies(candidate, assignment):
+                if world.satisfies(candidate, assignment):
                     found[spent] = found.get(spent, 0) + 1
                 return
-            # New fresh block: free.
-            value = assignment[i] = fresh[blocks]
-            if not (prune and violated(i + 1, value)):
-                recurse(i + 1, blocks + 1, spent)
+            # New fresh block: free, if the cells after it can still
+            # spend up to ``low``.
+            if spent + erased - i > low:
+                value = assignment[i] = fresh[blocks]
+                if not (prune and violated(i + 1, value, high - spent)):
+                    recurse(i + 1, blocks + 1, spent)
             # Reusing a block or taking a fixed label costs one deficit.
             if spent < high:
                 for value in fresh[:blocks] + fixed_labels:
                     assignment[i] = value
-                    if not (prune and violated(i + 1, value)):
+                    if not (prune and violated(i + 1, value, high - spent - 1)):
                         recurse(i + 1, blocks, spent + 1)
             assignment[i] = unknowns[i]
 
-        recurse(0, 0, 0)
+        if high >= floor:
+            recurse(0, 0, 0)
         return found
 
-    return walk
+    return floor, walk
 
 
 def pattern_counts(
@@ -125,9 +138,10 @@ def pattern_counts(
     :class:`PatternBudgetExceeded` beyond it); *deadline* is checked at
     every node, as in :func:`max_fresh`.
     """
-    walk = deficit_walker(world, candidate, deadline=deadline, max_leaves=max_leaves)
-    if walk is None:
+    search = deficit_walker(world, candidate, deadline=deadline, max_leaves=max_leaves)
+    if search is None:
         return {}
+    _floor, walk = search
     erased = world.num_erased
     return {erased - deficit: c for deficit, c in walk(0, erased).items()}
 
@@ -150,16 +164,18 @@ def max_fresh(
     Iterative deepening on the deficit: a pattern with deficit ``δ`` has
     ``b = erased − δ`` fresh blocks, and constraint forcing pins only a
     few cells in practice, so the search is exponential in ``δ`` only.
-    Deficit 0 is the all-distinct completion — a single oracle call in the
-    common well-designed case.  *prune* and *deadline* are as in
-    :func:`deficit_walker`.
+    The deepening starts at the walker's floor, the deficit the root
+    state already forces; deficit 0 is the all-distinct completion — a
+    single oracle call in the common well-designed case.  *prune* and
+    *deadline* are as in :func:`deficit_walker`.
     """
-    walk = deficit_walker(world, candidate, prune, deadline)
-    if walk is None:
+    search = deficit_walker(world, candidate, prune, deadline)
+    if search is None:
         return None
+    floor, walk = search
     erased = world.num_erased
     last = erased if max_deficit is None else min(erased, max_deficit)
-    for deficit in range(last + 1):
+    for deficit in range(floor, last + 1):
         count = walk(deficit, deficit).get(deficit)
         if count:
             return erased - deficit, count

@@ -14,11 +14,14 @@ the satisfaction oracle every engine in :mod:`repro.core` drives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.chase.engine import Dependency
-from repro.core.fastcheck import compile_check
-from repro.core.pruning import PruningState
+from repro.core.fastcheck import Check, compile_check
+from repro.core.pruning import PruningPlan, PruningState
+from repro.core.worlds import FRESH, FreshValue
 from repro.relational.relation import DatabaseInstance, Relation
 
 
@@ -32,6 +35,15 @@ class Position:
 
     def __str__(self) -> str:
         return f"{self.relation}[{self.row}].{self.attribute}"
+
+
+class _Compiled(NamedTuple):
+    """What the oracle and the pruning state of every world share."""
+
+    #: Value codes (fresh sentinels included), coded rows, FD/MVD checks.
+    plan: PruningPlan
+    #: ``(relation index, check(rows))`` of every dependency.
+    checks: Tuple[Tuple[int, Check], ...]
 
 
 class PositionedInstance:
@@ -66,6 +78,13 @@ class PositionedInstance:
                     pos = Position(schema.name, i, attr)
                     self._positions.append(pos)
                     self._cell_of[pos] = (r, i, c)
+        self._compiled: Optional[_Compiled] = None
+
+    def __getstate__(self) -> dict:
+        # The compiled checks are closures: each process compiles its own.
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -160,50 +179,56 @@ class PositionedInstance:
                     return False
         return True
 
+    def _compile(self) -> _Compiled:
+        """The checks every world of the instance shares, built on first
+        use.  Immutable, so the worlds of every thread share one copy; two
+        threads may both build it, and either copy serves."""
+        compiled = self._compiled
+        if compiled is None:
+            sentinels = [FRESH] + [FreshValue(b) for b in range(len(self))]
+            compiled = self._compiled = _Compiled(
+                PruningPlan(self._schemas, self._rows, self._constraints, sentinels),
+                tuple(
+                    (r, compile_check(dep, schema))
+                    for r, schema in enumerate(self._schemas)
+                    for dep in self._constraints.get(schema.name, ())
+                ),
+            )
+        return compiled
+
     def make_oracle(self, variable_positions: Sequence[Position]):
         """A fast satisfaction oracle over a fixed set of variable positions.
 
         Returns ``oracle(values)`` taking a value sequence aligned with
         *variable_positions*; all other positions keep their original
-        values.  Dependency checks are compiled to closures over raw row
-        arrays (no Relation construction) — this is the hot path of every
-        engine in :mod:`repro.core`.
+        values.  The dependency checks, compiled once per instance, run
+        over the oracle's own copy of the rows (no Relation construction)
+        — this is the hot path of every engine in :mod:`repro.core`.
         """
-        var_cells = [self._cell_of[p] for p in variable_positions]
-        base: List[List[List[Any]]] = [
-            [list(row) for row in rows] for rows in self._rows
-        ]
-        checks = [
-            compile_check(dep, self._schemas[r], base[r])
-            for r, schema in enumerate(self._schemas)
-            for dep in self._constraints.get(schema.name, ())
-        ]
-        originals = [self.value_at(p) for p in variable_positions]
+        rows = [[list(row) for row in rel] for rel in self._rows]
+        cells = (self._cell_of[p] for p in variable_positions)
+        slots = [(rows[r][i], c) for r, i, c in cells]
+        checks = [(rows[r], check) for r, check in self._compile().checks]
 
         def oracle(values: Sequence[Any]) -> bool:
-            for (r, i, c), value in zip(var_cells, values):
-                base[r][i][c] = value
-            ok = all(check() for check in checks)
-            # Restore originals so the oracle is reusable and reentrant-safe
-            # within a single-threaded engine loop.
-            for (r, i, c), original in zip(var_cells, originals):
-                base[r][i][c] = original
-            return ok
+            # Every call assigns every variable cell: nothing to restore.
+            for (row, c), value in zip(slots, values):
+                row[c] = value
+            return all(check(rel) for rel, check in checks)
 
         return oracle
 
-    def make_pruning_state(self, variable_positions: Sequence[Position]):
+    def make_pruning_state(
+        self, variable_positions: Sequence[Position]
+    ) -> Optional[PruningState]:
         """Three-valued companion of :meth:`make_oracle`: a
         :class:`~repro.core.pruning.PruningState` over the same variable
         positions, all unassigned — the pattern search's pruning test —
         or ``None`` when no constraint can be pruned."""
-        state = PruningState(
-            self._schemas,
-            self._rows,
-            self._constraints,
-            [self._cell_of[p] for p in variable_positions],
-        )
-        return state if state.checks else None
+        plan = self._compile().plan
+        if not any(plan.checks):
+            return None
+        return PruningState(plan, [self._cell_of[p] for p in variable_positions])
 
     def check_original(self) -> bool:
         """Sanity check: the unmodified instance satisfies its constraints."""

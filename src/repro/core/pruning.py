@@ -1,12 +1,13 @@
 """Incremental certain-violation state: the pattern search's pruning test.
 
 The pattern search (:func:`repro.core.patterns.deficit_walker`) assigns
-a world's cells one at a time and cuts a prefix once some dependency is
-*certainly* violated: violated however the unassigned cells are filled
-in.  It extends only prefixes that are not, so a new violation must
-involve the cell just assigned.  The root of a search (cell 0) runs the
-full check; every later assignment runs a delta check of what that one
-cell can break.
+a world's cells one at a time and cuts a prefix in two cases.
+
+*Certain violation*: some dependency is violated however the unassigned
+cells are filled in.  The search extends only prefixes that are not, so
+a new violation must involve the cell just assigned.  The root of a
+search (cell 0) runs the full check; every later assignment runs a delta
+check of what that one cell can break.
 
 - FD ``X → Y``: rows with known, equal ``X`` and a ``Y`` cell known on both
   and different.
@@ -17,41 +18,85 @@ cell can break.
   implies the MVD ``(∪G1 ∩ ∪G2) ↠ ∪G1``; pruning through those is sound for
   every JD and complete for two components.
 
+*Deficit over budget*: an unassigned cell spends no deficit only when it
+opens a new fresh block, distinct from every value known so far, so each
+cell that must take a known value spends one.  Each check counts such
+cells from its rows alone, a lower bound of the deficit still to spend
+(DESIGN §2.1), and the prefix is cut when the bound exceeds the budget
+the search has left.
+
+- FD ``X → Y``: the unknown ``Y`` cells of an ``X`` group (rows with known,
+  equal ``X``) in which another row knows that ``Y`` cell.
+- MVD (and JD, through its MVDs): the distinct required witnesses that no
+  fully known row equals.  Each needs a row of its own, and that row has
+  an unknown cell that must take a known value.  This count can exceed
+  the unknown cells (a violation the per-witness check misses), so unlike
+  the FD count it is never skipped for a budget that covers them all.
+
 Cells hold values encoded as small ints (``None`` when unassigned) and each
-column a bitmask of rows per value, so the checks are mask operations.
+column a bitmask of rows per value, so the checks are mask operations.  A
+:class:`PruningPlan`, built once per instance, holds what no world
+changes: the codes, the coded rows with their masks and the compiled
+checks.  Each :class:`PruningState` copies only the rows and masks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Any, Dict, List
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
 
 
-class PruningState:
-    """The live rows of one world and the certain-violation test on them.
+class PruningPlan:
+    """The immutable part of the certain-violation test of one instance.
 
     *schemas*, *rows* and *constraints* (relation name -> dependencies)
-    describe the relations; *var_cells* holds the ``(relation, row,
-    column)`` of each variable cell, in assignment order, all unassigned.
+    describe the relations.  *values* get codes before the rows' own, so a
+    search assigning them (the fresh sentinels) finds them coded.  Every
+    :class:`PruningState` of the instance shares the plan, on any thread.
     """
 
-    def __init__(self, schemas, rows, constraints, var_cells):
-        self._codes: Dict[Any, int] = {}
-        codes = self._codes
-        tables = [
-            _Table([[codes.setdefault(v, len(codes)) for v in row] for row in rel], s)
+    def __init__(self, schemas, rows, constraints, values: Iterable[Any] = ()):
+        codes: Dict[Any, int] = {}
+        for v in values:
+            codes.setdefault(v, len(codes))
+        self.tables = [
+            _Table.of([[codes.setdefault(v, len(codes)) for v in row] for row in rel], s)
             for rel, s in zip(rows, schemas)
         ]
-        checks = [
-            [ch for dep in constraints.get(s.name, ()) for ch in _compile(dep, s)]
+        self.codes = codes
+        self.checks = [
+            tuple(ch for dep in constraints.get(s.name, ()) for ch in _compile(dep, s))
             for s in schemas
         ]
-        self.checks = [(ch, t) for chs, t in zip(checks, tables) for ch in chs]
+        #: The delta checks of each (relation, column).
+        self.deltas = [
+            [tuple(ch.delta for ch in checks if c in ch.columns) for c in range(s.arity)]
+            for checks, s in zip(self.checks, schemas)
+        ]
+
+
+class PruningState:
+    """The live rows of one world and the pruning test on them.
+
+    *var_cells* holds the ``(relation, row, column)`` of each variable
+    cell of the *plan*'s instance, in assignment order, all unassigned.
+    """
+
+    def __init__(self, plan: PruningPlan, var_cells):
+        self._codes = plan.codes
+        self._extra: Dict[Any, int] = {}  # values the plan has no code for
+        tables = [table.copy() for table in plan.tables]
+        self.checks = [
+            (ch, t) for chs, t in zip(plan.checks, tables) for ch in chs
+        ]
+        self._fds = [(ch, t) for ch, t in self.checks if isinstance(ch, _FD)]
+        self._mvds = [(ch, t) for ch, t in self.checks if isinstance(ch, _MVD)]
         self._cells = []
         for r, i, c in var_cells:
             table = tables[r]
@@ -59,19 +104,22 @@ class PruningState:
             eq[row[c]] &= ~bit
             table.unknown[c] |= bit
             row[c] = None
-            deltas = tuple(ch.delta for ch in checks[r] if c in ch.columns)
-            self._cells.append((row, c, bit, eq, table.unknown, table, i, deltas))
+            self._cells.append(
+                (row, c, bit, eq, table.unknown, table, i, plan.deltas[r][c])
+            )
         self._depth = 0
 
     def violated(self) -> bool:
         """The full check: is some dependency certainly violated?"""
         return any(check.violated(table) for check, table in self.checks)
 
-    def extend(self, cell: int, value: Any) -> bool:
+    def extend(self, cell: int, value: Any, budget: Optional[int] = None) -> bool:
         """Assign variable *cell*, every later cell unknown: is some
-        dependency now certainly violated?  Cell 0 runs the full check,
-        any other the delta check: sound, and equal to the full check when
-        the rows were not certainly violated before the call."""
+        dependency now certainly violated, or, given a *budget*, must the
+        unknown cells spend more than *budget* deficit?  Cell 0 runs the
+        full violation check, any other the delta check: sound, and equal
+        to the full check when the rows were not certainly violated
+        before the call."""
         cells = self._cells
         depth = self._depth
         while depth > cell:
@@ -84,30 +132,64 @@ class PruningState:
                 unknown[c] |= bit
         self._depth = cell + 1
         row, c, bit, eq, unknown, table, i, deltas = cells[cell]
-        code = self._codes.setdefault(value, len(self._codes))
+        code = self._codes.get(value)
+        if code is None:
+            code = self._extra.setdefault(value, len(self._codes) + len(self._extra))
         row[c] = code
         eq[code] = eq.get(code, 0) | bit
         unknown[c] &= ~bit
         if cell == 0:
-            return self.violated()
-        for delta in deltas:
-            if delta(table, i, c):
+            if self.violated():
                 return True
+        else:
+            for delta in deltas:
+                if delta(table, i, c):
+                    return True
+        if budget is None:
+            return False
+        # An MVD's count can exceed the unknown cells, so it always runs.
+        for check, t in self._mvds:
+            if check.bound(t, budget + 1) > budget:
+                return True
+        # An FD's count never exceeds the unknown cells: a budget covering
+        # them all skips it.
+        if budget < len(cells) - cell - 1:
+            for check, t in self._fds:
+                if check.bound(t, budget + 1) > budget:
+                    return True
         return False
+
+
+def _getter(cols):
+    """``row -> key`` of a row's cells in *cols*."""
+    return itemgetter(*cols) if cols else lambda row: ()
 
 
 class _Table:
     """One relation's live rows; ``eq[k][v]`` is the bitmask of rows whose
     column ``k`` holds ``v``, ``unknown[k]`` of rows where it is unset."""
 
-    def __init__(self, rows: List[List[Any]], schema: Any):
-        self.rows = rows
-        self.all = (1 << len(rows)) - 1
-        self.eq: List[Dict[int, int]] = [{} for _ in range(schema.arity)]
-        self.unknown = [0] * schema.arity
+    __slots__ = ("rows", "all", "eq", "unknown")
+
+    @classmethod
+    def of(cls, rows: List[List[Any]], schema: Any) -> "_Table":
+        table = cls()
+        table.rows = rows
+        table.all = (1 << len(rows)) - 1
+        table.eq = [{} for _ in range(schema.arity)]
+        table.unknown = [0] * schema.arity
         for i, row in enumerate(rows):
             for k, v in enumerate(row):
-                self.eq[k][v] = self.eq[k].get(v, 0) | 1 << i
+                table.eq[k][v] = table.eq[k].get(v, 0) | 1 << i
+        return table
+
+    def copy(self) -> "_Table":
+        table = _Table()
+        table.rows = [list(row) for row in self.rows]
+        table.all = self.all
+        table.eq = [dict(eq) for eq in self.eq]
+        table.unknown = list(self.unknown)
+        return table
 
     def known(self, cols) -> int:
         """Rows with every cell of *cols* assigned."""
@@ -168,7 +250,7 @@ def _compile(dep: Any, schema: Any) -> tuple:
 
 
 class _FD:
-    """Certain violations of ``X → Y``."""
+    """Certain violations of ``X → Y``, and the ``Y`` cells it forces."""
 
     def __init__(self, lhs, rhs):
         self.lhs, self.rhs = lhs, rhs
@@ -195,6 +277,24 @@ class _FD:
                     return True
         return False
 
+    def bound(self, table: _Table, limit: int) -> int:
+        """The unknown ``Y`` cells of an ``X`` group that another row of
+        the group knows, counted up to *limit*."""
+        unknown = table.unknown
+        count = 0
+        keyed = table.known(self.lhs)
+        while keyed:
+            group = table.agree(self.lhs, table.rows[(keyed & -keyed).bit_length() - 1])
+            keyed &= ~group
+            if group & (group - 1):  # two rows or more
+                for k in self.rhs:
+                    forced = group & unknown[k]
+                    if forced and forced != group:
+                        count += forced.bit_count()
+                        if count >= limit:
+                            return count
+        return count
+
 
 class _MVD:
     """Certain violations of ``X ↠ Y`` (``Z`` the rest): rows ``t1`` known
@@ -206,6 +306,7 @@ class _MVD:
         self.x, self.z, self.xy, self.xz = x, z, x + y, x + z
         self.columns = frozenset(x + y + z)
         self.in_y, self.in_z = frozenset(y), frozenset(z)
+        self.x_of, self.y_of, self.z_of = _getter(x), _getter(y), _getter(z)
 
     def missing(self, table: _Table, fits: int, t2s: int) -> bool:
         """Does the witness of a t1 that the rows *fits* fit on ``XY`` with
@@ -253,3 +354,29 @@ class _MVD:
         if c in self.in_z:
             return self.uncovered(table, t1s, t2s & differ)
         return self.uncovered(table, t1s & differ, t2s)
+
+    def bound(self, table: _Table, limit: int) -> int:
+        """The distinct witnesses no fully known row equals, counted up to
+        *limit*: in each ``X`` group the ``Y`` values of its t1s times the
+        ``Z`` values of its t2s, less its distinct fully known rows (each
+        equals one witness)."""
+        t1s, t2s = table.known(self.xy), table.known(self.xz)
+        x_of, y_of, z_of = self.x_of, self.y_of, self.z_of
+        ys: Dict[Any, set] = {}
+        zs: Dict[Any, set] = {}
+        full = set()
+        for t, row in enumerate(table.rows):
+            if t1s >> t & 1:
+                x = x_of(row)
+                ys.setdefault(x, set()).add(y_of(row))
+                if t2s >> t & 1:
+                    zs.setdefault(x, set()).add(z_of(row))
+                    full.add(tuple(row))
+            elif t2s >> t & 1:
+                zs.setdefault(x_of(row), set()).add(z_of(row))
+        count = -len(full)
+        for x, group_ys in ys.items():
+            count += len(group_ys) * len(zs.get(x, ()))
+            if count >= limit:  # the rest only adds
+                break
+        return count

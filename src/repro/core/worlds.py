@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.positions import Position, PositionedInstance
+if TYPE_CHECKING:  # positions imports the sentinels below
+    from repro.core.positions import Position, PositionedInstance
 
 
 class DeadlineExceeded(TimeoutError):
@@ -80,15 +81,17 @@ class World:
         self.instance = instance
         self.p = p
         self.revealed = frozenset(revealed)
+        hidden = self.revealed | {p}
         self.erased: List[Position] = [
-            q for q in instance.positions if q != p and q not in self.revealed
+            q for q in instance.positions if q not in hidden
         ]
         self.fixed_values: Tuple[Any, ...] = tuple(
             sorted({instance.value_at(q) for q in self.revealed}, key=repr)
         )
-        self._oracle = instance.make_oracle([p] + self.erased)
+        cells = [p] + self.erased
+        self._oracle = instance.make_oracle(cells)
         make_pruning = getattr(instance, "make_pruning_state", None)
-        self._pruning = make_pruning([p] + self.erased) if make_pruning else None
+        self._pruning = make_pruning(cells) if make_pruning else None
         #: Can the pattern search prune?  (Not XML, nor unprunable constraints.)
         self.prunable = self._pruning is not None
 
@@ -110,14 +113,17 @@ class World:
         positions satisfy every constraint?"""
         return self._oracle([candidate] + list(completion))
 
-    def certainly_violated(self, cell: int, value: Any) -> bool:
+    def certainly_violated(
+        self, cell: int, value: Any, budget: Optional[int] = None
+    ) -> bool:
         """Sound pruning test of the pattern search: assign *value* to cell
         *cell* (0 is ``p``, ``i + 1`` is ``erased[i]``) with every later
         cell :class:`Unknown`; is some constraint now violated however the
-        unknown cells are filled in?  See
+        unknown cells are filled in, or, given a *budget*, must they spend
+        more deficit than that?  See
         :class:`~repro.core.pruning.PruningState`; ``False`` when the
         instance has no three-valued checker.
         """
         if self._pruning is None:
             return False
-        return self._pruning.extend(cell, value)
+        return self._pruning.extend(cell, value, budget)

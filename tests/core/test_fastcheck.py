@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fastcheck import compile_check
-from repro.core.pruning import PruningState
+from repro.core.pruning import PruningPlan, PruningState
 from repro.core.worlds import Unknown
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
@@ -43,19 +43,19 @@ class TestCompiledAgreesWithReference:
     def test_agreement(self, rows, dep):
         relation = Relation(SCHEMA, rows)
         mutable = [list(r) for r in relation.sorted_rows()]
-        check = compile_check(dep, SCHEMA, mutable)
-        assert check() == dep.is_satisfied_by(relation)
+        check = compile_check(dep, SCHEMA)
+        assert check(mutable) == dep.is_satisfied_by(relation)
 
     def test_check_sees_mutations(self):
         mutable = [[1, 2, 3], [1, 9, 3]]
-        check = compile_check(FD("A", "B"), SCHEMA, mutable)
-        assert not check()
+        check = compile_check(FD("A", "B"), SCHEMA)
+        assert not check(mutable)
         mutable[1][1] = 2
-        assert check()
+        assert check(mutable)
 
     def test_unsupported_dependency_rejected(self):
         with pytest.raises(TypeError):
-            compile_check(object(), SCHEMA, [])
+            compile_check(object(), SCHEMA)
 
 
 def certain(dep, rows, schema=SCHEMA):
@@ -67,7 +67,8 @@ def certain(dep, rows, schema=SCHEMA):
         for c, v in enumerate(row)
         if isinstance(v, Unknown)
     ]
-    state = PruningState([schema], [rows], {schema.name: [dep]}, var_cells)
+    plan = PruningPlan([schema], [rows], {schema.name: [dep]})
+    state = PruningState(plan, var_cells)
     return state.violated()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.patterns import max_fresh, pattern_counts
+from repro.core.patterns import deficit_walker, max_fresh, pattern_counts
 from repro.core.positions import PositionedInstance
 from repro.core.symbolic import revealed_subsets, ric_exact, world_limit_ratio
 from repro.core.worlds import FRESH, FreshValue, World
@@ -131,6 +131,15 @@ class TestMaxDeficitCap:
             deficit = world.num_erased - uncapped[0]
             for cap in range(deficit, world.num_erased + 2):
                 assert max_fresh(world, candidate, max_deficit=cap) == uncapped
+
+    def test_deepening_starts_at_the_root_bound(self):
+        # p = T[0].C is assigned; the FD forces the unknown T[1].C to
+        # equal it, so the root state already spends deficit 1.
+        world = forced_fresh_world()
+        floor, walk = deficit_walker(world, FRESH)
+        assert floor == 1
+        assert walk(0, 0) == {}
+        assert max_fresh(world, FRESH) == (world.num_erased - 1, 1)
 
     def test_cap_zero_is_one_oracle_call(self):
         world = world_for([(1, 2), (3, 4)], [FD("A", "B")], (0, "A"), [])

@@ -1,18 +1,21 @@
 """Property tests for the incremental pruning state.
 
 The pattern search cuts a prefix when :class:`PruningState` reports a
-certain violation.  The delta check after one assignment must equal the
-from-scratch full check whenever the rows before it were not certainly
-violated, and the full check must be sound.  That pruning never changes
-what the search returns is tested in ``test_patterns.py``.
+certain violation, or a deficit bound above the search's budget.  The
+delta check after one assignment must equal the from-scratch full check
+whenever the rows before it were not certainly violated, the full check
+must be sound, and the bound must never exceed the least deficit of a
+satisfying completion.  That pruning never changes what the search
+returns is tested in ``test_patterns.py``.
 """
 
+import os
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pruning import PruningState
+from repro.core.pruning import PruningPlan, PruningState
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
@@ -35,7 +38,7 @@ CASES = [
 
 
 def state_for(schema, dep, rows, var_cells):
-    return PruningState([schema], [rows], {"R": [dep]}, var_cells)
+    return PruningState(PruningPlan([schema], [rows], {"R": [dep]}), var_cells)
 
 
 @st.composite
@@ -157,3 +160,111 @@ class TestFullCheckIsSound:
 def test_empty_relation_is_never_violated():
     for schema, dep in CASES:
         assert not state_for(schema, dep, [], []).violated()
+
+
+def least_deficit(schema, dep, rows, unknown_cells):
+    """The least deficit over the satisfying completions of
+    *unknown_cells* (in assignment order), by brute force over their label
+    patterns, or ``None`` when no completion satisfies.  A cell spends
+    nothing only when it opens a new block, a value distinct from every
+    known value and every earlier block; a known value or an earlier
+    block spends one."""
+    hidden = set(unknown_cells)
+    known = sorted(
+        {v for i, row in enumerate(rows) for c, v in enumerate(row) if (i, c) not in hidden}
+    )
+    filled = [list(row) for row in rows]
+    best = [None]
+
+    def recurse(k, blocks, spent):
+        if best[0] is not None and spent >= best[0]:
+            return
+        if k == len(unknown_cells):
+            if dep.is_satisfied_by(Relation(schema, filled)):
+                best[0] = spent
+            return
+        i, c = unknown_cells[k]
+        filled[i][c] = 100 + blocks  # a new block: free
+        recurse(k + 1, blocks + 1, spent)
+        for label in known + [100 + b for b in range(blocks)]:
+            filled[i][c] = label
+            recurse(k + 1, blocks, spent + 1)
+
+    recurse(0, 0, 0)
+    return best[0]
+
+
+@st.composite
+def prefixes(draw):
+    """A dependency, rows over a small domain, variable cells in random
+    order, and values for a prefix of them (3 and 4 are new to the rows);
+    at most four cells stay unknown."""
+    schema, dep = draw(st.sampled_from(CASES))
+    width = schema.arity
+    n_rows = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(1, 2), min_size=width, max_size=width),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    cells = draw(
+        st.permutations([(0, i, c) for i in range(n_rows) for c in range(width)])
+    )
+    var_cells = cells[: draw(st.integers(1, len(cells)))]
+    assigned = draw(st.integers(max(1, len(var_cells) - 4), len(var_cells)))
+    values = draw(
+        st.lists(st.integers(1, 4), min_size=assigned, max_size=assigned)
+    )
+    return schema, dep, rows, var_cells, values
+
+
+#: Tier-1 checks a fixed derandomized corpus; ``HYPOTHESIS_PROFILE=ci``
+#: (see ``tests/conftest.py``) checks that profile's larger random one.
+if os.environ.get("HYPOTHESIS_PROFILE", "default") == "default":
+    BOUND_CORPUS = settings(max_examples=300, deadline=None, derandomize=True)
+else:
+    BOUND_CORPUS = settings(deadline=None)
+
+
+class TestDeficitBound:
+    """The bound never exceeds the least deficit the unknown cells spend in
+    a satisfying completion: a state passes with that budget."""
+
+    @BOUND_CORPUS
+    @given(prefixes())
+    def test_bound_at_most_the_least_deficit(self, case):
+        schema, dep, rows, var_cells, values = case
+        state = state_for(schema, dep, rows, var_cells)
+        for cell, value in enumerate(values[:-1]):
+            state.extend(cell, value)
+        filled = [list(row) for row in rows]
+        for (_r, i, c), value in zip(var_cells, values):
+            filled[i][c] = value
+        unknown = [(i, c) for _r, i, c in var_cells[len(values):]]
+        least = least_deficit(schema, dep, filled, unknown)
+        if least is not None:
+            assert not state.extend(len(values) - 1, values[-1], least)
+
+    def test_fd_counts_the_forced_cells(self):
+        # A -> B: rows 1 and 2 join row 0's A group, whose B is known.
+        rows = [[1, 5, 7], [1, 0, 0], [1, 0, 0]]
+        state = state_for(ABC, FD("A", "B"), rows, [(0, 0, 2), (0, 1, 1), (0, 2, 1)])
+        assert state.extend(0, 7, 1)
+        assert not state.extend(0, 7, 2)
+        assert least_deficit(ABC, FD("A", "B"), rows, [(1, 1), (2, 1)]) == 2
+
+    def test_witnesses_outnumbering_the_unknown_cells(self):
+        # B ->> A: the group B = 0 requires (8,0,3) and (8,0,4), and only
+        # the row (8,0,?) can become either.  Each witness fits it, so no
+        # witness is certainly missing, but two witnesses need two rows:
+        # a violation that one unknown cell cannot repair.
+        rows = [[2, 0, 3], [2, 0, 4], [5, 6, 7], [0, 0, 0]]
+        dep = MVD("B", "A")
+        state = state_for(ABC, dep, rows, [(0, 3, 0), (0, 3, 2)])
+        assert not state.extend(0, 8)
+        assert state.extend(0, 8, 1)  # a budget covering every unknown cell
+        assert not state.extend(0, 8, 2)
+        rows[3][0] = 8
+        assert least_deficit(ABC, dep, rows, [(3, 2)]) is None

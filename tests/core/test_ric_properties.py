@@ -2,17 +2,21 @@
 
 Invariants of RIC that hold by definition or by the paper's theorems:
 bounds, symmetry under value renaming, full information without
-constraints, and the BCNF direction on random instances.
+constraints, the BCNF direction on random instances, and an MVD measuring
+like the two-component JD equivalent to it.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.measure import ric
 from repro.core.positions import PositionedInstance
+from repro.core.symbolic import ric_exact
 from repro.dependencies.fd import FD
+from repro.dependencies.jd import JD
+from repro.dependencies.mvd import MVD
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 
@@ -96,3 +100,55 @@ class TestDuplicationMonotonicity:
             )
             values.append(ric(inst, inst.position("T", 0, "C")))
         assert values[0] > values[1]
+
+
+ABC = RelationSchema("R", ("A", "B", "C"))
+
+
+def mvd_and_its_jd(lhs, rhs):
+    """``lhs ↠ rhs`` over ``ABC`` and the JD ``(lhs ∪ rhs, lhs ∪ rest)``."""
+    rest = "".join(a for a in "ABC" if a not in lhs + rhs)
+    return MVD(lhs, rhs), JD(lhs + rhs, lhs + rest)
+
+
+@st.composite
+def mvd_instances(draw):
+    """A 2- or 3-row relation over ``ABC`` satisfying a drawn MVD with
+    nonempty ``Y`` and ``Z``, and one of its positions."""
+    lhs = draw(st.sampled_from(["", "A", "B", "C"]))
+    rhs = draw(st.sampled_from([a for a in "ABC" if a not in lhs]))
+    mvd, jd = mvd_and_its_jd(lhs, rhs)
+    rows = draw(
+        st.sets(
+            st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2)),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    relation = Relation(ABC, rows)
+    assume(mvd.is_satisfied_by(relation))
+    index = draw(st.integers(0, 3 * len(relation) - 1))
+    return relation, mvd, jd, index
+
+
+class TestMvdMeasuresLikeItsJd:
+    """``X ↠ Y`` and ``JD(XY, XZ)`` are equivalent, so every position has
+    the same ``RIC`` under either."""
+
+    def test_w2(self):
+        rows = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
+        values = []
+        for dep in mvd_and_its_jd("B", "A"):
+            inst = PositionedInstance.from_relation(Relation(ABC, rows), [dep])
+            values.append(ric_exact(inst, inst.positions[0]))
+        assert values == [Fraction(10049, 12288)] * 2
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(mvd_instances())
+    def test_random_corpus(self, case):
+        relation, mvd, jd, index = case
+        values = []
+        for dep in (mvd, jd):
+            inst = PositionedInstance.from_relation(relation, [dep])
+            values.append(ric_exact(inst, inst.positions[index]))
+        assert values[0] == values[1]

@@ -1,10 +1,14 @@
 """Tests for possible-worlds templates."""
 
+from itertools import zip_longest
+
 import pytest
 
+from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import PositionedInstance
 from repro.core.worlds import FRESH, FreshValue, Unknown, World
 from repro.dependencies.fd import FD
+from repro.dependencies.mvd import MVD
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 
@@ -82,3 +86,50 @@ class TestSentinels:
     def test_reprs(self):
         assert repr(FreshValue(3)) == "*3"
         assert repr(Unknown(3)) == "?3"
+
+
+def recorded_calls(world):
+    """Every oracle and pruning call the pattern searches of *world* make,
+    with its answer, on a world nothing else touches."""
+    calls = []
+    satisfies, violated = world.satisfies, world.certainly_violated
+
+    def record_satisfies(candidate, completion):
+        completion = list(completion)  # the search reuses its list
+        answer = satisfies(candidate, completion)
+        calls.append(("satisfies", (candidate, completion), answer))
+        return answer
+
+    def record_violated(*args):
+        answer = violated(*args)
+        calls.append(("certainly_violated", args, answer))
+        return answer
+
+    world.satisfies, world.certainly_violated = record_satisfies, record_violated
+    for candidate in world.candidate_classes():
+        max_fresh(world, candidate)
+        pattern_counts(world, candidate)
+    return calls
+
+
+class TestWorldsShareTheInstance:
+    """The worlds of one instance share its compiled checks; each keeps
+    its own rows, so interleaved use changes no answer."""
+
+    def test_interleaved_worlds_answer_as_alone(self):
+        schema = RelationSchema("R", ("A", "B", "C"))
+        rows = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
+        inst = PositionedInstance.from_relation(Relation(schema, rows), [MVD("B", "A")])
+        p, q = inst.positions[0], inst.positions[4]
+        specs = [
+            (p, frozenset(inst.positions[3:9])),
+            (q, frozenset(inst.positions[:3] + inst.positions[8:11])),
+        ]
+        expected = [recorded_calls(World(inst, *spec)) for spec in specs]
+        assert all(expected)
+        worlds = [World(inst, *spec) for spec in specs]
+        for pair in zip_longest(*expected):
+            for world, call in zip(worlds, pair):
+                if call is not None:
+                    name, args, answer = call
+                    assert getattr(world, name)(*args) == answer

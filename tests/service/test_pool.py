@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PositionedInstance, ric_montecarlo
 from repro.core.montecarlo import merge_mc_chunks, ric_mc_chunk
-from repro.dependencies import FD
+from repro.dependencies import FD, MVD
 from repro.relational import Relation, RelationSchema
 from repro.service.pool import WorkerPool, chunk_ranges, ric_montecarlo_parallel
 
@@ -53,6 +53,26 @@ class TestChunkedDeterminism:
             assert (
                 ric_montecarlo_parallel(
                     inst, p, samples=80, seed=3, workers=workers
+                )
+                == serial
+            )
+
+    def test_pools_equal_serial_once_the_instance_is_compiled(self):
+        """The serial run compiles the instance's checks, closures that
+        stay behind when it is pickled to worker processes: each process
+        compiles its own, and each pool thread shares the parent's."""
+        schema = RelationSchema("R", ("A", "B", "C"))
+        rows = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
+        inst = PositionedInstance.from_relation(
+            Relation(schema, rows), [MVD("B", "A")]
+        )
+        p = inst.positions[0]
+        serial = ric_montecarlo(inst, p, samples=24, seed=3)
+        for use_processes in (True, False):
+            assert (
+                ric_montecarlo_parallel(
+                    inst, p, samples=24, seed=3, workers=2,
+                    use_processes=use_processes,
                 )
                 == serial
             )
