@@ -1,22 +1,26 @@
-"""E15 — batch throughput under injected faults.
+"""E15 — batch throughput when workers die.
 
-Runs the same Monte-Carlo measurement batch under increasing injected
-``worker_crash`` rates and reports throughput plus retry/fault counters.
+Runs the same Monte-Carlo measurement batch while a deterministic share
+of sample chunks loses its worker on the first attempt (the wrapped
+chunk evaluator raises ``BrokenExecutor``, what a dead worker process
+leaves behind), and reports throughput plus crash/retry counters.
 Recovery is required to be *free of correctness cost*: counter-based
-sampling makes re-executed chunks bit-identical, so every fault rate
-must reproduce the fault-free estimates exactly.
+sampling makes re-executed chunks bit-identical, so every crash rate
+must reproduce the crash-free estimates exactly.
 
-Expected shape: throughput degrades gracefully with the fault rate
+Expected shape: throughput degrades gracefully with the crash rate
 (retried chunks cost wall-clock, nothing else); values never drift.
 """
 
+import hashlib
 import time
+from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 
-from repro.service.faults import fault_injection
+from repro.service import pool as pool_module
 from repro.service.jobs import MeasureJob
-from repro.service.metrics import FAULTS_INJECTED, METRICS, Metrics, RETRIES
+from repro.service.metrics import METRICS, Metrics, RETRIES
 from repro.service.pool import WorkerPool
-from repro.service.retry import RetryPolicy
 from repro.service.runner import BatchRunner
 
 from benchmarks.common import print_table
@@ -39,30 +43,47 @@ def batch_jobs(count=8, samples=3000):
     ]
 
 
-def run_batch_under_rate(jobs, rate, seed=13):
-    metrics = Metrics()
-    retry = RetryPolicy(max_attempts=10, base_delay=0.0)
-    runner = BatchRunner(
-        pool=WorkerPool(workers=4, retry=retry),
-        metrics=metrics,
-        retry=retry,
-    )
-    injected_before = METRICS.get(FAULTS_INJECTED)
+def _draw(seed, chunk):
+    """A uniform [0, 1) draw fixed by the chunk's (start, count, seed)."""
+    digest = hashlib.sha256(f"{seed}|{chunk}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+@contextmanager
+def crashing_chunks(rate, seed):
+    """Fail the first attempt of each chunk whose draw is below *rate*,
+    as if its worker had died; yields the list of crashed chunks."""
+    real = pool_module._eval_chunk
+    crashed = []
+
+    def flaky(args):
+        chunk = args[2:5]  # (start, count, seed): the chunk's identity
+        if chunk not in crashed and _draw(seed, chunk) < rate:
+            crashed.append(chunk)
+            raise BrokenExecutor("worker died")
+        return real(args)
+
+    pool_module._eval_chunk = flaky
     try:
-        start = time.perf_counter()
-        if rate > 0.0:
-            with fault_injection(f"worker_crash:{rate}:{seed}"):
-                report = runner.run(jobs)
-        else:
+        yield crashed
+    finally:
+        pool_module._eval_chunk = real
+
+
+def run_batch_under_rate(jobs, rate, seed=13):
+    runner = BatchRunner(pool=WorkerPool(workers=4), metrics=Metrics())
+    retries_before = METRICS.get(RETRIES)
+    try:
+        with crashing_chunks(rate, seed) as crashed:
+            start = time.perf_counter()
             report = runner.run(jobs)
-        elapsed = time.perf_counter() - start
+            elapsed = time.perf_counter() - start
     finally:
         runner.pool.shutdown()
     assert report["failed"] == 0
-    injected = METRICS.get(FAULTS_INJECTED) - injected_before
-    retries = metrics.get(RETRIES) + metrics.get("pool.chunk_retries")
+    retries = METRICS.get(RETRIES) - retries_before
     values = [entry["value"] for entry in report["results"]]
-    return elapsed, injected, retries, values
+    return elapsed, len(crashed), retries, values
 
 
 def test_e15_fault_rate_table(benchmark):
@@ -96,9 +117,11 @@ def test_e15_fault_rate_table(benchmark):
         ["fault rate", "jobs", "faults injected", "retries", "throughput"],
         rows,
     )
-    # Faults were actually exercised at the non-zero rates.
+    # Faults were actually exercised at the non-zero rates, and each
+    # crashed chunk ran exactly once more.
     assert rows[0][2] == 0
     assert all(r[2] > 0 for r in rows[1:])
+    assert all(r[2] == r[3] for r in rows)
 
 
 def test_e15_clean_batch_kernel(benchmark):

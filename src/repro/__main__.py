@@ -7,6 +7,7 @@ Usage::
     python -m repro --no-measure "R(C,S,Z); CS->Z; Z->C"
     python -m repro --method montecarlo --samples 400 --seed 7 "R(A,B,C); B->C"
     python -m repro batch jobs.jsonl --workers 4 --cache cache.json
+    python -m repro batch jobs.jsonl --processes --retries 3
     python -m repro batch jobs.jsonl --trace-out t.json --metrics-out m.json
     python -m repro batch jobs.jsonl --profile --profile-out profile.folded
     python -m repro metrics-report --metrics m.json --trace t.json
@@ -28,7 +29,9 @@ content-addressed result cache, and prints a JSON report with per-job
 timing plus cache and engine-metrics summaries.  ``--trace-out`` records
 a span tree (Chrome/Perfetto format), ``--metrics-out`` exports the
 metrics snapshot, and ``--processes`` shards Monte-Carlo sampling over
-worker processes (their counters and spans are merged back).
+worker processes (their counters and spans are merged back);
+``--retries N`` gives each such chunk at most N attempts when its worker
+dies.
 ``--profile`` attaches the stdlib stack
 sampler for the whole batch (``--profile-out`` writes flamegraph-ready
 collapsed stacks).  ``metrics-report`` pretty-prints those artifacts,
@@ -151,18 +154,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="N",
-        help="attempts per job/chunk for transient failures such as "
-        "worker crashes (default 3; backoff is deterministic)",
-    )
-    parser.add_argument(
-        "--inject-fault",
-        action="append",
-        default=[],
-        metavar="KIND:RATE[:SEED]",
-        help="deterministically inject faults (testing/benchmarks), e.g. "
-        "worker_crash:0.2:7; repeatable; kinds: parse, validation, "
-        "budget, worker_crash, cache_corrupt, internal "
-        "(also via the REPRO_FAULTS environment variable)",
+        help="attempts per Monte-Carlo chunk when a worker dies "
+        "(default 3; a lost chunk reruns at once)",
     )
     parser.add_argument(
         "--trace-out",
@@ -207,7 +200,7 @@ def build_report_parser() -> argparse.ArgumentParser:
         description=(
             "Pretty-print an observability report from batch artifacts: "
             "top spans by self time, latency quantiles, and "
-            "retry/fault/cache tallies."
+            "retry/checkpoint/cache tallies."
         ),
     )
     parser.add_argument(
@@ -297,8 +290,6 @@ def batch_main(argv: List[str]) -> int:
     from repro.service.cache import ResultCache
     from repro.service.errors import JobError
     from repro.service.export import save_trace
-    from repro.service.faults import FAULTS, parse_fault_spec
-    from repro.service.retry import RetryPolicy
     from repro.service.runner import format_report, run_batch
     from repro.service.trace import TRACER
     from repro.service.validate import (
@@ -341,11 +332,6 @@ def batch_main(argv: List[str]) -> int:
             check_timeout("profile-interval", args.profile_interval)
             sampler = StackSampler(interval=args.profile_interval)
             sampler.start()
-        if args.inject_fault:
-            FAULTS.configure(
-                list(FAULTS.specs())
-                + [parse_fault_spec(spec) for spec in args.inject_fault]
-            )
         if args.checkpoint and args.resume:
             raise JobError(
                 "--checkpoint starts fresh and --resume continues; "
@@ -371,7 +357,7 @@ def batch_main(argv: List[str]) -> int:
             budget=budget,
             checkpoint_path=checkpoint_path,
             resume=bool(args.resume),
-            retry=RetryPolicy(max_attempts=args.retries),
+            retries=args.retries,
             use_processes=args.processes,
         )
     except (OSError, JobError, ValueError) as exc:
@@ -386,7 +372,7 @@ def batch_main(argv: List[str]) -> int:
     if args.cache:
         try:
             cache.save(args.cache)
-        except (OSError, JobError) as exc:
+        except OSError as exc:
             print(f"warning: cache not saved: {exc}", file=sys.stderr)
 
     try:

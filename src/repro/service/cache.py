@@ -21,12 +21,9 @@ actually meets:
   of its value; entries whose digest no longer matches are skipped (and
   counted) at load instead of resurfacing silently corrupted results;
 - **corrupt-file recovery** — a file that fails to parse (truncation,
-  garbage, injected ``cache_corrupt`` faults) is *quarantined* to
-  ``<path>.corrupt`` and the cache starts fresh: a damaged cache costs
-  recomputation, never a traceback or a wrong answer.
-
-The :data:`repro.service.faults.FAULTS` harness is consulted on every
-get/put/save/load so tests can exercise each of those paths on demand.
+  garbage) is *quarantined* to ``<path>.corrupt`` and the cache starts
+  fresh: a damaged cache costs recomputation, never a traceback or a
+  wrong answer.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from collections import OrderedDict
 from typing import Any, Optional
 
 from repro.service.errors import CacheCorruptError
-from repro.service.faults import FAULTS, InjectedFault
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
@@ -77,7 +73,6 @@ class ResultCache:
 
     def get(self, key: str, default: Any = None) -> Any:
         """The cached value for *key* (recency-refreshing), else *default*."""
-        FAULTS.maybe_raise("cache", key)
         with TRACER.span("cache.get", key=key[:16]) as span:
             with self._lock:
                 value = self._entries.get(key, _MISSING)
@@ -92,7 +87,6 @@ class ResultCache:
 
     def put(self, key: str, value: Any) -> None:
         """Insert or refresh *key*; evicts the least recent beyond maxsize."""
-        FAULTS.maybe_raise("cache", key)
         with TRACER.span("cache.put", key=key[:16]):
             with self._lock:
                 self._entries[key] = value
@@ -134,10 +128,9 @@ class ResultCache:
     def save(self, path: str) -> None:
         """Atomically write the entries (in recency order, checksummed).
 
-        Tempfile + ``os.replace`` in the target directory: a crash (or an
-        injected fault) mid-save leaves the previous file untouched.
+        Tempfile + ``os.replace`` in the target directory: a crash
+        mid-save leaves the previous file untouched.
         """
-        FAULTS.maybe_raise("cache", path)
         with self._lock:
             payload = {
                 "maxsize": self.maxsize,
@@ -169,14 +162,13 @@ class ResultCache:
 
         A missing file raises ``FileNotFoundError`` (callers guard with
         ``os.path.exists``); an *unreadable* one — truncated JSON, wrong
-        structure, injected corruption — is quarantined to
+        structure — is quarantined to
         ``<path>.corrupt`` and an empty cache is returned.  Individual
         entries failing their checksum are skipped and counted in
         ``corrupt_entries``; legacy two-element entries (saved before
         checksums existed) load unverified.
         """
         try:
-            FAULTS.maybe_raise("cache", path)
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             if not isinstance(payload, dict) or not isinstance(
@@ -190,7 +182,6 @@ class ResultCache:
         except (
             json.JSONDecodeError,
             CacheCorruptError,
-            InjectedFault,
             UnicodeDecodeError,
         ) as exc:
             quarantine = path + ".corrupt"

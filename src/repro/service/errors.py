@@ -11,7 +11,7 @@ parse       a job line was not valid JSON
 validation  a decoded record or CLI option violated an invariant
 budget      a per-job budget ladder was exhausted (see ``budget.py``)
 worker_crash a pool worker or executor died mid-flight (transient)
-cache_corrupt the result cache on disk or in flight was damaged
+cache_corrupt the result cache file on disk was damaged
 internal    any other exception escaping a job (the former blanket
             ``except Exception`` in the runner)
 ========== ===========================================================
@@ -23,8 +23,11 @@ internal    any other exception escaping a job (the former blanket
 :func:`from_exception` wraps them, preserving structured payloads such
 as :class:`repro.service.budget.BudgetExceeded`'s stage history.
 
-Retryability is a *policy* decision (see :mod:`repro.service.retry`);
-this module only records the conventional transient set.
+The transient kinds are the ones a rerun can cure.  The only rerun is
+the worker pool's: it resubmits a chunk that failed transiently — in
+practice a chunk a dead worker lost
+(:meth:`repro.service.pool.WorkerPool.map_retrying`).  Every other kind
+is deterministic, so a retry would only repeat it.
 """
 
 from __future__ import annotations
@@ -118,26 +121,14 @@ def _rebuild(cls, message, state):
     return err
 
 
-class ParseError(JobError, ValueError):
-    """Malformed JSON on a job line."""
-
-    default_kind = "parse"
-
-
 class ValidationError(JobError, ValueError):
     """A well-formed but invalid request, option, or invariant breach."""
 
     default_kind = "validation"
 
 
-class WorkerCrashError(JobError):
-    """A pool worker or executor died mid-flight (transient)."""
-
-    default_kind = "worker_crash"
-
-
 class CacheCorruptError(JobError):
-    """The result cache (on disk or in flight) was damaged."""
+    """The result cache file on disk was damaged."""
 
     default_kind = "cache_corrupt"
 

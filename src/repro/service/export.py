@@ -8,7 +8,7 @@ Two renderings of the observability layer's raw material:
   https://ui.perfetto.dev to see the per-job → per-chunk → per-engine
   tree on a timeline, with worker processes on their own ``pid`` lanes;
 - :func:`render_report` pretty-prints a run for humans — top spans by
-  self-time, latency quantiles, and the retry/fault/cache tallies —
+  self-time, latency quantiles, and the retry/checkpoint/cache tallies —
   behind ``python -m repro metrics-report``.
 
 :func:`validate_chrome_trace` is the schema check the CI smoke step (and
@@ -198,11 +198,8 @@ def render_report(
         resilience = []
         for label, key in (
             ("retries", "retries"),
-            ("faults injected", "faults_injected"),
             ("checkpoints written", "checkpoints_written"),
             ("cache hits", "runner.cache_hits"),
-            ("cache read errors", "cache.read_errors"),
-            ("cache write errors", "cache.write_errors"),
             ("pool rebuilds", "pool.rebuilds"),
         ):
             value = metrics.get("counters", {}).get(key, 0)

@@ -32,7 +32,6 @@ from repro.core.measure import RIC_METHODS, SAMPLING_METHODS
 from repro.engine.problem import Problem, canonical_digest
 from repro.relational.parser import parse_design
 from repro.service.errors import JobError, ValidationError
-from repro.service.faults import FAULTS
 from repro.service.validate import (
     MAX_SAMPLES,
     check_int,
@@ -260,7 +259,6 @@ def job_from_dict(data: dict) -> Job:
 
 def _parse_line(lineno: int, line: str) -> Job:
     """Decode and validate one JSONL line (typed, line-numbered errors)."""
-    FAULTS.maybe_raise("parse", f"line:{lineno}")
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -306,7 +304,7 @@ def parse_jsonl_lenient(
             continue
         try:
             records.append((lineno, _parse_line(lineno, line), None))
-        except JobError as exc:  # JobSpecError or an injected fault
+        except JobError as exc:
             if _strict:
                 raise
             records.append((lineno, None, exc))

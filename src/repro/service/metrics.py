@@ -22,10 +22,11 @@ Usage::
     #  "histograms": {"job.advise": {"count": 1, "sum": ..., "p50": ...,
     #                                "p95": ..., "p99": ..., "buckets": ...}}}
 
-Every ``observe``/``timer`` observation feeds both the flat timer stats
-(count, total seconds, min, max) and a fixed-bucket log2
-:class:`~repro.service.hist.Histogram`, so ``snapshot()`` can report
-latency distributions (p50/p95/p99), not just totals.
+Every ``observe``/``timer`` observation feeds one fixed-bucket log2
+:class:`~repro.service.hist.Histogram`; ``snapshot()`` derives the flat
+timer stats (count, total seconds, min, max) from its exact
+``count``/``sum``/``min``/``max`` and reports the latency distribution
+(p50/p95/p99) beside them.
 
 Cross-process completeness: worker processes record into their own
 process-local ``METRICS``; the pool piggybacks each worker's snapshot
@@ -62,10 +63,6 @@ class Metrics:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._timer_counts: Dict[str, int] = {}
-        self._timer_seconds: Dict[str, float] = {}
-        self._timer_min: Dict[str, float] = {}
-        self._timer_max: Dict[str, float] = {}
         self._hists: Dict[str, Histogram] = {}
 
     def inc(self, name: str, amount: int = 1, **labels) -> None:
@@ -85,22 +82,9 @@ class Metrics:
             return self._counters.get(key, 0)
 
     def observe(self, name: str, seconds: float) -> None:
-        """Record one timed observation for timer *name*.
-
-        Updates the flat stats (count, sum, min, max) and the log2
-        latency histogram backing the p50/p95/p99 summaries.
-        """
+        """Record one timed observation for timer *name* in its log2
+        latency histogram (the source of every timer statistic)."""
         with self._lock:
-            self._timer_counts[name] = self._timer_counts.get(name, 0) + 1
-            self._timer_seconds[name] = (
-                self._timer_seconds.get(name, 0.0) + seconds
-            )
-            prior_min = self._timer_min.get(name)
-            if prior_min is None or seconds < prior_min:
-                self._timer_min[name] = seconds
-            prior_max = self._timer_max.get(name)
-            if prior_max is None or seconds > prior_max:
-                self._timer_max[name] = seconds
             hist = self._hists.get(name)
             if hist is None:
                 hist = self._hists[name] = Histogram()
@@ -122,12 +106,12 @@ class Metrics:
                 "counters": dict(sorted(self._counters.items())),
                 "timers": {
                     name: {
-                        "count": self._timer_counts[name],
-                        "seconds": self._timer_seconds[name],
-                        "min": self._timer_min[name],
-                        "max": self._timer_max[name],
+                        "count": hist.count,
+                        "seconds": hist.sum,
+                        "min": hist.min,
+                        "max": hist.max,
                     }
-                    for name in sorted(self._timer_counts)
+                    for name, hist in sorted(self._hists.items())
                 },
                 "histograms": {
                     name: self._hists[name].to_dict()
@@ -139,33 +123,17 @@ class Metrics:
         """Fold *other* — a registry or a :meth:`snapshot` dict — into
         this registry.
 
-        Counters and timer counts/sums add; timer mins/maxes combine as
-        min/max; histograms merge bucket-wise (the layout is fixed).
-        This is how metrics recorded in worker *processes* become part
-        of the parent's snapshot.
+        Counters add; histograms — and with them the timer stats —
+        merge bucket-wise (the layout is fixed).  This is how metrics
+        recorded in worker *processes* become part of the parent's
+        snapshot.
         """
         snap = other.snapshot() if isinstance(other, Metrics) else other
         counters = snap.get("counters", {})
-        timers = snap.get("timers", {})
         hists = snap.get("histograms", {})
         with self._lock:
             for name, value in counters.items():
                 self._counters[name] = self._counters.get(name, 0) + value
-            for name, stats in timers.items():
-                self._timer_counts[name] = (
-                    self._timer_counts.get(name, 0) + stats["count"]
-                )
-                self._timer_seconds[name] = (
-                    self._timer_seconds.get(name, 0.0) + stats["seconds"]
-                )
-                other_min = stats.get("min", stats["seconds"])
-                other_max = stats.get("max", stats["seconds"])
-                prior_min = self._timer_min.get(name)
-                if prior_min is None or other_min < prior_min:
-                    self._timer_min[name] = other_min
-                prior_max = self._timer_max.get(name)
-                if prior_max is None or other_max > prior_max:
-                    self._timer_max[name] = other_max
             for name, payload in hists.items():
                 incoming = Histogram.from_dict(payload)
                 hist = self._hists.get(name)
@@ -184,20 +152,15 @@ class Metrics:
         batch runs)."""
         with self._lock:
             self._counters.clear()
-            self._timer_counts.clear()
-            self._timer_seconds.clear()
-            self._timer_min.clear()
-            self._timer_max.clear()
             self._hists.clear()
 
 
 #: The process-wide default registry; the engines record into this one.
 METRICS = Metrics()
 
-# Canonical counter names recorded by the fault-tolerance layer (the
-# modules share these constants so reports, tests, and docs agree on
-# spelling): every policy-driven re-execution, every fault the injection
-# harness fired, and every checkpoint line or compaction written.
+# Canonical counter names recorded by the recovery layer (the modules
+# share these constants so reports, tests, and docs agree on spelling):
+# every chunk resubmitted after a worker died, and every checkpoint line
+# or compaction written.
 RETRIES = "retries"
-FAULTS_INJECTED = "faults_injected"
 CHECKPOINTS_WRITTEN = "checkpoints_written"

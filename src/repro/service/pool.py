@@ -16,15 +16,13 @@ the instances are small, so thread fan-out costs nothing to set up and is
 correct everywhere; pass ``use_processes=True`` for CPU-bound sharding on
 multi-core machines (jobs and instances are picklable by construction).
 
-Chunk execution is **fault-tolerant**: :meth:`WorkerPool.map_retrying`
-re-executes only the chunks whose futures failed with a *transient*
-taxonomy kind (``worker_crash``, ``cache_corrupt``), keeping every
-completed chunk, under the pool's :class:`~repro.service.retry.RetryPolicy`
-with deterministic backoff.  A broken executor (``BrokenProcessPool``
-after a worker SIGKILL, a shut-down thread pool) is rebuilt in place
-before the retry round.  Because chunk results are order-merged
-sufficient statistics, a recovered estimate is still bit-identical to
-the failure-free one.  A chunk past its deadline is never retried.
+Chunk execution survives a dead worker: when a worker process dies
+(``BrokenProcessPool``) or the executor was shut down,
+:meth:`WorkerPool.map_retrying` rebuilds the executor and resubmits only
+the chunks that failed, at once, up to ``retries`` attempts per chunk.
+Because chunk results are order-merged sufficient statistics, a
+recovered estimate is still bit-identical to the failure-free one.  A
+chunk past its deadline is never retried.
 
 Chunk evaluation is also the runtime's **cross-process telemetry seam**:
 a chunk that runs in a worker process snapshots its local
@@ -37,7 +35,6 @@ metrics report and trace tree are complete under process sharding.
 from __future__ import annotations
 
 import os
-import time as _time
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -56,11 +53,13 @@ from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import require_consistent
 from repro.core.worlds import DeadlineExceeded
 from repro.service.errors import from_exception
-from repro.service.faults import FAULTS
 from repro.service.metrics import METRICS, RETRIES
-from repro.service.retry import RetryPolicy, token_seed
 from repro.service.trace import TRACER
-from repro.service.validate import MAX_WORKERS, check_positive_int
+from repro.service.validate import (
+    MAX_RETRIES,
+    MAX_WORKERS,
+    check_positive_int,
+)
 
 
 def chunk_ranges(samples: int, chunks: int) -> List[Tuple[int, int]]:
@@ -83,10 +82,6 @@ def chunk_ranges(samples: int, chunks: int) -> List[Tuple[int, int]]:
 def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
     """Module-level chunk worker (picklable for process pools).
 
-    The fault harness rolls per-chunk dice keyed on the chunk's stable
-    ``(seed, start, count)`` identity — never on thread scheduling — so
-    an injected crash hits the same chunk on every run.
-
     Returns ``(chunk, telemetry)``.  In a worker *process* (detected by
     comparing PIDs against the submitting process), the worker's
     process-local ``METRICS`` and finished spans are snapshotted and
@@ -106,7 +101,6 @@ def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
         METRICS.reset()
         TRACER.reset()
         TRACER.set_enabled(trace)
-    FAULTS.maybe_raise("chunk", f"{seed}:{start}+{count}")
     with TRACER.span(
         "pool.chunk",
         parent_id=None if in_child else parent_span,
@@ -130,9 +124,11 @@ class WorkerPool:
     """A fixed-size worker pool over threads (default) or processes.
 
     Usable as a context manager; otherwise call :meth:`shutdown` when
-    done.  An externally managed ``executor`` may be injected instead
-    (the pool then never shuts it down — and never rebuilds it after a
-    crash, since its lifecycle belongs to the caller).
+    done.  *retries* bounds the attempts each chunk of
+    :meth:`map_retrying` gets.  An externally managed ``executor`` may
+    be injected instead (the pool then never shuts it down — and never
+    rebuilds it after a crash, since its lifecycle belongs to the
+    caller).
     """
 
     def __init__(
@@ -140,11 +136,12 @@ class WorkerPool:
         workers: int = 4,
         use_processes: bool = False,
         executor: Optional[Executor] = None,
-        retry: Optional[RetryPolicy] = None,
+        retries: int = 3,
     ):
         check_positive_int("workers", workers, maximum=MAX_WORKERS)
+        check_positive_int("retries", retries, maximum=MAX_RETRIES)
         self.workers = workers
-        self.retry = retry or RetryPolicy()
+        self.retries = retries
         self._use_processes = use_processes
         self._owned = executor is None
         if executor is not None:
@@ -179,68 +176,44 @@ class WorkerPool:
         self._executor = self._new_executor()
         METRICS.inc("pool.rebuilds")
 
-    def map_retrying(
-        self,
-        fn: Callable,
-        items: Sequence,
-        tokens: Optional[Sequence[str]] = None,
-        sleep: Callable[[float], None] = _time.sleep,
-    ) -> list:
-        """Order-preserving map that re-executes transiently failed items.
+    def map_retrying(self, fn: Callable, items: Sequence) -> list:
+        """Order-preserving map that reruns the items a dead worker lost.
 
-        Each retry round resubmits only the failed indices (completed
-        results are never recomputed), rebuilding the executor first if
-        it broke.  A non-retryable failure, or a retryable one that
-        exhausts ``retry.max_attempts``, raises its taxonomy-wrapped
-        :class:`~repro.service.errors.JobError`.
+        A transient failure (``worker_crash``: a worker process died, or
+        the executor was shut down) resubmits only the failed items, at
+        once, rebuilding the executor if it broke; completed results are
+        never recomputed.  Each item gets at most ``retries`` attempts,
+        after which its :class:`~repro.service.errors.JobError` is
+        raised.  Any other failure raises its taxonomy-wrapped error at
+        once, and an expired deadline passes through unwrapped.
         """
-        tokens = (
-            [str(t) for t in tokens]
-            if tokens is not None
-            else [str(i) for i in range(len(items))]
-        )
         results: List = [None] * len(items)
         pending = list(range(len(items)))
-        attempt = 0
-        while pending:
-            futures = {}
-            for index in pending:
-                futures[index] = self._submit_safe(fn, items[index])
+        for attempt in range(1, self.retries + 1):
+            futures = [
+                (index, self._submit(fn, items[index])) for index in pending
+            ]
             failed: List[int] = []
-            last_error = None
-            for index, future in futures.items():
+            for index, future in futures:
                 try:
                     results[index] = future.result()
                 except DeadlineExceeded:
                     raise  # the budget is spent: a retry cannot finish
                 except Exception as exc:  # noqa: BLE001 — classified below
                     error = from_exception(exc)
-                    if not self.retry.is_retryable(error.kind):
+                    if not error.transient or attempt == self.retries:
                         raise error from exc
                     failed.append(index)
-                    last_error = error
             if not failed:
-                return results
-            if attempt + 1 >= self.retry.max_attempts:
-                raise last_error
+                break
             METRICS.inc(RETRIES, len(failed))
-            METRICS.inc("pool.chunk_retries", len(failed))
-            TRACER.event(
-                "retry",
-                attempt=attempt,
-                failed=len(failed),
-                kind=last_error.kind,
-            )
-            if getattr(self._executor, "_broken", False):
-                self.rebuild()
-            sleep(self.retry.delay(attempt, seed=token_seed(tokens[failed[0]])))
+            TRACER.event("retry", attempt=attempt, failed=len(failed))
             pending = failed
-            attempt += 1
         return results
 
-    def _submit_safe(self, fn, item):
-        """Submit, rebuilding the executor once if submission itself
-        fails on a broken/shut-down pool."""
+    def _submit(self, fn, item):
+        """Submit, rebuilding the executor once if it is broken or shut
+        down."""
         try:
             return self._executor.submit(fn, item)
         except (BrokenExecutor, RuntimeError):
@@ -257,9 +230,9 @@ class WorkerPool:
     ) -> MCEstimate:
         """Sharded, deterministic Monte-Carlo ``RIC`` (see module doc).
 
-        Chunks run through :meth:`map_retrying`, so transient worker
-        failures re-execute only the affected ranges; the merged
-        estimate is bit-identical to the failure-free serial result.
+        Chunks run through :meth:`map_retrying`, so a dead worker costs
+        only the ranges it lost; the merged estimate is bit-identical to
+        the failure-free serial result.
         Every chunk stops at *deadline*, in worker processes too.
         """
         require_consistent(instance)
@@ -279,7 +252,6 @@ class WorkerPool:
                      parent_pid, parent_span, trace)
                     for start, count in ranges
                 ],
-                tokens=[f"{seed}:{start}+{count}" for start, count in ranges],
             )
         chunks = []
         for chunk, telemetry in results:

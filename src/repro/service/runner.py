@@ -29,16 +29,18 @@ Fault tolerance (see also :mod:`repro.service.errors`):
   :class:`~repro.service.errors.JobError` payload with its taxonomy
   ``kind``, machine-readable code, and captured traceback — never an
   anonymous string, and never fatal to the batch;
-- **transient** failures (``worker_crash``, ``cache_corrupt``) re-execute
-  under the runner's :class:`~repro.service.retry.RetryPolicy` with
-  deterministic backoff, both per job here and per chunk inside the pool;
+- a Monte-Carlo chunk lost to a dead worker process re-runs inside the
+  pool (:meth:`~repro.service.pool.WorkerPool.map_retrying`), at most
+  ``retries`` attempts per chunk; nothing else is retried, because every
+  other failure would only repeat;
 - a malformed JSONL line becomes a ``parse``/``validation`` entry with
   its line number; the remaining lines still run;
 - with a :class:`~repro.service.checkpoint.Checkpoint`, completed results
   are durably appended as the batch progresses and a ``--resume`` run
   skips them bit-identically;
-- cache read/write failures degrade to a miss (recorded in metrics) —
-  a damaged cache costs recomputation, never a wrong or missing result.
+- a damaged cache *file* is quarantined at load (see
+  :meth:`~repro.service.cache.ResultCache.load`) — it costs
+  recomputation, never a wrong or missing result.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ from repro.relational.attributes import fmt_attrs
 from repro.service.budget import Budget
 from repro.service.cache import ResultCache
 from repro.service.checkpoint import Checkpoint
-from repro.service.errors import JobError
-from repro.service.faults import FAULTS
+from repro.service.errors import JobError, from_exception
 from repro.service.jobs import (
     AdviseJob,
     Job,
@@ -69,7 +70,6 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import METRICS, Metrics
 from repro.service.pool import WorkerPool
-from repro.service.retry import RetryPolicy, retry_call, token_seed
 from repro.service.trace import TRACER
 
 
@@ -135,7 +135,11 @@ def report_payload(report: DesignReport) -> dict:
 
 
 class BatchRunner:
-    """Execute job batches through one pool, cache, budget, and policy."""
+    """Execute job batches through one pool, cache, and budget.
+
+    *retries* sets the chunk attempts of the pool the runner builds when
+    none is given; a given *pool* keeps its own.
+    """
 
     def __init__(
         self,
@@ -143,12 +147,11 @@ class BatchRunner:
         cache: Optional[ResultCache] = None,
         budget: Optional[Budget] = None,
         metrics: Metrics = METRICS,
-        retry: Optional[RetryPolicy] = None,
+        retries: int = 3,
         shard_pool: Optional[WorkerPool] = None,
     ):
         self._owns_pool = pool is None
-        self.retry = retry or (pool.retry if pool is not None else RetryPolicy())
-        self.pool = pool or WorkerPool(workers=4, retry=self.retry)
+        self.pool = pool or WorkerPool(workers=4, retries=retries)
         self.cache = cache if cache is not None else ResultCache()
         self.budget = budget or Budget()
         self.metrics = metrics
@@ -263,7 +266,7 @@ class BatchRunner:
 
         for index, job in enumerate(jobs):
             key = job_key(job)
-            cached = self._cache_get(key)
+            cached = self.cache.get(key)
             if cached is not None:
                 self.metrics.inc("runner.cache_hits")
                 results[index] = self._entry(
@@ -290,7 +293,7 @@ class BatchRunner:
                 index,
                 job,
                 key,
-                self.pool.executor.submit(self._run_timed, job, key, plan),
+                self.pool.executor.submit(self._run_timed, job, plan),
             )
             for index, job, key, plan in fanout
         ]
@@ -298,7 +301,7 @@ class BatchRunner:
             results[index] = self._complete(
                 job,
                 key,
-                *self._run_timed(job, key, plan),
+                *self._run_timed(job, plan),
                 checkpoint=checkpoint,
             )
         for index, job, key, future in futures:
@@ -325,32 +328,22 @@ class BatchRunner:
             report["resumed"] = resumed
         return report
 
-    def _run_timed(self, job: Job, token: str, plan: Optional[Plan]):
+    def _run_timed(self, job: Job, plan: Optional[Plan]):
         """Execute one job, capturing ``(value|None, error|None, seconds)``.
 
-        Failures are classified through the error taxonomy; transient
-        kinds re-execute under the retry policy with a deterministic
-        (token-seeded) backoff schedule.  The returned error is the
-        typed JSON payload — jobs must not kill the batch, but neither
-        may they fail anonymously.
+        Failures are classified through the error taxonomy and run once:
+        the only retry is the pool's, per chunk.  The returned error is
+        the typed JSON payload — jobs must not kill the batch, but
+        neither may they fail anonymously.
         """
         start = perf_counter()
-
-        def attempt():
-            FAULTS.maybe_raise("job", token)
-            return self.execute(job, plan)
-
         with TRACER.span(
             "job", parent_id=self._batch_span, kind=job.kind, id=job.id
         ) as span:
             try:
-                value = retry_call(
-                    attempt,
-                    self.retry,
-                    seed=token_seed(token),
-                    metrics=self.metrics,
-                )
-            except JobError as error:
+                value = self.execute(job, plan)
+            except Exception as exc:  # noqa: BLE001 — classified here
+                error = from_exception(exc)
                 self.metrics.inc("runner.errors", kind=error.kind)
                 span.set(failed=error.kind)
                 return None, error.to_dict(), perf_counter() - start
@@ -366,7 +359,7 @@ class BatchRunner:
         checkpoint: Optional[Checkpoint] = None,
     ) -> dict:
         if error is None:
-            self._cache_put(key, value)
+            self.cache.put(key, value)
             entry = self._entry(
                 job, key, ok=True, value=value, seconds=seconds, cached=False
             )
@@ -377,27 +370,6 @@ class BatchRunner:
         return self._entry(
             job, key, ok=False, error=error, seconds=seconds, cached=False
         )
-
-    # ------------------------------------------------------------------
-    # cache guards: a damaged cache degrades to a miss, never an abort
-    # ------------------------------------------------------------------
-
-    def _cache_get(self, key: str):
-        try:
-            return self.cache.get(key)
-        except JobError as exc:
-            if exc.kind != "cache_corrupt":
-                raise
-            self.metrics.inc("cache.read_errors")
-            return None
-
-    def _cache_put(self, key: str, value) -> None:
-        try:
-            self.cache.put(key, value)
-        except JobError as exc:
-            if exc.kind != "cache_corrupt":
-                raise
-            self.metrics.inc("cache.write_errors")
 
     @staticmethod
     def _entry(
@@ -450,7 +422,7 @@ def run_batch(
     metrics: Metrics = METRICS,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    retry: Optional[RetryPolicy] = None,
+    retries: int = 3,
     use_processes: bool = False,
     reset_metrics: bool = True,
 ) -> dict:
@@ -465,6 +437,9 @@ def run_batch(
     run progresses; *resume* additionally loads the file first and skips
     every job already completed (bit-identically — the estimators are
     deterministic and wall-clock fields are excluded from checkpoints).
+
+    *retries* bounds the attempts of each Monte-Carlo chunk whose worker
+    died (see :meth:`~repro.service.pool.WorkerPool.map_retrying`).
 
     With *use_processes*, Monte-Carlo chunk sharding runs on a
     **process** pool (CPU parallelism past the GIL); worker-side engine
@@ -500,16 +475,15 @@ def run_batch(
     resume_map = checkpoint.load() if (checkpoint and resume) else None
 
     shard_pool = (
-        WorkerPool(workers=workers, use_processes=True, retry=retry)
+        WorkerPool(workers=workers, use_processes=True, retries=retries)
         if use_processes
         else None
     )
     runner = BatchRunner(
-        pool=WorkerPool(workers=workers, retry=retry),
+        pool=WorkerPool(workers=workers, retries=retries),
         cache=cache,
         budget=budget,
         metrics=metrics,
-        retry=retry,
         shard_pool=shard_pool,
     )
     try:

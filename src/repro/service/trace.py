@@ -15,9 +15,9 @@ Design constraints, matching the rest of the service layer:
   paths cost nanoseconds until ``--trace-out`` (or a test) enables
   tracing;
 - **deterministic span IDs** — IDs come from a per-run counter
-  (``s1, s2, …``), never ``random`` or the wall clock, consistent with
-  the faults/retry design; timestamps are the only nondeterministic
-  field (they are measurements);
+  (``s1, s2, …``), never ``random`` or the wall clock, so reruns
+  replay; timestamps are the only nondeterministic field (they are
+  measurements);
 - **monotonic timing** — durations come from ``perf_counter``; a
   wall-clock anchor captured at tracer creation places spans on an
   absolute axis so traces from worker *processes* align with the

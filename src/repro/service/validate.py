@@ -2,7 +2,7 @@
 
 One helper, one failure type: every entry point that accepts numeric
 limits (``--workers``, ``--timeout``, ``--samples``, cache sizes,
-:class:`~repro.service.budget.Budget` invariants, retry policies) checks
+:class:`~repro.service.budget.Budget` invariants, retry counts) checks
 them here and raises :class:`~repro.service.errors.ValidationError` — a
 ``ValueError`` subclass carrying the taxonomy kind ``validation`` — so
 no combination of CLI inputs can reach the engines and surface as an

@@ -201,7 +201,6 @@ class TestKillResumeCLI:
 
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_FAULTS", None)
 
         # Reference: uninterrupted run.
         full_ck = str(tmp_path / "full.ck.jsonl")

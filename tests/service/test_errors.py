@@ -10,13 +10,10 @@ from repro.service.errors import (
     KINDS,
     CacheCorruptError,
     JobError,
-    ParseError,
     ValidationError,
-    WorkerCrashError,
     classify,
     from_exception,
 )
-from repro.service.faults import InjectedFault
 from repro.service.jobs import JobSpecError
 
 
@@ -43,9 +40,7 @@ class TestTaxonomy:
             JobError("boom", kind="nonsense")
 
     def test_subclass_default_kinds(self):
-        assert ParseError("x").kind == "parse"
         assert ValidationError("x").kind == "validation"
-        assert WorkerCrashError("x").kind == "worker_crash"
         assert CacheCorruptError("x").kind == "cache_corrupt"
         assert JobError("x").kind == "internal"
 
@@ -72,7 +67,9 @@ class TestJsonShapes:
         json.dumps(payload)  # JSON-safe throughout
 
     def test_parse_shape(self):
-        err = ParseError("line 3: invalid JSON", details={"line": 3})
+        err = JobSpecError(
+            "line 3: invalid JSON", kind="parse", details={"line": 3}
+        )
         payload = err.to_dict()
         self.assert_envelope(payload, "parse", False)
         assert payload["line"] == 3
@@ -140,9 +137,9 @@ class TestClassify:
     def test_job_spec_error_is_validation(self):
         assert classify(JobSpecError("bad job")) == "validation"
 
-    def test_injected_fault_keeps_planned_kind(self):
-        fault = InjectedFault("worker_crash", "chunk", "0:0+10", 0)
-        assert classify(fault) == "worker_crash"
+    def test_job_error_keeps_its_kind(self):
+        error = JobError("lost", kind="worker_crash", code="chunk")
+        assert classify(error) == "worker_crash"
 
     def test_everything_else_is_internal(self):
         assert classify(KeyError("x")) == "internal"
@@ -166,9 +163,9 @@ class TestPickling:
         assert clone.details == {"a": 1}
         assert str(clone) == "boom"
 
-    def test_injected_fault_round_trips(self):
-        fault = InjectedFault("cache_corrupt", "cache", "deadbeef", 2)
-        clone = pickle.loads(pickle.dumps(fault))
-        assert clone.kind == "cache_corrupt"
-        assert clone.details["site"] == "cache"
-        assert clone.details["call"] == 2
+    def test_job_error_subclass_round_trips(self):
+        err = JobSpecError("bad line", kind="parse", details={"line": 2})
+        clone = pickle.loads(pickle.dumps(err))
+        assert type(clone) is JobSpecError
+        assert clone.kind == "parse"
+        assert clone.details == {"line": 2}

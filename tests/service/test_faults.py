@@ -1,25 +1,16 @@
-"""The fault-injection harness: determinism, every kind, recovery paths."""
+"""Recovery paths, each driven by its real trigger: a truncated cache
+file, a malformed JSONL line, a failing job, a dead worker."""
 
 import json
-
-import pytest
+from concurrent.futures import BrokenExecutor
 
 from repro.__main__ import main
+from repro.service import pool as pool_module
+from repro.service.budget import Budget, BudgetExceeded
 from repro.service.cache import ResultCache
-from repro.service.errors import KINDS
-from repro.service.faults import (
-    FAULTS,
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
-    fault_injection,
-    parse_fault_spec,
-    parse_fault_specs,
-)
 from repro.service.jobs import AdviseJob, MeasureJob, parse_jsonl_lenient
-from repro.service.metrics import FAULTS_INJECTED, METRICS, Metrics
+from repro.service.metrics import Metrics
 from repro.service.pool import WorkerPool
-from repro.service.retry import RetryPolicy
 from repro.service.runner import BatchRunner
 
 JOBS_JSONL = "\n".join(
@@ -34,177 +25,105 @@ JOBS_JSONL = "\n".join(
 )
 
 
-class TestSpecs:
-    def test_parse_single_spec(self):
-        assert parse_fault_spec("worker_crash:0.2:7") == FaultSpec(
-            "worker_crash", 0.2, 7
-        )
-        assert parse_fault_spec("parse:0.5") == FaultSpec("parse", 0.5, 0)
+def crash_first_attempt(monkeypatch, share=1):
+    """Make every *share*-th chunk's first attempt fail as if its worker
+    died; returns the list of chunks that failed."""
+    real = pool_module._eval_chunk
+    crashed = []
 
-    def test_parse_spec_list(self):
-        specs = parse_fault_specs("worker_crash:0.2:7, cache_corrupt:0.1")
-        assert specs == (
-            FaultSpec("worker_crash", 0.2, 7),
-            FaultSpec("cache_corrupt", 0.1, 0),
-        )
-        assert parse_fault_specs("") == ()
-        assert parse_fault_specs(None) == ()
+    def flaky(args):
+        chunk = args[2:5]  # (start, count, seed): the chunk's identity
+        if chunk not in crashed and (chunk[0] // chunk[1]) % share == 0:
+            crashed.append(chunk)
+            raise BrokenExecutor("worker died")
+        return real(args)
 
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError):
-            parse_fault_spec("nonsense:0.5")
-        with pytest.raises(ValueError):
-            parse_fault_spec("worker_crash")
-        with pytest.raises(ValueError):
-            parse_fault_spec("worker_crash:1.5")
-        with pytest.raises(ValueError):
-            parse_fault_spec("worker_crash:x:y")
-
-
-class TestDeterminism:
-    def test_same_plan_same_faults(self):
-        def roll(injector):
-            fired = []
-            for token in range(50):
-                try:
-                    injector.maybe_raise("chunk", str(token))
-                except InjectedFault:
-                    fired.append(token)
-            return fired
-
-        a = FaultInjector([FaultSpec("worker_crash", 0.3, 11)])
-        b = FaultInjector([FaultSpec("worker_crash", 0.3, 11)])
-        assert roll(a) == roll(b)
-        assert roll(FaultInjector([FaultSpec("worker_crash", 0.3, 12)])) != (
-            roll(FaultInjector([FaultSpec("worker_crash", 0.3, 11)]))
-        )
-
-    def test_rate_zero_never_one_always(self):
-        never = FaultInjector([FaultSpec("worker_crash", 0.0, 1)])
-        never.maybe_raise("chunk", "t")  # no raise
-        always = FaultInjector([FaultSpec("worker_crash", 1.0, 1)])
-        with pytest.raises(InjectedFault):
-            always.maybe_raise("chunk", "t")
-
-    def test_call_counter_gives_retries_fresh_dice(self):
-        injector = FaultInjector([FaultSpec("worker_crash", 1.0, 1)])
-        with pytest.raises(InjectedFault) as first:
-            injector.maybe_raise("chunk", "t")
-        with pytest.raises(InjectedFault) as second:
-            injector.maybe_raise("chunk", "t")
-        assert first.value.details["call"] == 0
-        assert second.value.details["call"] == 1
-
-    def test_inactive_injector_is_a_noop(self):
-        injector = FaultInjector()
-        assert not injector.active
-        injector.maybe_raise("chunk", "t")
-
-    def test_context_manager_restores_previous_plans(self):
-        before = FAULTS.specs()
-        with fault_injection("internal:1.0:3"):
-            assert any(s.kind == "internal" for s in FAULTS.specs())
-        assert FAULTS.specs() == before
+    monkeypatch.setattr(pool_module, "_eval_chunk", flaky)
+    return crashed
 
 
 class TestEveryKindInjects:
-    """Each taxonomy kind fires at its site and surfaces as a typed,
-    JSON-shaped error — the recovery paths are exercised, not assumed."""
+    """Each kind a job can meet surfaces as a typed, JSON-shaped entry —
+    the recovery paths are exercised, not assumed."""
 
-    def test_kind_coverage_of_sites(self):
-        from repro.service.faults import SITE_KINDS
+    def run_one_advise(self, monkeypatch, exc):
+        def fail(self, job, plan):
+            raise exc
 
-        covered = {kind for kinds in SITE_KINDS.values() for kind in kinds}
-        assert covered == set(KINDS)
-
-    def run_one_advise(self, metrics=None, retry=None):
-        runner = BatchRunner(
-            pool=WorkerPool(workers=2, retry=retry),
-            metrics=metrics or Metrics(),
-            retry=retry,
-        )
+        monkeypatch.setattr(BatchRunner, "execute", fail)
+        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
         try:
             return runner.run([AdviseJob(design="R(A,B,C); B->C", id="a")])
         finally:
             runner.pool.shutdown()
 
-    def assert_typed_error(self, entry, kind):
+    def assert_typed_error(self, entry, kind, code):
         assert entry["ok"] is False
         error = entry["error"]
         assert error["kind"] == kind
-        assert error["error"] == "injected_fault"
+        assert error["error"] == code
+        assert error["retryable"] is False
         assert isinstance(error["message"], str)
         json.dumps(error)
 
-    def test_internal_fault_at_job_site(self):
-        with fault_injection("internal:1.0:5"):
-            report = self.run_one_advise()
-        self.assert_typed_error(report["results"][0], "internal")
+    def test_internal_fault_at_job_site(self, monkeypatch):
+        report = self.run_one_advise(monkeypatch, RuntimeError("bug"))
+        self.assert_typed_error(
+            report["results"][0], "internal", "RuntimeError"
+        )
 
-    def test_budget_fault_at_job_site(self):
-        with fault_injection("budget:1.0:5"):
-            report = self.run_one_advise()
-        self.assert_typed_error(report["results"][0], "budget")
-
-    def test_worker_crash_at_job_site_recovers_by_retry(self):
-        metrics = Metrics()
-        injected_before = METRICS.get(FAULTS_INJECTED)
-        # Rate 0.6: some attempts fail, some succeed — deterministic.
-        retry = RetryPolicy(max_attempts=8, base_delay=0.0)
-        with fault_injection("worker_crash:0.6:5"):
-            report = self.run_one_advise(metrics=metrics, retry=retry)
+    def test_budget_fault_at_job_site(self, monkeypatch):
+        exc = BudgetExceeded(
+            [("exact", "timeout")], 0.5, Budget(wall_seconds=0.5)
+        )
+        report = self.run_one_advise(monkeypatch, exc)
         entry = report["results"][0]
-        assert entry["ok"] is True
-        assert METRICS.get(FAULTS_INJECTED) > injected_before
-        assert metrics.get("retries") >= 1
+        self.assert_typed_error(entry, "budget", "budget_exceeded")
+        assert entry["error"]["stages"] == [["exact", "timeout"]]
 
     def test_parse_and_validation_faults_at_parse_site(self):
-        for kind in ("parse", "validation"):
-            with fault_injection(f"{kind}:1.0:5"):
-                records = parse_jsonl_lenient(
-                    '{"kind": "advise", "design": "R(A,B); A->B"}'
-                )
-            (lineno, job, error) = records[0]
-            assert job is None and lineno == 1
+        records = parse_jsonl_lenient(
+            '{"kind": "advise", "design": \n'
+            '{"kind": "advise", "design": "R(A,B); A->B", "seed": "x"}\n'
+        )
+        for (lineno, job, error), kind in zip(
+            records, ("parse", "validation")
+        ):
+            assert job is None
             assert error.kind == kind
             payload = error.to_dict()
             assert payload["kind"] == kind
-            assert payload["error"] == "injected_fault"
+            assert payload["line"] == lineno
+        assert [lineno for lineno, _, _ in records] == [1, 2]
 
-    def test_cache_corrupt_fault_degrades_to_miss(self):
-        metrics = Metrics()
-        injected_before = METRICS.get(FAULTS_INJECTED)
-        with fault_injection("cache_corrupt:1.0:5"):
-            runner = BatchRunner(
-                pool=WorkerPool(workers=2), metrics=metrics
-            )
-            try:
-                report = runner.run(
-                    [AdviseJob(design="R(A,B,C); B->C", id="a")]
-                )
-            finally:
-                runner.pool.shutdown()
-        # Both the read and the write failed, yet the job succeeded.
-        assert report["results"][0]["ok"] is True
-        assert metrics.get("cache.read_errors") == 1
-        assert metrics.get("cache.write_errors") == 1
-        assert METRICS.get(FAULTS_INJECTED) == injected_before + 2
-
-    def test_cache_corrupt_fault_quarantines_on_load(self, tmp_path):
+    def test_cache_corrupt_fault_quarantines_on_load(self, tmp_path, capsys):
         path = str(tmp_path / "cache.json")
         cache = ResultCache()
         cache.put("k", {"v": 1})
         cache.save(path)
-        with fault_injection("cache_corrupt:1.0:5"):
-            with pytest.raises(InjectedFault):
-                cache.save(path)  # save is also instrumented
-            loaded = ResultCache.load(path)
+        text = open(path, encoding="utf-8").read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text[: len(text) // 2])  # truncated on disk
+        loaded = ResultCache.load(path)
         assert loaded.recovered_from == path + ".corrupt"
         assert len(loaded) == 0
 
+        # The batch CLI meets the same truncated file, quarantines it,
+        # and completes.
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text[: len(text) // 2])
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(JOBS_JSONL + "\n", encoding="utf-8")
+        code = main(["batch", str(jobs), "--workers", "2", "--cache", path])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["failed"] == 0
+        assert (tmp_path / "cache.json.corrupt").exists()
+        assert len(ResultCache.load(path)) == 3
+
 
 class TestChunkRecovery:
-    def test_sharded_mc_recovers_bit_identically(self):
+    def test_sharded_mc_recovers_bit_identically(self, monkeypatch):
         job = MeasureJob(
             design="T(A,B,C); B->C",
             rows=((1, 2, 3), (4, 2, 3)),
@@ -215,27 +134,20 @@ class TestChunkRecovery:
             id="m",
         )
 
-        def run(faulty):
-            metrics = Metrics()
-            retry = RetryPolicy(max_attempts=8, base_delay=0.0)
+        def run():
             runner = BatchRunner(
-                pool=WorkerPool(workers=4, retry=retry),
-                metrics=metrics,
-                retry=retry,
+                pool=WorkerPool(workers=4, retries=2), metrics=Metrics()
             )
             try:
-                if faulty:
-                    with fault_injection("worker_crash:0.5:9"):
-                        return runner.run([job]), metrics
-                return runner.run([job]), metrics
+                return runner.run([job])
             finally:
                 runner.pool.shutdown()
 
-        clean, _ = run(faulty=False)
-        injected_before = METRICS.get(FAULTS_INJECTED)
-        stormy, metrics = run(faulty=True)
+        clean = run()
+        crashed = crash_first_attempt(monkeypatch, share=2)
+        stormy = run()
+        assert len(crashed) == 2
         assert stormy["results"][0]["ok"] is True
-        assert METRICS.get(FAULTS_INJECTED) > injected_before
         # Recovery preserves bit-identical estimates (counter-based
         # sampling; chunks re-executed, never resampled differently).
         assert (
@@ -244,42 +156,25 @@ class TestChunkRecovery:
 
 
 class TestFaultCLI:
-    def test_worker_crash_batch_completes_correctly(self, tmp_path, capsys):
-        """Acceptance: --inject-fault worker_crash:0.2:7 still succeeds."""
+    def test_worker_crash_batch_completes_correctly(
+        self, tmp_path, capsys, monkeypatch
+    ):
         path = tmp_path / "jobs.jsonl"
         path.write_text(JOBS_JSONL + "\n", encoding="utf-8")
-        try:
-            code = main(
-                ["batch", str(path), "--workers", "2",
-                 "--inject-fault", "worker_crash:0.2:7",
-                 "--retries", "6"]
-            )
-            report = json.loads(capsys.readouterr().out)
-        finally:
-            FAULTS.clear()
-        assert code == 0
-        assert report["failed"] == 0
-        counters = report["metrics"]["counters"]
-        assert counters.get("faults_injected", 0) >= 1
-        # Correctness under fire: the Monte-Carlo estimate matches the
-        # fault-free deterministic value.
-        measure = next(
-            e for e in report["results"] if e["id"] == "m1"
-        )
-        capsys.readouterr()
         clean_code = main(["batch", str(path), "--workers", "2"])
         clean = json.loads(capsys.readouterr().out)
-        assert clean_code == 0
-        clean_measure = next(
-            e for e in clean["results"] if e["id"] == "m1"
-        )
-        assert measure["value"] == clean_measure["value"]
 
-    def test_bad_fault_spec_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "jobs.jsonl"
-        path.write_text(JOBS_JSONL + "\n", encoding="utf-8")
-        code = main(
-            ["batch", str(path), "--inject-fault", "bogus:0.5"]
-        )
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        crashed = crash_first_attempt(monkeypatch)
+        code = main(["batch", str(path), "--workers", "2", "--retries", "2"])
+        report = json.loads(capsys.readouterr().out)
+        assert clean_code == code == 0
+        assert report["failed"] == 0
+        assert len(crashed) == 2
+        assert report["metrics"]["counters"]["retries"] == 2
+        # Correctness under fire: the Monte-Carlo estimate matches the
+        # failure-free deterministic value.
+        values = [
+            next(e for e in r["results"] if e["id"] == "m1")["value"]
+            for r in (clean, report)
+        ]
+        assert values[0] == values[1]

@@ -1,120 +1,44 @@
-"""Retry policy: determinism, per-kind table, pool/runner wiring."""
+"""Chunk retry: the pool's one retry loop, and real worker deaths."""
+
+import os
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.core.worlds import DeadlineExceeded
-from repro.service.errors import JobError, WorkerCrashError
-from repro.service.metrics import RETRIES, Metrics
+from repro.service import pool as pool_module
+from repro.service.errors import JobError, ValidationError
+from repro.service.jobs import MeasureJob
+from repro.service.metrics import METRICS, Metrics
 from repro.service.pool import WorkerPool
-from repro.service.retry import (
-    DEFAULT_RETRYABLE,
-    RetryPolicy,
-    retry_call,
-    token_seed,
-)
+from repro.service.runner import BatchRunner
 
 
-class TestBackoffDeterminism:
-    def test_same_seed_same_schedule(self):
-        policy = RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.5)
-        assert policy.schedule(seed=42) == policy.schedule(seed=42)
+def die_once_per_item(args):
+    """Kill the worker process on the first call per item; a marker file
+    under the test's directory records that call across processes."""
+    directory, item = args
+    marker = os.path.join(directory, f"died-{item}")
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return item * item
 
-    def test_different_seeds_differ(self):
-        policy = RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.5)
-        assert policy.schedule(seed=1) != policy.schedule(seed=2)
 
-    def test_exponential_growth_capped(self):
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=0.1, max_delay=0.4, jitter=0.0
-        )
-        assert policy.schedule() == pytest.approx(
-            [0.1, 0.2, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4]
-        )
-
-    def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(base_delay=1.0, max_delay=1.0, jitter=0.25)
-        for attempt in range(20):
-            delay = policy.delay(attempt, seed=7)
-            assert 1.0 <= delay <= 1.25
-
-    def test_token_seed_is_stable(self):
-        assert token_seed("abc") == token_seed("abc")
-        assert token_seed("abc") != token_seed("abd")
+def always_die(args):
+    """Log the attempt, then kill the worker process."""
+    directory, item = args
+    with open(os.path.join(directory, "attempts"), "a") as handle:
+        handle.write(f"{item}\n")
+    os._exit(1)
 
 
 class TestPolicyTable:
-    def test_default_table_matches_taxonomy(self):
-        assert DEFAULT_RETRYABLE == {
-            "parse": False,
-            "validation": False,
-            "budget": False,
-            "worker_crash": True,
-            "cache_corrupt": True,
-            "internal": False,
-        }
-
-    def test_table_is_overridable(self):
-        policy = RetryPolicy(retryable={"internal": True})
-        assert policy.is_retryable("internal")
-        assert not policy.is_retryable("worker_crash")
-
     def test_bad_policies_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
-
-
-class TestRetryCall:
-    def test_transient_failures_recover(self):
-        metrics = Metrics()
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise WorkerCrashError("crash")
-            return "ok"
-
-        result = retry_call(
-            flaky,
-            RetryPolicy(max_attempts=3, base_delay=0.0),
-            metrics=metrics,
-            sleep=lambda _s: None,
-        )
-        assert result == "ok"
-        assert len(calls) == 3
-        assert metrics.get(RETRIES) == 2
-
-    def test_non_retryable_fails_fast(self):
-        calls = []
-
-        def bad():
-            calls.append(1)
-            raise ValueError("deterministic")
-
-        with pytest.raises(JobError) as excinfo:
-            retry_call(
-                bad,
-                RetryPolicy(max_attempts=5, base_delay=0.0),
-                sleep=lambda _s: None,
-            )
-        assert len(calls) == 1
-        assert excinfo.value.kind == "internal"
-
-    def test_exhaustion_raises_typed_error(self):
-        def always():
-            raise WorkerCrashError("still down")
-
-        with pytest.raises(JobError) as excinfo:
-            retry_call(
-                always,
-                RetryPolicy(max_attempts=2, base_delay=0.0),
-                sleep=lambda _s: None,
-            )
-        assert excinfo.value.kind == "worker_crash"
+        with pytest.raises(ValidationError):
+            WorkerPool(workers=1, retries=0)
+        with pytest.raises(ValidationError):
+            WorkerPool(workers=1, retries=101)
 
 
 class TestPoolRetryWiring:
@@ -124,29 +48,29 @@ class TestPoolRetryWiring:
         def flaky(x):
             attempts[x] = attempts.get(x, 0) + 1
             if x == 3 and attempts[x] == 1:
-                raise WorkerCrashError("transient")
+                raise BrokenExecutor("worker died")
             return x * x
 
-        with WorkerPool(
-            workers=2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
-        ) as pool:
-            results = pool.map_retrying(
-                flaky, list(range(5)), sleep=lambda _s: None
-            )
+        with WorkerPool(workers=2, retries=3) as pool:
+            results = pool.map_retrying(flaky, list(range(5)))
         assert results == [x * x for x in range(5)]
         # Only the failed item re-executed; the rest ran exactly once.
         assert attempts == {0: 1, 1: 1, 2: 1, 3: 2, 4: 1}
 
     def test_map_retrying_raises_non_retryable(self):
+        calls = []
+
         def bad(x):
+            calls.append(x)
             if x == 1:
                 raise RuntimeError("genuine bug")
             return x
 
         with WorkerPool(workers=2) as pool:
             with pytest.raises(JobError) as excinfo:
-                pool.map_retrying(bad, [0, 1, 2], sleep=lambda _s: None)
+                pool.map_retrying(bad, [0, 1, 2])
         assert excinfo.value.kind == "internal"
+        assert sorted(calls) == [0, 1, 2]  # no item ran twice
 
     def test_map_retrying_passes_an_expired_deadline_through(self):
         # The planner records a stage timeout from the bare exception.
@@ -158,19 +82,21 @@ class TestPoolRetryWiring:
 
         with WorkerPool(workers=1) as pool:
             with pytest.raises(DeadlineExceeded):
-                pool.map_retrying(late, [0], sleep=lambda _s: None)
+                pool.map_retrying(late, [0])
         assert calls == [0]
 
     def test_map_retrying_exhaustion(self):
-        def always(x):
-            raise WorkerCrashError("down forever")
+        calls = []
 
-        with WorkerPool(
-            workers=2, retry=RetryPolicy(max_attempts=2, base_delay=0.0)
-        ) as pool:
+        def always(x):
+            calls.append(x)
+            raise BrokenExecutor("down forever")
+
+        with WorkerPool(workers=2, retries=2) as pool:
             with pytest.raises(JobError) as excinfo:
-                pool.map_retrying(always, [0, 1], sleep=lambda _s: None)
+                pool.map_retrying(always, [0, 1])
         assert excinfo.value.kind == "worker_crash"
+        assert sorted(calls) == [0, 0, 1, 1]
 
     def test_rebuild_replaces_owned_executor(self):
         pool = WorkerPool(workers=2)
@@ -192,3 +118,67 @@ class TestPoolRetryWiring:
             assert pool.executor is executor
         finally:
             executor.shutdown()
+
+    def test_shut_down_executor_is_rebuilt(self):
+        pool = WorkerPool(workers=2)
+        try:
+            pool.executor.shutdown()
+            assert pool.map_retrying(lambda x: -x, [1, 2]) == [-1, -2]
+        finally:
+            pool.shutdown()
+
+
+class TestWorkerDeath:
+    """A worker process that really dies (``os._exit``) costs only the
+    items it lost, and never more than ``retries`` attempts each."""
+
+    def test_dead_workers_are_replaced_and_results_correct(self, tmp_path):
+        rebuilds = METRICS.get("pool.rebuilds")
+        # Each failing round kills at least one fresh item, so three
+        # items need at most four rounds.
+        with WorkerPool(workers=2, use_processes=True, retries=4) as pool:
+            results = pool.map_retrying(
+                die_once_per_item, [(str(tmp_path), i) for i in range(3)]
+            )
+        assert results == [0, 1, 4]
+        assert METRICS.get("pool.rebuilds") - rebuilds >= 1
+
+    def test_always_dying_worker_stops_after_retries(self, tmp_path):
+        with WorkerPool(workers=1, use_processes=True, retries=3) as pool:
+            with pytest.raises(JobError) as excinfo:
+                pool.map_retrying(always_die, [(str(tmp_path), 0)])
+        assert excinfo.value.kind == "worker_crash"
+        attempts = (tmp_path / "attempts").read_text().splitlines()
+        assert attempts == ["0", "0", "0"]
+
+    def test_batch_retries_bound_chunk_evaluations(self, monkeypatch):
+        # --retries N bounds each chunk at N attempts through the whole
+        # runner: 2 chunks x 3 attempts, not multiplied by a job retry.
+        calls = []
+
+        def broken(args):
+            calls.append(args[2:4])
+            raise BrokenExecutor("worker died")
+
+        monkeypatch.setattr(pool_module, "_eval_chunk", broken)
+        job = MeasureJob(
+            design="T(A,B,C); B->C",
+            rows=((1, 2, 3), (4, 2, 3)),
+            position=(0, "C"),
+            method="montecarlo",
+            samples=40,
+            seed=7,
+            id="m",
+        )
+        runner = BatchRunner(
+            pool=WorkerPool(workers=2, retries=3), metrics=Metrics()
+        )
+        try:
+            report = runner.run([job])
+        finally:
+            runner.pool.shutdown()
+        assert len(calls) == 6
+        assert sorted(set(calls)) == [(0, 20), (20, 20)]
+        error = report["results"][0]["error"]
+        assert error["kind"] == "worker_crash"
+        assert error["retryable"] is True
