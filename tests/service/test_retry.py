@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.worlds import DeadlineExceeded
 from repro.service import pool as pool_module
-from repro.service.errors import JobError, ValidationError
+from repro.service.errors import KINDS, JobError, ValidationError
 from repro.service.jobs import MeasureJob
-from repro.service.metrics import METRICS, Metrics
+from repro.service.metrics import METRICS, RETRIES, Metrics
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 
@@ -39,6 +39,78 @@ class TestPolicyTable:
             WorkerPool(workers=1, retries=0)
         with pytest.raises(ValidationError):
             WorkerPool(workers=1, retries=101)
+
+    def test_default_table_matches_taxonomy(self):
+        # The pool reruns exactly the transient kinds of the taxonomy.
+        def rerun(kind):
+            calls = []
+
+            def fail_once(x):
+                calls.append(x)
+                if len(calls) == 1:
+                    raise JobError("first attempt", kind=kind)
+                return x
+
+            with WorkerPool(workers=1, retries=2) as pool:
+                try:
+                    pool.map_retrying(fail_once, [0])
+                except JobError as exc:
+                    assert exc.kind == kind
+            return len(calls) == 2
+
+        assert {kind: rerun(kind) for kind in KINDS} == {
+            "parse": False,
+            "validation": False,
+            "budget": False,
+            "worker_crash": True,
+            "cache_corrupt": True,
+            "internal": False,
+        }
+
+
+class TestRetryCall:
+    """The retry loop on a single call: recovery, fail-fast, exhaustion."""
+
+    def test_transient_failures_recover(self):
+        retries = METRICS.get(RETRIES)
+        calls = []
+
+        def flaky(x):
+            calls.append(x)
+            if len(calls) < 3:
+                raise BrokenExecutor("crash")
+            return "ok"
+
+        with WorkerPool(workers=1, retries=3) as pool:
+            assert pool.map_retrying(flaky, [0]) == ["ok"]
+        assert len(calls) == 3
+        assert METRICS.get(RETRIES) - retries == 2
+
+    def test_non_retryable_fails_fast(self):
+        calls = []
+
+        def bad(x):
+            calls.append(x)
+            raise ValueError("deterministic")
+
+        with WorkerPool(workers=1, retries=5) as pool:
+            with pytest.raises(JobError) as excinfo:
+                pool.map_retrying(bad, [0])
+        assert len(calls) == 1
+        assert excinfo.value.kind == "internal"
+
+    def test_exhaustion_raises_typed_error(self):
+        calls = []
+
+        def always(x):
+            calls.append(x)
+            raise BrokenExecutor("still down")
+
+        with WorkerPool(workers=1, retries=2) as pool:
+            with pytest.raises(JobError) as excinfo:
+                pool.map_retrying(always, [0])
+        assert len(calls) == 2
+        assert excinfo.value.kind == "worker_crash"
 
 
 class TestPoolRetryWiring:
