@@ -7,98 +7,18 @@ computational kernels involved.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-Passing ``--json PATH`` (added by ``benchmarks/conftest.py``) makes every
-table printed through :func:`print_table` also accumulate as a
-machine-readable record; the records are written to *PATH* as one JSON
-document at the end of the session::
-
-    pytest benchmarks/ --benchmark-only -s --json BENCH_2026-08-06.json
-
-The document is the **schema v2** benchmark store of
-:mod:`repro.perf.records`: alongside the stringified cells a human sees,
-each table keeps the *raw* values that were passed in (``cells``), the
-document carries an environment fingerprint (python version, CPU count,
-commit), and every pytest-benchmark timing is harvested as a
-distribution — median-of-k with MAD — under ``timings``.  Those timing
-entries are what ``python -m repro perf check`` gates against a baseline
-and ``perf report`` trends across snapshots; v1 documents (stringified
-cells only) remain readable everywhere.
+The benchmark of record for performance is ``perfbench/`` (see
+``BENCHMARK.json``); these tables are the reproduced results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
-
-from repro.perf.records import (
-    json_safe_cell,
-    new_document,
-    save_document,
-    summarize_samples,
-)
-
-#: Where to write the JSON document (set by the ``--json`` CLI option).
-_JSON_PATH: Optional[str] = None
-
-#: Tables accumulated during this pytest session.
-_RECORDS: List[dict] = []
-
-#: Timing distributions accumulated during this session (name -> entry).
-_TIMINGS: Dict[str, dict] = {}
-
-
-def set_json_path(path: Optional[str]) -> None:
-    """Install the ``--json`` destination (None disables recording)."""
-    global _JSON_PATH
-    _JSON_PATH = path
-    _RECORDS.clear()
-    _TIMINGS.clear()
-
-
-def record_table(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Accumulate one table for the JSON document (no-op without --json).
-
-    Both renderings are kept: ``rows`` as printed (strings, for eyes and
-    v1 readers) and ``cells`` as passed (numerics stay numeric), so
-    downstream tooling never parses formatted text back apart.
-    """
-    if _JSON_PATH is None:
-        return
-    rows = list(rows)
-    _RECORDS.append(
-        {
-            "title": title,
-            "header": [str(h) for h in header],
-            "rows": [[str(c) for c in row] for row in rows],
-            "cells": [[json_safe_cell(c) for c in row] for row in rows],
-        }
-    )
-
-
-def record_timing(name: str, samples: Sequence[float]) -> None:
-    """Accumulate one benchmark's raw timing samples (seconds).
-
-    The stored entry is the median/MAD summary of
-    :func:`repro.perf.records.summarize_samples`; pytest-benchmark
-    rounds are harvested automatically by ``conftest.py``, and
-    hand-timed kernels can record through here directly.
-    """
-    if _JSON_PATH is None or not samples:
-        return
-    _TIMINGS[str(name)] = summarize_samples(samples)
-
-
-def flush_json() -> None:
-    """Write the accumulated records to the ``--json`` path, if any."""
-    if _JSON_PATH is None or not (_RECORDS or _TIMINGS):
-        return
-    save_document(_JSON_PATH, new_document(_RECORDS, timings=_TIMINGS))
+from typing import Iterable, Sequence
 
 
 def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Render one experiment table to stdout (and the --json recorder)."""
-    raw_rows = [tuple(row) for row in rows]
-    record_table(title, header, raw_rows)
-    rows = [tuple(str(c) for c in row) for row in raw_rows]
+    """Render one experiment table to stdout."""
+    rows = [tuple(str(c) for c in row) for row in rows]
     widths = [len(h) for h in header]
     for row in rows:
         for i, cell in enumerate(row):

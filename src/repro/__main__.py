@@ -11,8 +11,6 @@ Usage::
     python -m repro batch jobs.jsonl --trace-out t.json --metrics-out m.json
     python -m repro batch jobs.jsonl --profile --profile-out profile.folded
     python -m repro metrics-report --metrics m.json --trace t.json
-    python -m repro perf check --baseline BENCH_a.json --current BENCH_b.json
-    python -m repro perf report BENCH_a.json BENCH_b.json
     python -m repro perf calibrate --trace t.json --out cost_calibration.json
 
 The default mode (spelled ``advise`` or bare) prints the
@@ -35,9 +33,8 @@ dies.
 ``--profile`` attaches the stdlib stack
 sampler for the whole batch (``--profile-out`` writes flamegraph-ready
 collapsed stacks).  ``metrics-report`` pretty-prints those artifacts,
-and ``perf`` hosts the performance observatory: the benchmark
-regression gate, the snapshot trend report, and cost-model calibration
-(see :mod:`repro.perf`).
+and ``perf calibrate`` fits the cost model to a recorded trace (see
+:mod:`repro.perf`).
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ import sys
 from typing import List, Optional
 
 from repro.advisor import advise
-from repro.perf.profiler import DEFAULT_INTERVAL as DEFAULT_PROFILE_INTERVAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,14 +178,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="write flamegraph-ready collapsed stacks here "
         "(implies --profile; feed to flamegraph.pl / speedscope)",
     )
-    parser.add_argument(
-        "--profile-interval",
-        type=float,
-        default=DEFAULT_PROFILE_INTERVAL,
-        metavar="SECONDS",
-        help="profiler sampling period in seconds (default "
-        f"{DEFAULT_PROFILE_INTERVAL:g} = 100 Hz)",
-    )
     return parser
 
 
@@ -252,7 +240,11 @@ def report_main(argv: List[str]) -> int:
     2 = unreadable/invalid input or nothing to report)."""
     import json
 
-    from repro.service.export import render_report, validate_chrome_trace
+    from repro.service.export import (
+        render_report,
+        validate_chrome_trace,
+        validate_metrics,
+    )
 
     args = build_report_parser().parse_args(argv)
     if not args.metrics and not args.trace:
@@ -265,7 +257,7 @@ def report_main(argv: List[str]) -> int:
     try:
         if args.metrics:
             with open(args.metrics, "r", encoding="utf-8") as handle:
-                metrics = json.load(handle)
+                metrics = validate_metrics(json.load(handle))
         if args.trace:
             with open(args.trace, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
@@ -294,7 +286,6 @@ def batch_main(argv: List[str]) -> int:
     from repro.service.trace import TRACER
     from repro.service.validate import (
         check_output_path,
-        check_timeout,
         validate_batch_options,
     )
 
@@ -329,9 +320,7 @@ def batch_main(argv: List[str]) -> int:
         if profiling:
             from repro.perf.profiler import StackSampler
 
-            check_timeout("profile-interval", args.profile_interval)
-            sampler = StackSampler(interval=args.profile_interval)
-            sampler.start()
+            sampler = StackSampler().start()
         if args.checkpoint and args.resume:
             raise JobError(
                 "--checkpoint starts fresh and --resume continues; "

@@ -89,18 +89,21 @@ def load_calibration(path: str) -> Dict[str, float]:
     """
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    if not isinstance(document, dict) or "engines" not in document:
+    engines = document.get("engines") if isinstance(document, dict) else None
+    if not isinstance(engines, dict):
         raise ValueError(
             f"{path} is not a cost-calibration document "
             "(expected the output of 'repro perf calibrate')"
         )
     calibration: Dict[str, float] = {}
-    for engine, entry in document["engines"].items():
-        coefficient = entry.get("seconds_per_unit")
+    for engine, entry in engines.items():
+        coefficient = (
+            entry.get("seconds_per_unit") if isinstance(entry, dict) else None
+        )
         if not isinstance(coefficient, (int, float)) or coefficient <= 0:
             raise ValueError(
                 f"{path}: engine {engine!r} carries an invalid "
-                f"seconds_per_unit {coefficient!r}"
+                f"calibration entry {entry!r}"
             )
         calibration[str(engine)] = float(coefficient)
     return calibration

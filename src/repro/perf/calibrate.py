@@ -38,13 +38,43 @@ estimates then carry predicted wall seconds alongside the unit counts.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from typing import Dict, List, Optional, Sequence
-
-from repro.perf.records import env_fingerprint
 
 #: The calibration file's family marker and version.
 SCHEMA_NAME = "repro-cost-calibration"
 SCHEMA_VERSION = 1
+
+
+def _git_commit() -> Optional[str]:
+    """The current commit hash, or None outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    commit = out.stdout.strip()
+    return commit if out.returncode == 0 and commit else None
+
+
+def env_fingerprint() -> dict:
+    """The environment a calibration was fitted on: its constants are
+    seconds on that machine and interpreter, at that commit."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "commit": _git_commit(),
+    }
 
 
 def collect_engine_runs(trace) -> List[dict]:
@@ -59,7 +89,9 @@ def collect_engine_runs(trace) -> List[dict]:
     if isinstance(trace, dict):
         spans = []
         for event in trace.get("traceEvents", []):
-            if event.get("ph") != "X":
+            if event.get("ph") != "X" or not isinstance(
+                event.get("dur", 0), (int, float)
+            ):
                 continue
             spans.append(
                 {
@@ -74,7 +106,9 @@ def collect_engine_runs(trace) -> List[dict]:
     for span in spans:
         if span.get("name") != "engine_run":
             continue
-        attrs = span.get("attrs", {})
+        attrs = span.get("attrs")
+        if not isinstance(attrs, dict):
+            continue
         engine = attrs.get("engine")
         units = attrs.get("units")
         seconds = span.get("dur", 0.0)
@@ -179,10 +213,14 @@ def calibrate(
     """
     with open(trace_path, "r", encoding="utf-8") as handle:
         trace = json.load(handle)
-    if not isinstance(trace, dict) or "traceEvents" not in trace:
+    events = trace.get("traceEvents") if isinstance(trace, dict) else None
+    if not isinstance(events, list) or not all(
+        isinstance(event, dict) for event in events
+    ):
         raise ValueError(
             f"{trace_path} is not a Chrome trace document "
-            "(expected the --trace-out output of a batch run)"
+            "(expected the --trace-out output of a batch run: an object "
+            "whose traceEvents is a list of event objects)"
         )
     calibration = fit_calibration(collect_engine_runs(trace))
     if out_path is not None:

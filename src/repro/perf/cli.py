@@ -1,90 +1,28 @@
-"""``python -m repro perf`` — the performance-observatory subcommands.
+"""``python -m repro perf calibrate`` — fit the cost model to a trace.
 
-Three verbs over the stored artifacts:
-
-- ``perf check --baseline B.json --current C.json`` — the regression
-  gate: exit 0 when every shared benchmark is within the noise-aware
-  threshold, exit 1 when a statistically significant slowdown is
-  flagged, exit 2 for bad input (missing file, no comparable timings).
-  ``--warn-only`` reports but never fails (the PR-gate mode);
-- ``perf report SNAP.json [SNAP.json ...]`` — the trend table of every
-  benchmark's median across a series of stored snapshots;
-- ``perf calibrate --trace trace.json [--out cost_calibration.json]`` —
-  fit the cost model's per-engine seconds-per-unit constants to
-  observed ``engine_run`` spans and report predicted-vs-observed
-  relative error before/after.
+``perf calibrate --trace trace.json [--out cost_calibration.json]`` fits
+the cost model's per-engine seconds-per-unit constants to observed
+``engine_run`` spans and reports predicted-vs-observed relative error
+before/after.  Exit 0 on success, 2 for bad input (missing file, not a
+trace, no usable ``engine_run`` spans).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List
 
 from repro.perf.calibrate import calibrate, render_calibration
-from repro.perf.check import (
-    DEFAULT_MAD_MULT,
-    DEFAULT_REL_THRESHOLD,
-    check_regressions,
-    render_findings,
-    render_trend,
-    trend_table,
-)
 
 
 def build_perf_parser() -> argparse.ArgumentParser:
-    """The ``perf`` subcommand parser (exposed for testing)."""
+    """The ``perf`` subcommand parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro perf",
-        description=(
-            "Benchmark baselines, regression gating, and cost-model "
-            "calibration over BENCH_*.json / trace artifacts."
-        ),
+        description="Cost-model calibration over batch trace artifacts.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    check = sub.add_parser(
-        "check", help="compare a current snapshot against a baseline"
-    )
-    check.add_argument(
-        "--baseline", required=True, metavar="PATH",
-        help="the baseline BENCH_*.json document",
-    )
-    check.add_argument(
-        "--current", required=True, metavar="PATH",
-        help="the freshly recorded BENCH_*.json document",
-    )
-    check.add_argument(
-        "--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
-        metavar="FRAC",
-        help="relative slowdown needed to flag a regression "
-        f"(default {DEFAULT_REL_THRESHOLD:g} = "
-        f"{DEFAULT_REL_THRESHOLD:.0%})",
-    )
-    check.add_argument(
-        "--mad-mult", type=float, default=DEFAULT_MAD_MULT, metavar="K",
-        help="noise floor: the median shift must also exceed K x MAD "
-        f"(default {DEFAULT_MAD_MULT:g})",
-    )
-    check.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (PR-gate mode; bad input "
-        "still exits 2)",
-    )
-    check.add_argument(
-        "--out", metavar="PATH",
-        help="also write the findings as JSON here",
-    )
-
-    report = sub.add_parser(
-        "report", help="trend table across stored snapshots"
-    )
-    report.add_argument(
-        "snapshots", nargs="+", metavar="BENCH.json",
-        help="snapshot files, oldest first",
-    )
-
     cal = sub.add_parser(
         "calibrate",
         help="fit CostModel constants to observed engine_run latencies",
@@ -105,37 +43,9 @@ def perf_main(argv: List[str]) -> int:
     """Run one ``perf`` verb; returns the process exit code."""
     args = build_perf_parser().parse_args(argv)
     try:
-        if args.verb == "check":
-            if args.threshold < 0 or args.mad_mult < 0:
-                raise ValueError(
-                    "--threshold and --mad-mult must be non-negative"
-                )
-            result = check_regressions(
-                args.baseline,
-                args.current,
-                rel_threshold=args.threshold,
-                mad_mult=args.mad_mult,
-            )
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    json.dump(result, handle, indent=2)
-                    handle.write("\n")
-            print(render_findings(result), end="")
-            if result["exit_code"] == 1 and args.warn_only:
-                print(
-                    "warning: regressions found (exit 0: --warn-only)",
-                    file=sys.stderr,
-                )
-                return 0
-            return result["exit_code"]
-        if args.verb == "report":
-            print(render_trend(trend_table(args.snapshots)), end="")
-            return 0
-        if args.verb == "calibrate":
-            calibration = calibrate(args.trace, out_path=args.out)
-            print(render_calibration(calibration), end="")
-            return 0
+        calibration = calibrate(args.trace, out_path=args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled perf verb {args.verb!r}")
+    print(render_calibration(calibration), end="")
+    return 0

@@ -116,11 +116,6 @@ class ResultCache:
                 "hit_rate": (self._hits / lookups) if lookups else 0.0,
             }
 
-    def reset_stats(self) -> None:
-        """Zero the counters without touching the entries."""
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
-
     # ------------------------------------------------------------------
     # persistence (JSON, because values are JSON-safe result dicts)
     # ------------------------------------------------------------------

@@ -89,6 +89,39 @@ def validate_chrome_trace(document: dict) -> int:
     return len(events)
 
 
+def validate_metrics(document) -> dict:
+    """The metrics snapshot in *document* — a :meth:`Metrics.snapshot`
+    dict or a batch report embedding one under ``"metrics"``.  Raises
+    ``ValueError`` when it lacks the snapshot's shape, which
+    :func:`render_report` relies on."""
+    if isinstance(document, dict) and "metrics" in document:
+        document = document["metrics"]
+    if not isinstance(document, dict):
+        raise ValueError("metrics document must be a JSON object")
+    if not isinstance(document.get("counters", {}), dict):
+        raise ValueError("metrics 'counters' must be an object")
+    for section, required, optional in (
+        ("timers", ("count", "seconds"), ("min", "max")),
+        ("histograms", (), ("p50", "p95", "p99")),
+    ):
+        entries = document.get(section, {})
+        if not isinstance(entries, dict):
+            raise ValueError(f"metrics {section!r} must be an object")
+        for name, entry in entries.items():
+            if not (
+                isinstance(entry, dict)
+                and all(isinstance(entry.get(f), (int, float)) for f in required)
+                and all(
+                    isinstance(entry.get(f, 0), (int, float)) for f in optional
+                )
+            ):
+                raise ValueError(
+                    f"metrics {section}[{name!r}] is not an object with "
+                    f"numeric {', '.join(required + optional)}"
+                )
+    return document
+
+
 def save_trace(path: str, spans: Sequence[dict]) -> dict:
     """Write the Chrome trace for *spans* to *path*; returns the document."""
     document = chrome_trace(spans)

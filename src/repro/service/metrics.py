@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from repro.service.hist import Histogram
 
@@ -141,11 +141,6 @@ class Metrics:
                     self._hists[name] = incoming
                 else:
                     hist.merge(incoming)
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        """The live histogram behind timer *name* (None if never fed)."""
-        with self._lock:
-            return self._hists.get(name)
 
     def reset(self) -> None:
         """Zero every counter, timer, and histogram (tests and fresh

@@ -158,17 +158,26 @@ class TestEndToEnd:
                       handle)
         with pytest.raises(ValueError):
             load_calibration(path)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"not_engines": {}}, handle)
-        with pytest.raises(ValueError):
-            load_calibration(path)
+        for document in ({"not_engines": {}}, {"engines": []},
+                         {"engines": {"exact": 5}}):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+            with pytest.raises(ValueError):
+                load_calibration(path)
 
     def test_calibrate_rejects_non_trace_input(self, tmp_path):
         path = str(tmp_path / "not_trace.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"tables": []}, handle)
-        with pytest.raises(ValueError):
-            calibrate(path)
+        bad_events = (
+            {"ph": "X", "name": "engine_run", "dur": "x",
+             "args": {"engine": "exact", "units": 1.0}},
+            {"ph": "X", "name": "engine_run", "dur": 100, "args": ["x"]},
+        )
+        for document in ({"tables": []}, {"traceEvents": ["x"]},
+                         *({"traceEvents": [e]} for e in bad_events)):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+            with pytest.raises(ValueError):
+                calibrate(path)
 
     def test_calibrate_rejects_traces_without_units(self, tmp_path):
         path = str(tmp_path / "old_trace.json")

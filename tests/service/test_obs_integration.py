@@ -189,6 +189,13 @@ class TestObservabilityCLI:
         assert code == 2
         assert "metrics" in capsys.readouterr().err.lower()
 
+    def test_metrics_report_rejects_malformed_metrics(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        for document in (["x"], {"timers": {"job": 5}}):
+            path.write_text(json.dumps(document), encoding="utf-8")
+            assert main(["metrics-report", "--metrics", str(path)]) == 2
+            assert "error" in capsys.readouterr().err
+
     def test_trace_flag_leaves_global_tracer_disabled_after(
         self, tmp_path, capsys
     ):
