@@ -11,13 +11,15 @@ Expected shape: the schema fails PJ/NF; on the forced-tuple instance the
 forced positions measure < 1 while a JD-free control instance measures 1.
 """
 
-from repro.core import PositionedInstance, ric_montecarlo
+from fractions import Fraction
+
+from repro.core import PositionedInstance, ric_exact
 from repro.core.measure import ric
 from repro.dependencies import JD
 from repro.normalforms import is_pjnf
 from repro.relational import Relation, RelationSchema
 
-from benchmarks.common import print_table
+from benchmarks.common import fmt_frac, print_table
 
 JD3 = JD("AB", "BC", "CA")
 SCHEMA = RelationSchema("R", ("A", "B", "C"))
@@ -43,9 +45,9 @@ def test_e4_table(benchmark):
         forced_row = ordered.index((1, 2, 3))
         for attr in "ABC":
             pos = inst.position("R", forced_row, attr)
-            est = ric_montecarlo(inst, pos, samples=100, seed=1)
+            value = ric_exact(inst, pos)
             rows.append(
-                (f"RIC forced-tuple {attr}", f"{est.mean:.3f}", "paper: < 1")
+                (f"RIC forced-tuple {attr}", fmt_frac(value), "paper: < 1")
             )
 
         control = PositionedInstance.from_relation(control_instance(), [JD3])
@@ -58,7 +60,7 @@ def test_e4_table(benchmark):
 
     assert rows[0][1] is False
     for _q, measured, _e in rows[1:4]:
-        assert float(measured) < 1.0
+        assert measured == fmt_frac(Fraction(8109, 8192))
     assert rows[4][1] == "1"
 
 

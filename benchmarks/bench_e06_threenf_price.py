@@ -33,7 +33,7 @@ def test_e6_table(benchmark):
 
     def run():
         rows = []
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             inst = PositionedInstance.from_relation(
                 csz_group_instance(n), CSZ_FDS
             )

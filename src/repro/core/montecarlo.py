@@ -106,17 +106,21 @@ def ric_mc_chunk(
     others = [q for q in instance.positions if q != p]
     total = 0.0
     total_sq = 0.0
-    with TRACER.span("mc.chunk", start=start, count=count, seed=seed):
+    chased = 0
+    with TRACER.span("mc.chunk", start=start, count=count, seed=seed) as span:
         for j in range(start, start + count):
             check_deadline(deadline)
             rng = _sample_rng(seed, j)
             revealed = frozenset(q for q in others if rng.random() < 0.5)
             world = World(instance, p, revealed)
             ratio = float(world_limit_ratio(world, deadline))
+            chased += world.chased
             total += ratio
             total_sq += ratio * ratio
+        span.set(chased=chased)
     METRICS.inc("ric.mc.samples", count)
     METRICS.inc("ric.mc.chunks")
+    METRICS.inc("ric.worlds.chased", chased)
     return MCChunk(total=total, total_sq=total_sq, samples=count)
 
 

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Any, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from repro.chase.engine import Dependency
 from repro.core.fastcheck import Check, compile_check
+from repro.core.fdchase import FDChase
 from repro.core.pruning import PruningPlan, PruningState
 from repro.core.worlds import FRESH, FreshValue
+from repro.dependencies.fd import FD
 from repro.relational.relation import DatabaseInstance, Relation
 
 
@@ -38,12 +41,15 @@ class Position:
 
 
 class _Compiled(NamedTuple):
-    """What the oracle and the pruning state of every world share."""
+    """What the chase, the oracle and the pruning state of every world
+    share."""
 
     #: Value codes (fresh sentinels included), coded rows, FD/MVD checks.
     plan: PruningPlan
     #: ``(relation index, check(rows))`` of every dependency.
     checks: Tuple[Tuple[int, Check], ...]
+    #: The chase deciding every world, when every dependency is an FD.
+    chase: Optional[FDChase]
 
 
 class PositionedInstance:
@@ -186,6 +192,9 @@ class PositionedInstance:
         compiled = self._compiled
         if compiled is None:
             sentinels = [FRESH] + [FreshValue(b) for b in range(len(self))]
+            fd_only = all(
+                isinstance(dep, FD) for deps in self._constraints.values() for dep in deps
+            )
             compiled = self._compiled = _Compiled(
                 PruningPlan(self._schemas, self._rows, self._constraints, sentinels),
                 tuple(
@@ -193,8 +202,21 @@ class PositionedInstance:
                     for r, schema in enumerate(self._schemas)
                     for dep in self._constraints.get(schema.name, ())
                 ),
+                FDChase(self._schemas, self._rows, self._constraints, self._positions)
+                if fd_only
+                else None,
             )
         return compiled
+
+    def forced_by_chase(
+        self, p: Position, revealed: FrozenSet[Position]
+    ) -> Optional[bool]:
+        """The world's limit ratio when every dependency is an FD: does
+        the chase of the *revealed* cells force ``p`` (``r(X) = 0``, see
+        :mod:`repro.core.fdchase`)?  ``None`` when some dependency is not
+        an FD, so the pattern search decides."""
+        chase = self._compile().chase
+        return None if chase is None else chase.forced(p, revealed)
 
     def make_oracle(self, variable_positions: Sequence[Position]):
         """A fast satisfaction oracle over a fixed set of variable positions.

@@ -19,7 +19,14 @@ Built on :mod:`repro.core.patterns`.  For every revealed set ``X``:
 A class's degree is ``erased − δ`` for its minimal deficit ``δ`` (erased
 cells that open no fresh block), so the fresh class has degree
 ``erased − δ_g + 1`` and a fixed class ``erased − δ_v``.  Hence
-:func:`world_limit_ratio` searches the fresh class first and decides:
+:func:`world_limit_ratio` decides:
+
+- every dependency an FD: ``r`` is 0 or 1, and the chase of the revealed
+  cells decides which without a pattern search — 0 exactly when it puts
+  ``p`` in a class holding a revealed cell (DESIGN §2.1, the FD 0/1
+  lemma; :mod:`repro.core.fdchase`).
+
+Otherwise it searches the fresh class first:
 
 - no satisfying fresh pattern: ``r = 0``;
 - ``δ_g = 0``: no fixed class can reach the fresh degree, ``r = 1``;
@@ -46,6 +53,8 @@ from repro.core.worlds import FRESH, World, check_deadline
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 #: The exact sweeps' default guard: more than ``EXACT_MAX_POSITIONS + 1``
 #: positions (``2^EXACT_MAX_POSITIONS`` revealed sets) is refused.
@@ -125,22 +134,27 @@ def world_limit_ratio(
 ) -> Fraction:
     """The exact limit ``lim_k H_k(p|X) / log2 k`` for the given world.
 
-    The fresh class is searched first; its deficit ``δ_g`` caps the
-    search of every fixed class at ``δ_g − 1`` (see the module docstring).
+    When every dependency is an FD, the chase decides it: 0 or 1.
+    Otherwise the fresh class is searched first; its deficit ``δ_g`` caps
+    the search of every fixed class at ``δ_g − 1`` (see the module
+    docstring).
     """
+    forced = world.forced_by_chase()
+    if forced is not None:
+        return _ZERO if forced else _ONE
     fresh = max_fresh(world, FRESH, deadline=deadline)
     if fresh is None:
-        return Fraction(0)
+        return _ZERO
     fresh_blocks, fresh_mass = fresh
     cap = world.num_erased - fresh_blocks - 1  # δ_g − 1
     if cap < 0:
-        return Fraction(1)
+        return _ONE
     fixed_mass = 0
     for v in world.fixed_values:
         stat = max_fresh(world, v, deadline=deadline, max_deficit=cap)
         if stat is not None:
             if world.num_erased - stat[0] < cap:
-                return Fraction(0)
+                return _ZERO
             fixed_mass += stat[1]
     return Fraction(fresh_mass, fixed_mass + fresh_mass)
 
@@ -172,15 +186,18 @@ def sweep(
         )
     require_consistent(instance)
     total = zero
-    count = 0
+    count = chased = 0
     with TRACER.span("ric.sweep", engine=engine, positions=n) as span:
         for revealed in revealed_subsets(instance, p):
             check_deadline(deadline)
-            total += per_world(World(instance, p, revealed), deadline=deadline)
+            world = World(instance, p, revealed)
+            total += per_world(world, deadline=deadline)
+            chased += world.chased
             count += 1
-        span.set(worlds=count)
+        span.set(worlds=count, chased=chased)
     METRICS.inc("ric.sweeps")
     METRICS.inc("ric.sweep.worlds", count)
+    METRICS.inc("ric.worlds.chased", chased)
     return total / count
 
 

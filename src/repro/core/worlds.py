@@ -10,6 +10,7 @@ satisfying completions of a world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import monotonic
 from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -68,7 +69,12 @@ class Unknown:
 
 
 class World:
-    """The possible-worlds template for measuring ``p`` after revealing ``X``."""
+    """The possible-worlds template for measuring ``p`` after revealing ``X``.
+
+    The satisfaction oracle and the pruning state are built on first use,
+    so a world the chase decides (:meth:`forced_by_chase`) pays for
+    neither.
+    """
 
     def __init__(
         self,
@@ -88,12 +94,8 @@ class World:
         self.fixed_values: Tuple[Any, ...] = tuple(
             sorted({instance.value_at(q) for q in self.revealed}, key=repr)
         )
-        cells = [p] + self.erased
-        self._oracle = instance.make_oracle(cells)
-        make_pruning = getattr(instance, "make_pruning_state", None)
-        self._pruning = make_pruning(cells) if make_pruning else None
-        #: Can the pattern search prune?  (Not XML, nor unprunable constraints.)
-        self.prunable = self._pruning is not None
+        #: Did :meth:`forced_by_chase` decide this world?
+        self.chased = False
 
     @property
     def num_erased(self) -> int:
@@ -108,10 +110,32 @@ class World:
         """
         return list(self.fixed_values) + [FRESH]
 
+    def forced_by_chase(self) -> Optional[bool]:
+        """When every dependency is an FD, the chase decides the world's
+        limit ratio: ``True`` if it is 0, ``False`` if it is 1 (see
+        :mod:`repro.core.fdchase`).  ``None`` otherwise."""
+        forced = self.instance.forced_by_chase(self.p, self.revealed)
+        self.chased = forced is not None
+        return forced
+
     def satisfies(self, candidate: Any, completion: Sequence[Any]) -> bool:
         """Oracle: does ``p := candidate`` plus *completion* at the erased
         positions satisfy every constraint?"""
         return self._oracle([candidate] + list(completion))
+
+    @cached_property
+    def _oracle(self):
+        return self.instance.make_oracle([self.p] + self.erased)
+
+    @cached_property
+    def _pruning(self):
+        return self.instance.make_pruning_state([self.p] + self.erased)
+
+    @property
+    def prunable(self) -> bool:
+        """Can the pattern search prune?  (Not XML, nor unprunable
+        constraints.)"""
+        return self._pruning is not None
 
     def certainly_violated(
         self, cell: int, value: Any, budget: Optional[int] = None

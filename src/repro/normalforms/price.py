@@ -50,7 +50,7 @@ def csz_ric_formula(n_rows: int) -> Fraction:
     row the chance that no revealed row pins the value picks up a factor
     3/4, and the per-revealed-set limits telescope to the geometric form.
     Verified against the exact symbolic engine for n = 2..5 in
-    ``tests/normalforms/test_price.py`` and experiment E6.
+    ``tests/normalforms/test_price.py`` and n = 2..6 in experiment E6.
     """
     if n_rows < 1:
         raise ValueError("need at least one row")

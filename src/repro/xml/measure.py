@@ -4,8 +4,9 @@ Positions of an XML document are its attribute-value slots; constraints
 are XFDs; the possible-worlds definition is identical to the relational
 case (XFDs are generic in the attribute values).  This module adapts a
 document to the interface the :mod:`repro.core` engines drive —
-``positions`` / ``value_at`` / ``make_oracle`` — so ``ric``, ``inf_k`` and
-the Monte-Carlo engine work on XML unchanged.
+``positions`` / ``value_at`` / ``make_oracle`` (with no pruning state and
+no chase yet) — so ``ric``, ``inf_k`` and the Monte-Carlo engine work on
+XML unchanged.
 
 The tree-tuple *structure* of the document is fixed (node identities never
 vary in a possible world; only attribute values do), so it is precomputed
@@ -16,7 +17,7 @@ path stays cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.xml.dtd import DTD
 from repro.xml.paths import Path
@@ -161,6 +162,18 @@ class PositionedDocument:
             return ok
 
         return oracle
+
+    def make_pruning_state(self, variable_positions: Sequence[XPosition]) -> None:
+        """No three-valued checker for XFDs: the pattern search on XML
+        worlds does not prune."""
+        return None
+
+    def forced_by_chase(
+        self, p: XPosition, revealed: FrozenSet[XPosition]
+    ) -> Optional[bool]:
+        """No chase for XFDs yet: the pattern search decides every XML
+        world."""
+        return None
 
     def satisfies(self, assignment: Dict[XPosition, Any]) -> bool:
         """Constraint check with *assignment* substituted (slow path)."""

@@ -4,7 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import deficit_walker, max_fresh, pattern_counts
@@ -14,7 +14,7 @@ from repro.core.worlds import FRESH, FreshValue, World
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
-from repro.relational.relation import Relation
+from repro.relational.relation import DatabaseInstance, Relation
 from repro.relational.schema import RelationSchema
 from repro.workloads.relational_gen import random_instance
 from repro.workloads.xml_gen import dblp_dtd, dblp_xfds, tiny_dblp_document
@@ -294,6 +294,108 @@ class TestFreshFirstRatio:
             assert world_limit_ratio(world) == uncapped_ratio(world)
 
 
+ABCD = RelationSchema("R", ("A", "B", "C", "D"))
+#: FDs over ``ABCD``: multi-attribute and empty left-hand sides, two-
+#: attribute right-hand sides, and chains the chase follows in either order.
+FD_CHOICES = [
+    FD("A", "B"), FD("B", "C"), FD("C", "D"), FD("D", "A"), FD("AB", "C"),
+    FD("CD", "B"), FD("", "D"), FD("A", "CD"),
+]
+#: A second relation with no constraints; its values overlap ``R``'s.
+EF = RelationSchema("S", ("E", "F"))
+
+
+@st.composite
+def fd_worlds(draw):
+    """A small instance satisfying one to three FDs over ``R(A,B,C,D)``,
+    sometimes beside an unconstrained ``S(E,F)`` sharing its values, and
+    one of its worlds (at most six cells erased)."""
+    fds = draw(st.lists(st.sampled_from(FD_CHOICES), min_size=1, max_size=3, unique=True))
+    values = st.integers(1, 2)
+    # Rows that flip a few of the first row's values (1 <-> 2) share most
+    # of them, so the FDs fire; a row breaking an FD is left out.
+    rows = [draw(st.tuples(values, values, values, values))]
+    for flips in draw(st.lists(st.sets(st.integers(0, 3), min_size=1), min_size=1, max_size=3)):
+        row = tuple(3 - v if c in flips else v for c, v in enumerate(rows[0]))
+        if all(fd.is_satisfied_by(Relation(ABCD, rows + [row])) for fd in fds):
+            rows.append(row)
+    relation = Relation(ABCD, rows)
+    other = draw(st.sets(st.tuples(values, values), max_size=2))
+    if other:
+        inst = PositionedInstance.from_instance(
+            DatabaseInstance([relation, Relation(EF, other)]), {"R": fds}
+        )
+    else:
+        inst = PositionedInstance.from_relation(relation, fds)
+    p = draw(st.sampled_from(inst.positions))
+    others = [q for q in inst.positions if q != p]
+    erased = draw(st.sets(st.sampled_from(others), max_size=6))
+    return World(inst, p, frozenset(others) - erased)
+
+
+def two_pass_chase_world():
+    """A world the chase decides only on its second pass over the FDs:
+    ``A → B`` merges the erased ``B`` cells, then ``B → C`` (listed
+    first) forces ``p = R[1].C`` to the revealed ``R[0].C``."""
+    fds = [FD("B", "C"), FD("A", "B")]
+    inst = PositionedInstance.from_relation(
+        Relation(ABCD, [(1, 1, 1, 1), (1, 1, 1, 2)]), fds
+    )
+    revealed = {inst.position("R", 0, "A"), inst.position("R", 1, "A"),
+                inst.position("R", 0, "C")}
+    return World(inst, inst.position("R", 1, "C"), frozenset(revealed))
+
+
+def second_rhs_cell_world():
+    """A world ``A → CD`` decides through its second right-hand cell: the
+    equal revealed ``A`` values force ``p = R[1].D`` to ``R[0].D``."""
+    inst = PositionedInstance.from_relation(
+        Relation(ABCD, [(1, 1, 1, 1), (1, 2, 1, 1)]), [FD("A", "CD")]
+    )
+    revealed = {inst.position("R", 0, "A"), inst.position("R", 1, "A"),
+                inst.position("R", 0, "D")}
+    return World(inst, inst.position("R", 1, "D"), frozenset(revealed))
+
+
+class TestChaseDecidesFdWorlds:
+    """When every dependency is an FD, ``world_limit_ratio`` returns the
+    chase's 0/1 decision without a pattern search; it must equal the
+    uncapped ratio, which searches every class."""
+
+    @RATIO_CORPUS
+    @given(fd_worlds())
+    @example(two_pass_chase_world())
+    @example(second_rhs_cell_world())
+    def test_equals_the_uncapped_ratio(self, world):
+        assert world_limit_ratio(world) == uncapped_ratio(world)
+        assert world.chased
+
+    def test_equals_the_uncapped_ratio_on_every_world(self):
+        for world in every_world(SMALL_INSTANCES["fd"]()):
+            assert world_limit_ratio(world) == uncapped_ratio(world)
+            assert world.chased
+
+    def test_merged_revealed_values_leave_nothing(self):
+        # Off an instance violating A -> B: the chase merges the revealed
+        # 2 and 3, so no completion satisfies and the search finds no
+        # fresh pattern, which is r = 0.
+        inst = PositionedInstance.from_relation(
+            Relation(SCHEMA, [(1, 2), (1, 3), (4, 5)]), [FD("A", "B")]
+        )
+        p = inst.position("R", 2, "B")
+        world = World(inst, p, frozenset(q for q in inst.positions if q != p))
+        assert max_fresh(world, FRESH) is None
+        assert world_limit_ratio(world) == 0
+        assert world.chased
+
+    @pytest.mark.parametrize("name", ["mvd", "jd2", "jd3", "xml"])
+    def test_other_dependencies_keep_the_pattern_search(self, name):
+        for world in every_world(SMALL_INSTANCES[name]()):
+            assert world.forced_by_chase() is None
+            world_limit_ratio(world)
+            assert not world.chased
+
+
 def unpruned_pattern_counts(world, candidate):
     """``{b: count}`` by plain enumeration of every pattern: the reference
     for :func:`pattern_counts`, whose walker cuts certainly violated
@@ -345,8 +447,9 @@ class TestPrunedPatternCounts:
 
 
 class TestSavedWork:
-    """The fresh-first order skips every class that cannot change
-    ``r(X)``; these oracle-call ceilings fail if a change walks them again."""
+    """The chase and the fresh-first order skip every class that cannot
+    change ``r(X)``; these oracle-call ceilings fail if a change walks
+    them again."""
 
     def exact_with_calls(self, monkeypatch, inst, p):
         calls = [0]
@@ -360,12 +463,13 @@ class TestSavedWork:
         return ric_exact(inst, p), calls[0]
 
     def test_w1_fd(self, monkeypatch):
+        # FD-only: the chase decides every world, with no oracle call.
         deps = [FD("B", "C"), FD("A", "B")]
         relation = random_instance("ABCD", fds=deps, n_rows=4, domain=3, seed=1)
         inst = PositionedInstance.from_relation(relation, deps)
         value, calls = self.exact_with_calls(monkeypatch, inst, inst.positions[2])
         assert value == Fraction(7, 8)
-        assert calls <= 1792
+        assert calls == 0
 
     def test_w2_mvd(self, monkeypatch):
         rows = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]

@@ -2,8 +2,9 @@
 
 Invariants of RIC that hold by definition or by the paper's theorems:
 bounds, symmetry under value renaming, full information without
-constraints, the BCNF direction on random instances, and an MVD measuring
-like the two-component JD equivalent to it.
+constraints, the BCNF direction on random instances, an MVD measuring
+like the two-component JD equivalent to it, and equivalent FD sets
+measuring alike.
 """
 
 from fractions import Fraction
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 from repro.core.measure import ric
 from repro.core.positions import PositionedInstance
 from repro.core.symbolic import ric_exact
+from repro.dependencies.closure import attribute_closure, fds_equivalent
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
+from repro.dependencies.minimal_cover import minimal_cover
 from repro.dependencies.mvd import MVD
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
@@ -152,3 +155,44 @@ class TestMvdMeasuresLikeItsJd:
             inst = PositionedInstance.from_relation(relation, [dep])
             values.append(ric_exact(inst, inst.positions[index]))
         assert values[0] == values[1]
+
+
+@st.composite
+def fd_instances(draw):
+    """A relation over ``ABC`` with up to three rows satisfying one to
+    three drawn FDs (multi-attribute and empty left-hand sides among
+    them)."""
+    lhs = st.sampled_from(["", "A", "B", "C", "AB", "BC", "AC"])
+    fds = draw(
+        st.lists(st.builds(FD, lhs, st.sampled_from(["A", "B", "C", "BC"])),
+                 min_size=1, max_size=3)
+    )
+    values = st.integers(1, 2)
+    # Rows that flip one or two of the first row's values (1 <-> 2) share
+    # the rest, so the FDs bind; a row breaking an FD is left out.
+    rows = [draw(st.tuples(values, values, values))]
+    flips = st.frozensets(st.integers(0, 2), min_size=1, max_size=2)
+    for flipped in draw(st.lists(flips, min_size=2, max_size=2, unique=True)):
+        row = tuple(3 - v if c in flipped else v for c, v in enumerate(rows[0]))
+        if all(fd.is_satisfied_by(Relation(ABC, rows + [row])) for fd in fds):
+            rows.append(row)
+    return Relation(ABC, rows), fds
+
+
+class TestEquivalentFdSetsMeasureAlike:
+    """``RIC`` depends on ``Σ`` only through the instances satisfying it,
+    so ``Σ``, its minimal cover and ``{X → X⁺ : X → Y ∈ Σ}`` (each FD's
+    right-hand side widened to the closure of its left) give every
+    position the same exact value."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(fd_instances())
+    def test_random_corpus(self, case):
+        relation, fds = case
+        widened = [FD(fd.lhs, attribute_closure(fd.lhs, fds)) for fd in fds]
+        profiles = []
+        for sigma in (fds, minimal_cover(fds), widened):
+            assert fds_equivalent(sigma, fds)
+            inst = PositionedInstance.from_relation(relation, sigma)
+            profiles.append([ric_exact(inst, p) for p in inst.positions])
+        assert profiles[0] == profiles[1] == profiles[2]

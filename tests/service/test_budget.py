@@ -12,13 +12,13 @@ from repro.core import PositionedInstance
 from repro.core.montecarlo import MCEstimate
 from repro.dependencies import FD, MVD
 from repro.engine import Problem, plan_and_run
+from repro.normalforms.price import CSZ_FDS, csz_group_instance
 from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget, BudgetExceeded
 from repro.service.jobs import job_from_dict
 from repro.service.metrics import Metrics
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner, run_batch
-from repro.workloads.relational_gen import random_instance
 
 
 def instance_with_rows(n_rows: int) -> PositionedInstance:
@@ -128,14 +128,11 @@ def assert_timed_out(report):
 
 class TestBudgetBoundsWork:
     def test_exact_sweep_stops_at_the_deadline(self):
-        # W1: 12 positions, a sweep of seconds.
-        deps = [FD("B", "C"), FD("A", "B")]
-        inst = PositionedInstance.from_relation(
-            random_instance("ABCD", fds=deps, n_rows=4, domain=3, seed=1),
-            deps,
-        )
+        # E6 at n = 6: 18 positions, 131,072 chase-decided worlds, a sweep
+        # of seconds.
+        inst = PositionedInstance.from_relation(csz_group_instance(6), CSZ_FDS)
         problem = Problem.from_instance(
-            inst, inst.positions[2], method="exact"
+            inst, inst.position("R", 0, "C"), method="exact"
         )
         threads = set(threading.enumerate())
         with pytest.raises(BudgetExceeded) as excinfo:

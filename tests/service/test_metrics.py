@@ -8,6 +8,7 @@ from repro.graph.graphdb import GraphDB
 from repro.graph.rpq import rpq_reachable
 from repro.relational import Relation, RelationSchema
 from repro.service.metrics import METRICS, Metrics
+from repro.service.trace import TRACER, tracing
 
 
 class TestRegistry:
@@ -156,6 +157,34 @@ class TestEngineWiring:
         assert METRICS.get("ric.sweeps") == 1
         # 4 positions -> 2^3 revealed sets swept.
         assert METRICS.get("ric.sweep.worlds") == 8
+
+    def test_chased_worlds_are_counted_per_sweep_and_chunk(self):
+        # Every world of an FD-only instance is decided by the chase; the
+        # count lands once on the sweep's and the chunk's span.
+        schema = RelationSchema("R", ("A", "B"))
+        inst = PositionedInstance.from_relation(
+            Relation(schema, [(1, 2), (3, 2)]), [FD("A", "B")]
+        )
+        METRICS.reset()
+        with tracing():
+            ric_exact(inst, inst.positions[0])
+            ric_montecarlo(inst, inst.positions[0], samples=5)
+        spans = {s["name"]: s["attrs"] for s in TRACER.drain()}
+        assert spans["ric.sweep"]["chased"] == 8
+        assert spans["mc.chunk"]["chased"] == 5
+        assert METRICS.get("ric.worlds.chased") == 13
+
+    def test_mvd_worlds_are_not_chased(self):
+        schema = RelationSchema("R", ("A", "B", "C"))
+        inst = PositionedInstance.from_relation(
+            Relation(schema, [(1, 2, 3), (1, 2, 1)]), [MVD("A", "B")]
+        )
+        METRICS.reset()
+        with tracing():
+            ric_exact(inst, inst.positions[0])
+        (sweep,) = [s for s in TRACER.drain() if s["name"] == "ric.sweep"]
+        assert sweep["attrs"]["chased"] == 0
+        assert METRICS.get("ric.worlds.chased") == 0
 
     def test_montecarlo_records_samples(self):
         METRICS.reset()
