@@ -71,9 +71,9 @@ class Unknown:
 class World:
     """The possible-worlds template for measuring ``p`` after revealing ``X``.
 
-    The satisfaction oracle and the pruning state are built on first use,
-    so a world the chase decides (:meth:`forced_by_chase`) pays for
-    neither.
+    The erased cells, the revealed values, the satisfaction oracle and
+    the pruning state are built on first use, so a world the chase
+    decides (:meth:`forced_by_chase`) pays for none of them.
     """
 
     def __init__(
@@ -87,15 +87,21 @@ class World:
         self.instance = instance
         self.p = p
         self.revealed = frozenset(revealed)
-        hidden = self.revealed | {p}
-        self.erased: List[Position] = [
-            q for q in instance.positions if q not in hidden
-        ]
-        self.fixed_values: Tuple[Any, ...] = tuple(
-            sorted({instance.value_at(q) for q in self.revealed}, key=repr)
-        )
         #: Did :meth:`forced_by_chase` decide this world?
         self.chased = False
+
+    @cached_property
+    def erased(self) -> List[Position]:
+        """The positions neither revealed nor ``p``, in instance order."""
+        hidden = self.revealed | {self.p}
+        return [q for q in self.instance.positions if q not in hidden]
+
+    @cached_property
+    def fixed_values(self) -> Tuple[Any, ...]:
+        """The distinct revealed values, sorted by ``repr``."""
+        return tuple(
+            sorted({self.instance.value_at(q) for q in self.revealed}, key=repr)
+        )
 
     @property
     def num_erased(self) -> int:
