@@ -7,13 +7,17 @@ while every other slot measures 1.  The XNF-normalized design measures 1
 everywhere.
 
 Expected shape: column "before" shows 0.5 exactly on year slots, 1.0
-elsewhere; column "after" is identically 1.0.
+elsewhere; column "after" is identically 1.0.  E7c measures X11, the
+first year slot of an 11-slot document (two issues of two papers), with
+the exact sweep: also exactly 1/2, decided by the FD chase.
 """
 
 from fractions import Fraction
+from time import perf_counter
 
 from repro.core import ric
-from repro.workloads.xml_gen import dblp_dtd, dblp_xfds, tiny_dblp_document
+from repro.core.symbolic import ric_exact
+from repro.workloads.xml_gen import dblp_document, dblp_dtd, dblp_xfds, tiny_dblp_document
 from repro.xml import PositionedDocument, is_xnf, normalize_to_xnf
 
 from benchmarks.common import print_table
@@ -45,6 +49,23 @@ def test_e7_table(benchmark):
     assert year_vals and all(v == Fraction(1, 2) for v in year_vals)
     assert all(v == 1 for v in other_vals)
     assert all(v == 1 for v in after_vals.values())
+
+
+def test_e7_x11(benchmark):
+    doc = PositionedDocument(dblp_document(1, 2, 2, seed=0), dblp_dtd(), dblp_xfds())
+    year = next(p for p in doc.positions if p.attribute == "year")
+
+    def run():
+        start = perf_counter()
+        return ric_exact(doc, year), perf_counter() - start
+
+    value, seconds = benchmark.pedantic(run, rounds=1, iterations=1)
+    print_table(
+        "E7c: X11, the first year slot of dblp_document(1, 2, 2)",
+        ["slots", "slot", "RIC", "seconds"],
+        [(len(doc), year, value, f"{seconds:.3f}")],
+    )
+    assert value == Fraction(1, 2)
 
 
 def test_e7_xnf_check_kernel(benchmark):

@@ -11,10 +11,14 @@ exactly when ``p``'s class holds a revealed cell, or when the chase
 merges two different revealed values (then no completion satisfies
 ``Σ``); otherwise ``r(X) = 1``.
 
+A table cell that no position owns (an XML node id, or ⊥) is a
+constant: its class starts held, like a revealed cell.  The cells of one
+position (an XML slot appears in many rows) start in one class.
+
 An :class:`FDChase`, compiled once per instance, holds what no world
-changes: each position's index and original value, and per FD the
-``(X cells, Y cells)`` of every row.  A world costs one union-find over
-the instance's cells.
+changes: each cell's original value, these starting classes, each
+position's first cell, and per FD the ``(X cells, Y cells)`` of every
+row.  A world costs one union-find over the instance's cells.
 """
 
 from __future__ import annotations
@@ -28,44 +32,65 @@ FDRows = Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
 class FDChase:
     """The chase of one instance whose every dependency is an FD.
 
-    *positions* are the instance's positions in (relation, row, column)
-    order, the order in which *rows* list the cells of *schemas*;
-    *constraints* maps a relation name to its FDs.
+    *schemas*, *rows* and *constraints* (table name -> FDs) describe the
+    tables; *cells* maps each position to its ``(table, row, column)``
+    cells.
     """
 
-    def __init__(self, schemas, rows, constraints: Mapping[str, Sequence[Any]], positions):
-        self.index: Dict[Any, int] = {pos: k for k, pos in enumerate(positions)}
-        self.values: List[Any] = [v for rel in rows for row in rel for v in row]
+    def __init__(self, schemas, rows, constraints: Mapping[str, Sequence[Any]], cells):
+        starts: List[int] = []
+        self.values: List[Any] = []
+        for rel in rows:
+            starts.append(len(self.values))
+            self.values.extend(v for row in rel for v in row)
+
+        def flat(r: int, i: int, c: int) -> int:
+            return starts[r] + i * schemas[r].arity + c
+
+        self.parent = list(range(len(self.values)))
+        self.index: Dict[Any, int] = {}
+        owned = set()
+        for pos, pos_cells in cells.items():
+            ks = [flat(*cell) for cell in pos_cells]
+            if ks:
+                self.index[pos] = ks[0]
+                for k in ks[1:]:
+                    self.parent[k] = ks[0]
+                owned.update(ks)
+        self.held = [False] * len(self.values)
+        self.first: Dict[Any, int] = {}  # a held root per value
+        for k, v in enumerate(self.values):
+            if k not in owned:
+                root = self.parent[k] = self.first.setdefault(v, k)
+                self.held[root] = True
         fds: List[FDRows] = []
-        start = 0
-        for schema, rel in zip(schemas, rows):
-            arity = schema.arity
+        for r, schema in enumerate(schemas):
             for fd in constraints.get(schema.name, ()):
                 lhs = [schema.index(a) for a in sorted(fd.lhs)]
                 rhs = [schema.index(a) for a in sorted(fd.rhs - fd.lhs)]
                 if rhs:
                     fds.append(tuple(
                         (
-                            tuple(start + i * arity + c for c in lhs),
-                            tuple(start + i * arity + c for c in rhs),
+                            tuple(flat(r, i, c) for c in lhs),
+                            tuple(flat(r, i, c) for c in rhs),
                         )
-                        for i in range(len(rel))
+                        for i in range(len(rows[r]))
                     ))
-            start += arity * len(rel)
         self.fds = tuple(fds)
 
     def forced(self, p: Any, revealed: Iterable[Any]) -> bool:
         """Is ``r(X) = 0`` for measuring *p* after revealing *revealed*:
         does the chase put *p* in a class holding a revealed cell, or
         merge two different revealed values?"""
-        values = self.values
-        parent = list(range(len(values)))
-        held = [False] * len(values)  # does the class hold a revealed cell?
-        first: Dict[Any, int] = {}
+        values, index = self.values, self.index
+        parent = list(self.parent)
+        held = list(self.held)  # does the class hold a revealed cell?
+        first = dict(self.first)
         for q in revealed:
-            k = self.index[q]
-            root = parent[k] = first.setdefault(values[k], k)
-            held[root] = True
+            k = index.get(q)  # None: a slot no table mentions
+            if k is not None:
+                root = parent[k] = first.setdefault(values[k], k)
+                held[root] = True
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -89,4 +114,5 @@ class FDChase:
                             parent[b] = a
                             held[a] = held[a] or held[b]
                             changed = True
-        return held[find(self.index[p])]
+        k = index.get(p)
+        return k is not None and held[find(k)]

@@ -4,7 +4,9 @@
 :mod:`repro.core`.  They are the only such table in the library: the
 planner (:mod:`repro.engine`) chooses a method and calls them with it,
 and they also take XML :class:`~repro.xml.measure.PositionedDocument`
-instances, which the planner's problem IR cannot express.
+instances, which the planner's problem IR cannot express.  A document is
+a positioned instance over its lowered XFD tables, so its worlds get the
+same oracle, pruning and FD chase as relational ones.
 
 The method names per operation, and the ``"auto"`` ladders the planner
 walks, are defined here, next to the table they index.

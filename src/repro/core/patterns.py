@@ -73,7 +73,6 @@ def deficit_walker(
 
     # Cell 0 of the world is p, cell i + 1 is erased[i]; each check assigns
     # one, and cuts when the cells after it must spend more than its budget.
-    prune = prune and world.prunable
     violated = world.certainly_violated
     floor = 0
     # The root's bound is the floor: the least budget it passes (0 mostly).

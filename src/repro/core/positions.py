@@ -9,6 +9,11 @@ Constraints are attached per relation.  A positioned instance knows how to
 rebuild a concrete :class:`~repro.relational.relation.Relation` from any
 assignment of values to its positions and check all constraints — this is
 the satisfaction oracle every engine in :mod:`repro.core` drives.
+
+The engines compile *tables*: rows, dependencies per table, and each
+position's cells.  A relation is a table whose positions own one cell
+each; an XML document lowers each XFD to a table in which a slot owns a
+cell per row (:class:`repro.xml.measure.PositionedDocument`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from repro.core.pruning import PruningPlan, PruningState
 from repro.core.worlds import FRESH, FreshValue
 from repro.dependencies.fd import FD
 from repro.relational.relation import DatabaseInstance, Relation
+
+
+#: A table cell: ``(table index, row index, column index)``.
+Cell = Tuple[int, int, int]
 
 
 @dataclass(frozen=True, order=True)
@@ -46,7 +55,7 @@ class _Compiled(NamedTuple):
 
     #: Value codes (fresh sentinels included), coded rows, FD/MVD checks.
     plan: PruningPlan
-    #: ``(relation index, check(rows))`` of every dependency.
+    #: ``(table index, check(rows))`` of every dependency.
     checks: Tuple[Tuple[int, Check], ...]
     #: The chase deciding every world, when every dependency is an FD.
     chase: Optional[FDChase]
@@ -65,25 +74,27 @@ class PositionedInstance:
         relations: Sequence[Relation],
         constraints: Mapping[str, Sequence[Dependency]],
     ):
-        self._schemas = [rel.schema for rel in relations]
-        self._rows: List[List[Tuple[Any, ...]]] = [
-            list(rel.sorted_rows()) for rel in relations
-        ]
+        schemas = [rel.schema for rel in relations]
+        unknown = set(constraints) - {s.name for s in schemas}
+        if unknown:
+            raise KeyError(f"constraints reference unknown relations: {unknown}")
+        rows = [list(rel.sorted_rows()) for rel in relations]
+        cells: Dict[Position, Tuple[Cell, ...]] = {}
+        for r, schema in enumerate(schemas):
+            for i, _row in enumerate(rows[r]):
+                for c, attr in enumerate(schema.attributes):
+                    cells[Position(schema.name, i, attr)] = ((r, i, c),)
+        self._set_tables(schemas, rows, constraints, cells)
+
+    def _set_tables(self, schemas, rows, constraints, cells) -> None:
+        """Hold what the engines compile: each schema's *rows* of original
+        values, *constraints* per table name, and *cells*, each position's
+        ``(table, row, column)`` cells in position order."""
+        self._schemas, self._rows, self._cells = list(schemas), rows, cells
         self._constraints: Dict[str, List[Dependency]] = {
             name: list(deps) for name, deps in constraints.items()
         }
-        unknown = set(self._constraints) - {s.name for s in self._schemas}
-        if unknown:
-            raise KeyError(f"constraints reference unknown relations: {unknown}")
-
-        self._positions: List[Position] = []
-        self._cell_of: Dict[Position, Tuple[int, int, int]] = {}
-        for r, schema in enumerate(self._schemas):
-            for i, _row in enumerate(self._rows[r]):
-                for c, attr in enumerate(schema.attributes):
-                    pos = Position(schema.name, i, attr)
-                    self._positions.append(pos)
-                    self._cell_of[pos] = (r, i, c)
+        self._positions = list(cells)
         self._compiled: Optional[_Compiled] = None
 
     def __getstate__(self) -> dict:
@@ -137,13 +148,13 @@ class PositionedInstance:
     def position(self, relation: str, row: int, attribute: str) -> Position:
         """The position object for a (relation, row, attribute) triple."""
         pos = Position(relation, row, attribute)
-        if pos not in self._cell_of:
+        if pos not in self._cells:
             raise KeyError(f"no such position: {pos}")
         return pos
 
     def value_at(self, pos: Position) -> Any:
         """The instance's original value at *pos*."""
-        r, i, c = self._cell_of[pos]
+        (r, i, c), = self._cells[pos]
         return self._rows[r][i][c]
 
     def active_domain(self) -> frozenset:
@@ -196,13 +207,16 @@ class PositionedInstance:
                 isinstance(dep, FD) for deps in self._constraints.values() for dep in deps
             )
             compiled = self._compiled = _Compiled(
-                PruningPlan(self._schemas, self._rows, self._constraints, sentinels),
+                PruningPlan(
+                    self._schemas, self._rows, self._constraints, sentinels,
+                    self._cells.values(),
+                ),
                 tuple(
                     (r, compile_check(dep, schema))
                     for r, schema in enumerate(self._schemas)
                     for dep in self._constraints.get(schema.name, ())
                 ),
-                FDChase(self._schemas, self._rows, self._constraints, self._positions)
+                FDChase(self._schemas, self._rows, self._constraints, self._cells)
                 if fd_only
                 else None,
             )
@@ -222,20 +236,24 @@ class PositionedInstance:
         """A fast satisfaction oracle over a fixed set of variable positions.
 
         Returns ``oracle(values)`` taking a value sequence aligned with
-        *variable_positions*; all other positions keep their original
-        values.  The dependency checks, compiled once per instance, run
-        over the oracle's own copy of the rows (no Relation construction)
-        — this is the hot path of every engine in :mod:`repro.core`.
+        *variable_positions*, each value written to every cell of its
+        position; all other cells keep their original values.  The
+        dependency checks, compiled once per instance, run over the
+        oracle's own copy of the rows (no Relation construction) — this
+        is the hot path of every engine in :mod:`repro.core`.
         """
         rows = [[list(row) for row in rel] for rel in self._rows]
-        cells = (self._cell_of[p] for p in variable_positions)
-        slots = [(rows[r][i], c) for r, i, c in cells]
+        slots = [
+            (rows[r][i], c, k)
+            for k, p in enumerate(variable_positions)
+            for r, i, c in self._cells[p]
+        ]
         checks = [(rows[r], check) for r, check in self._compile().checks]
 
         def oracle(values: Sequence[Any]) -> bool:
             # Every call assigns every variable cell: nothing to restore.
-            for (row, c), value in zip(slots, values):
-                row[c] = value
+            for row, c, k in slots:
+                row[c] = values[k]
             return all(check(rel) for rel, check in checks)
 
         return oracle
@@ -250,7 +268,7 @@ class PositionedInstance:
         plan = self._compile().plan
         if not any(plan.checks):
             return None
-        return PruningState(plan, [self._cell_of[p] for p in variable_positions])
+        return PruningState(plan, [self._cells[p] for p in variable_positions])
 
     def check_original(self) -> bool:
         """Sanity check: the unmodified instance satisfies its constraints."""

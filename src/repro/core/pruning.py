@@ -1,13 +1,16 @@
 """Incremental certain-violation state: the pattern search's pruning test.
 
 The pattern search (:func:`repro.core.patterns.deficit_walker`) assigns
-a world's cells one at a time and cuts a prefix in two cases.
+a world's variables one at a time and cuts a prefix in two cases.  A
+relational variable is one cell; an XML slot is one cell per row of each
+lowered XFD table it appears in (:mod:`repro.xml.measure`), all assigned
+together.
 
 *Certain violation*: some dependency is violated however the unassigned
 cells are filled in.  The search extends only prefixes that are not, so
-a new violation must involve the cell just assigned.  The root of a
-search (cell 0) runs the full check; every later assignment runs a delta
-check of what that one cell can break.
+a new violation must involve a cell just assigned.  The root of a
+search (variable 0) runs the full check; every later assignment runs a
+delta check of what each of its cells can break.
 
 - FD ``X → Y``: rows with known, equal ``X`` and a ``Y`` cell known on both
   and different.
@@ -26,7 +29,8 @@ cells from its rows alone, a lower bound of the deficit still to spend
 the search has left.
 
 - FD ``X → Y``: the unknown ``Y`` cells of an ``X`` group (rows with known,
-  equal ``X``) in which another row knows that ``Y`` cell.
+  equal ``X``) in which another row knows that ``Y`` cell, a variable with
+  several cells in the column counted at its first only.
 - MVD (and JD, through its MVDs): the distinct required witnesses that no
   fully known row equals.  Each needs a row of its own, and that row has
   an unknown cell that must take a known value.  This count can exceed
@@ -55,13 +59,15 @@ from repro.dependencies.mvd import MVD
 class PruningPlan:
     """The immutable part of the certain-violation test of one instance.
 
-    *schemas*, *rows* and *constraints* (relation name -> dependencies)
-    describe the relations.  *values* get codes before the rows' own, so a
-    search assigning them (the fresh sentinels) finds them coded.  Every
+    *schemas*, *rows* and *constraints* (table name -> dependencies)
+    describe the tables.  *values* get codes before the rows' own, so a
+    search assigning them (the fresh sentinels) finds them coded.
+    *variables* lists the ``(table, row, column)`` cells of each variable
+    (a relational variable has one).  Every
     :class:`PruningState` of the instance shares the plan, on any thread.
     """
 
-    def __init__(self, schemas, rows, constraints, values: Iterable[Any] = ()):
+    def __init__(self, schemas, rows, constraints, values: Iterable[Any] = (), variables=()):
         codes: Dict[Any, int] = {}
         for v in values:
             codes.setdefault(v, len(codes))
@@ -69,6 +75,14 @@ class PruningPlan:
             _Table.of([[codes.setdefault(v, len(codes)) for v in row] for row in rel], s)
             for rel, s in zip(rows, schemas)
         ]
+        # A variable spends deficit once: the FD bound counts only the
+        # first of its cells in a column.
+        for cells in variables:
+            seen = set()
+            for r, i, c in sorted(cells, key=itemgetter(1)):
+                if (r, c) in seen:
+                    self.tables[r].first[c] &= ~(1 << i)
+                seen.add((r, c))
         self.codes = codes
         self.checks = [
             tuple(ch for dep in constraints.get(s.name, ()) for ch in _compile(dep, s))
@@ -84,8 +98,8 @@ class PruningPlan:
 class PruningState:
     """The live rows of one world and the pruning test on them.
 
-    *var_cells* holds the ``(relation, row, column)`` of each variable
-    cell of the *plan*'s instance, in assignment order, all unassigned.
+    *var_cells* holds, for each variable of the *plan*'s instance in
+    assignment order, its ``(table, row, column)`` cells, all unassigned.
     """
 
     def __init__(self, plan: PruningPlan, var_cells):
@@ -98,15 +112,16 @@ class PruningState:
         self._fds = [(ch, t) for ch, t in self.checks if isinstance(ch, _FD)]
         self._mvds = [(ch, t) for ch, t in self.checks if isinstance(ch, _MVD)]
         self._cells = []
-        for r, i, c in var_cells:
-            table = tables[r]
-            row, bit, eq = table.rows[i], 1 << i, table.eq[c]
-            eq[row[c]] &= ~bit
-            table.unknown[c] |= bit
-            row[c] = None
-            self._cells.append(
-                (row, c, bit, eq, table.unknown, table, i, plan.deltas[r][c])
-            )
+        for cells in var_cells:
+            entry = []
+            for r, i, c in cells:
+                table = tables[r]
+                row, bit, eq = table.rows[i], 1 << i, table.eq[c]
+                eq[row[c]] &= ~bit
+                table.unknown[c] |= bit
+                row[c] = None
+                entry.append((row, c, bit, eq, table.unknown, table, i, plan.deltas[r][c]))
+            self._cells.append(tuple(entry))
         self._depth = 0
 
     def violated(self) -> bool:
@@ -114,45 +129,44 @@ class PruningState:
         return any(check.violated(table) for check, table in self.checks)
 
     def extend(self, cell: int, value: Any, budget: Optional[int] = None) -> bool:
-        """Assign variable *cell*, every later cell unknown: is some
+        """Assign variable *cell*, every later variable unknown: is some
         dependency now certainly violated, or, given a *budget*, must the
-        unknown cells spend more than *budget* deficit?  Cell 0 runs the
-        full violation check, any other the delta check: sound, and equal
-        to the full check when the rows were not certainly violated
-        before the call."""
+        unknown cells spend more than *budget* deficit?  Variable 0 runs
+        the full violation check, any other the delta check of each of
+        its cells as it is assigned: sound, and equal to the full check
+        when the rows were not certainly violated before the call."""
         cells = self._cells
         depth = self._depth
         while depth > cell:
             depth -= 1
-            row, c, bit, eq, unknown = cells[depth][:5]
-            old = row[c]
-            if old is not None:
-                row[c] = None
-                eq[old] &= ~bit
-                unknown[c] |= bit
+            for row, c, bit, eq, unknown, _table, _i, _deltas in cells[depth]:
+                old = row[c]
+                if old is not None:
+                    row[c] = None
+                    eq[old] &= ~bit
+                    unknown[c] |= bit
         self._depth = cell + 1
-        row, c, bit, eq, unknown, table, i, deltas = cells[cell]
         code = self._codes.get(value)
         if code is None:
             code = self._extra.setdefault(value, len(self._codes) + len(self._extra))
-        row[c] = code
-        eq[code] = eq.get(code, 0) | bit
-        unknown[c] &= ~bit
-        if cell == 0:
-            if self.violated():
-                return True
-        else:
-            for delta in deltas:
-                if delta(table, i, c):
-                    return True
+        for row, c, bit, eq, unknown, table, i, deltas in cells[cell]:
+            row[c] = code
+            eq[code] = eq.get(code, 0) | bit
+            unknown[c] &= ~bit
+            if cell:
+                for delta in deltas:
+                    if delta(table, i, c):
+                        return True
+        if not cell and self.violated():
+            return True
         if budget is None:
             return False
         # An MVD's count can exceed the unknown cells, so it always runs.
         for check, t in self._mvds:
             if check.bound(t, budget + 1) > budget:
                 return True
-        # An FD's count never exceeds the unknown cells: a budget covering
-        # them all skips it.
+        # An FD's count never exceeds the unknown variables: a budget
+        # covering them all skips it.
         if budget < len(cells) - cell - 1:
             for check, t in self._fds:
                 if check.bound(t, budget + 1) > budget:
@@ -166,10 +180,12 @@ def _getter(cols):
 
 
 class _Table:
-    """One relation's live rows; ``eq[k][v]`` is the bitmask of rows whose
-    column ``k`` holds ``v``, ``unknown[k]`` of rows where it is unset."""
+    """One table's live rows; ``eq[k][v]`` is the bitmask of rows whose
+    column ``k`` holds ``v``, ``unknown[k]`` of rows where it is unset, and
+    ``first[k]`` of rows whose cell is its variable's first in column
+    ``k`` (every row unless a variable has several cells there)."""
 
-    __slots__ = ("rows", "all", "eq", "unknown")
+    __slots__ = ("rows", "all", "eq", "unknown", "first")
 
     @classmethod
     def of(cls, rows: List[List[Any]], schema: Any) -> "_Table":
@@ -178,6 +194,7 @@ class _Table:
         table.all = (1 << len(rows)) - 1
         table.eq = [{} for _ in range(schema.arity)]
         table.unknown = [0] * schema.arity
+        table.first = [table.all] * schema.arity
         for i, row in enumerate(rows):
             for k, v in enumerate(row):
                 table.eq[k][v] = table.eq[k].get(v, 0) | 1 << i
@@ -189,6 +206,7 @@ class _Table:
         table.all = self.all
         table.eq = [dict(eq) for eq in self.eq]
         table.unknown = list(self.unknown)
+        table.first = self.first  # fixed by the plan
         return table
 
     def known(self, cols) -> int:
@@ -279,8 +297,9 @@ class _FD:
 
     def bound(self, table: _Table, limit: int) -> int:
         """The unknown ``Y`` cells of an ``X`` group that another row of
-        the group knows, counted up to *limit*."""
-        unknown = table.unknown
+        the group knows, each variable's first only, counted up to
+        *limit*."""
+        unknown, first = table.unknown, table.first
         count = 0
         keyed = table.known(self.lhs)
         while keyed:
@@ -290,7 +309,7 @@ class _FD:
                 for k in self.rhs:
                     forced = group & unknown[k]
                     if forced and forced != group:
-                        count += forced.bit_count()
+                        count += (forced & first[k]).bit_count()
                         if count >= limit:
                             return count
         return count

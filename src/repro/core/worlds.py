@@ -4,7 +4,10 @@ A :class:`World` fixes the measured position ``p`` and the revealed set
 ``X``; it knows the revealed value pool, the erased positions, and exposes
 a satisfaction oracle over ``(candidate value at p, values at erased
 positions)``.  Engines differ only in how they enumerate or count the
-satisfying completions of a world.
+satisfying completions of a world.  Relational instances and XML
+documents are both tables with cells per position
+(:mod:`repro.core.positions`), so their worlds share the chase, the
+oracle and the pruning state.
 """
 
 from __future__ import annotations
@@ -137,22 +140,16 @@ class World:
     def _pruning(self):
         return self.instance.make_pruning_state([self.p] + self.erased)
 
-    @property
-    def prunable(self) -> bool:
-        """Can the pattern search prune?  (Not XML, nor unprunable
-        constraints.)"""
-        return self._pruning is not None
-
     def certainly_violated(
         self, cell: int, value: Any, budget: Optional[int] = None
     ) -> bool:
         """Sound pruning test of the pattern search: assign *value* to cell
-        *cell* (0 is ``p``, ``i + 1`` is ``erased[i]``) with every later
-        cell :class:`Unknown`; is some constraint now violated however the
-        unknown cells are filled in, or, given a *budget*, must they spend
-        more deficit than that?  See
-        :class:`~repro.core.pruning.PruningState`; ``False`` when the
-        instance has no three-valued checker.
+        *cell* (0 is ``p``, ``i + 1`` is ``erased[i]``; every table cell of
+        that position) with every later cell :class:`Unknown`; is some
+        constraint now violated however the unknown cells are filled in,
+        or, given a *budget*, must they spend more deficit than that?  See
+        :class:`~repro.core.pruning.PruningState`; ``False`` when no
+        constraint of the instance can be pruned.
         """
         if self._pruning is None:
             return False

@@ -3,8 +3,9 @@
 Without ``HYPOTHESIS_PROFILE`` Hypothesis's own default profile is in
 force.  ``HYPOTHESIS_PROFILE=ci`` loads ``ci``: a larger, randomized
 budget for the property tests that take their budget from the loaded
-profile (the per-world ratio equivalence, the FD chase decision and the
-pruned pattern counts in ``core/test_patterns.py``, the deficit bound in
+profile (the per-world ratio equivalence, the FD chase decision on
+relational and XML worlds, pruned against unpruned search and the pruned
+pattern counts in ``core/test_patterns.py``, the deficit bound in
 ``core/test_pruning.py``).
 """
 

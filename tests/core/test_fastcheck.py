@@ -62,7 +62,7 @@ def certain(dep, rows, schema=SCHEMA):
     """The full check of a pruning state whose variable cells are the
     :class:`Unknown` cells of *rows*."""
     var_cells = [
-        (0, i, c)
+        ((0, i, c),)
         for i, row in enumerate(rows)
         for c, v in enumerate(row)
         if isinstance(v, Unknown)

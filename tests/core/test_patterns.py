@@ -18,7 +18,10 @@ from repro.relational.relation import DatabaseInstance, Relation
 from repro.relational.schema import RelationSchema
 from repro.workloads.relational_gen import random_instance
 from repro.workloads.xml_gen import dblp_dtd, dblp_xfds, tiny_dblp_document
+from repro.xml.dtd import DTD, ElementDecl
 from repro.xml.measure import PositionedDocument
+from repro.xml.tree import XNode
+from repro.xml.xfd import parse_xfd
 
 SCHEMA = RelationSchema("R", ("A", "B"))
 
@@ -197,8 +200,16 @@ def counting(world):
     return calls
 
 
+#: Tier-1 checks a fixed derandomized corpus; ``HYPOTHESIS_PROFILE=ci``
+#: (see ``tests/conftest.py``) checks that profile's larger random one.
+if os.environ.get("HYPOTHESIS_PROFILE", "default") == "default":
+    RATIO_CORPUS = settings(max_examples=80, deadline=None, derandomize=True)
+else:
+    RATIO_CORPUS = settings(deadline=None)
+
+
 class TestPruningKeepsResults:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @RATIO_CORPUS
     @given(worlds())
     def test_pruned_search_equals_unpruned(self, world):
         calls = counting(world)
@@ -210,6 +221,15 @@ class TestPruningKeepsResults:
             plain = max_fresh(world, candidate, prune=False)
             assert pruned == plain
             assert pruned_calls <= calls[0]
+
+    # The chase decides XML worlds, so only here does their search run.
+    # ``xml-two-confs`` fails if the FD bound counts a title slot twice.
+    @pytest.mark.parametrize("name", ["xml", "xml-keys", "xml-two-confs"])
+    def test_pruned_search_equals_unpruned_on_every_world(self, name):
+        for world in every_world(SMALL_INSTANCES[name]()):
+            for candidate in world.candidate_classes():
+                pruned = max_fresh(world, candidate)
+                assert pruned == max_fresh(world, candidate, prune=False)
 
 
 def test_jd_searches_like_its_mvd(monkeypatch):
@@ -254,16 +274,43 @@ def uncapped_ratio(world):
     return Fraction(fresh_mass, fixed_mass + fresh_mass)
 
 
-#: Tier-1 checks a fixed derandomized corpus; ``HYPOTHESIS_PROFILE=ci``
-#: (see ``tests/conftest.py``) checks that profile's larger random one.
-if os.environ.get("HYPOTHESIS_PROFILE", "default") == "default":
-    RATIO_CORPUS = settings(max_examples=80, deadline=None, derandomize=True)
-else:
-    RATIO_CORPUS = settings(deadline=None)
+#: Every paper's year determines its conference's title.
+YEAR_TITLE = parse_xfd("db.conf.issue.inproceedings.@year -> db.conf.@title")
+#: A two-path key whose right-hand side is a node.
+TITLE_NUMBER_KEY = parse_xfd("db.conf.@title, db.conf.issue.@number -> db.conf.issue")
 
 
-#: Six small instances and a tiny XML document, checked on every world.
-#: Only ``fd`` is FD-only, so only its worlds are decided by the chase.
+def dblp_doc(*confs, keyed=True):
+    """A DBLP document: each conf is ``(title, years)``, one issue holding
+    one paper per year.  Unless *keyed*, papers have no keys and issues
+    no numbers (the ``TITLES_AND_YEARS`` DTD)."""
+    db = XNode("db")
+    key = 0
+    for title, years in confs:
+        conf = db.add(XNode("conf", {"title": title}))
+        issue = conf.add(XNode("issue", {"number": 1} if keyed else {}))
+        for year in years:
+            key += 1
+            attrs = {"key": f"p{key}", "year": year} if keyed else {"year": year}
+            issue.add(XNode("inproceedings", attrs))
+    return db
+
+
+#: ``dblp_dtd`` without keys and issue numbers.
+TITLES_AND_YEARS = DTD(
+    "db",
+    {
+        "db": ElementDecl([("conf", "*")]),
+        "conf": ElementDecl([("issue", "*")], attrs=["title"]),
+        "issue": ElementDecl([("inproceedings", "*")]),
+        "inproceedings": ElementDecl([], attrs=["year"]),
+    },
+)
+
+
+#: Six small instances and three XML documents, checked on every world.
+#: The FD-only ones (``fd`` and the documents, whose XFDs lower to FDs)
+#: are decided by the chase.
 SMALL_INSTANCES = {
     "fd": lambda: relational([(1, 2, 3), (4, 2, 3)], FD("B", "C")),
     "fd-mvd": lambda: relational(
@@ -278,7 +325,18 @@ SMALL_INSTANCES = {
     "xml": lambda: PositionedDocument(
         tiny_dblp_document(), dblp_dtd(), dblp_xfds()
     ),
+    "xml-keys": lambda: PositionedDocument(
+        tiny_dblp_document(), dblp_dtd(), dblp_xfds() + [TITLE_NUMBER_KEY, YEAR_TITLE]
+    ),
+    # The first title slot sits in two rows of the 2003 group of
+    # YEAR_TITLE's table; the third row holds the second title slot.  The
+    # third conf leaves a second unknown slot outside the group.
+    "xml-two-confs": lambda: PositionedDocument(
+        dblp_doc(("T", [2003, 2003]), ("T", [2003]), ("U", [2004]), keyed=False),
+        TITLES_AND_YEARS, [dblp_xfds()[0], YEAR_TITLE],
+    ),
 }
+CHASED = {"fd", "xml", "xml-keys", "xml-two-confs"}
 
 
 def every_world(inst):
@@ -301,7 +359,7 @@ class TestFreshFirstRatio:
     def test_equals_the_uncapped_ratio_on_every_world(self, name):
         for world in every_world(SMALL_INSTANCES[name]()):
             assert world_limit_ratio(world) == uncapped_ratio(world)
-            assert world.chased == (name == "fd")
+            assert world.chased == (name in CHASED)
 
 
 ABCD = RelationSchema("R", ("A", "B", "C", "D"))
@@ -337,6 +395,31 @@ def fd_worlds(draw):
         )
     else:
         inst = PositionedInstance.from_relation(relation, fds)
+    p = draw(st.sampled_from(inst.positions))
+    others = [q for q in inst.positions if q != p]
+    erased = draw(st.sets(st.sampled_from(others), max_size=6))
+    return World(inst, p, frozenset(others) - erased)
+
+
+#: The DBLP XFDs and the year -> title XFD, whose title slot lies in one
+#: row of its table per paper of the conf.
+XML_SIGMA = dblp_xfds() + [YEAR_TITLE]
+
+
+@st.composite
+def dblp_specs(draw):
+    """One or two confs as :func:`dblp_doc` takes them: random titles, and
+    one or two papers of random years."""
+    year_lists = st.lists(st.integers(2000, 2001), min_size=1, max_size=2)
+    return draw(st.lists(st.tuples(st.sampled_from("TU"), year_lists), min_size=1, max_size=2))
+
+
+@st.composite
+def xml_worlds(draw):
+    """A document of :func:`dblp_specs` satisfying ``XML_SIGMA``, and one
+    of its worlds (at most six slots erased)."""
+    inst = PositionedDocument(dblp_doc(*draw(dblp_specs())), dblp_dtd(), XML_SIGMA)
+    assume(inst.check_original())
     p = draw(st.sampled_from(inst.positions))
     others = [q for q in inst.positions if q != p]
     erased = draw(st.sets(st.sampled_from(others), max_size=6))
@@ -380,6 +463,13 @@ class TestChaseDecidesFdWorlds:
         assert world_limit_ratio(world) == uncapped_ratio(world)
         assert world.chased
 
+    @RATIO_CORPUS
+    @given(xml_worlds())
+    def test_xml_worlds_equal_the_uncapped_ratio(self, world):
+        # Every XFD lowers to an FD, so the chase decides every XML world.
+        assert world_limit_ratio(world) == uncapped_ratio(world)
+        assert world.chased
+
     def test_merged_revealed_values_leave_nothing(self):
         # Off an instance violating A -> B: the chase merges the revealed
         # 2 and 3, so no completion satisfies and the search finds no
@@ -392,6 +482,43 @@ class TestChaseDecidesFdWorlds:
         assert max_fresh(world, FRESH) is None
         assert world_limit_ratio(world) == 0
         assert world.chased
+
+    def test_merged_node_ids_leave_nothing(self):
+        # Off a document whose two papers share the key p1: the key XFD
+        # merges the papers' node ids, constants the chase holds from the
+        # start, so again no completion satisfies.
+        doc = tiny_dblp_document()
+        for paper in (n for n in doc.walk() if n.label == "inproceedings"):
+            paper.attrs["key"] = "p1"
+        inst = PositionedDocument(doc, dblp_dtd(), dblp_xfds())
+        p = next(q for q in inst.positions if q.attribute == "title")
+        world = World(inst, p, frozenset(q for q in inst.positions if q != p))
+        assert max_fresh(world, FRESH) is None
+        assert world_limit_ratio(world) == 0
+        assert world.chased
+
+
+class TestLoweredXfdTables:
+    """The oracle over the lowered tables agrees with the reference
+    :meth:`XFD.is_satisfied_by` on the substituted document."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dblp_specs(), st.data())
+    def test_substitution_matches_the_reference(self, spec, data):
+        sigma = XML_SIGMA + [TITLE_NUMBER_KEY]
+        dtd = dblp_dtd()
+        inst = PositionedDocument(dblp_doc(*spec), dtd, sigma)
+        doc = dblp_doc(*spec)
+        assert inst.check_original() == all(dep.is_satisfied_by(doc, dtd) for dep in sigma)
+        values = sorted(inst.active_domain(), key=repr)
+        assignment = data.draw(st.dictionaries(
+            st.sampled_from(inst.positions), st.sampled_from(values), min_size=1, max_size=2
+        ))
+        nodes = list(doc.walk())
+        for slot, value in assignment.items():
+            nodes[slot.node_id].attrs[slot.attribute] = value
+        expected = all(dep.is_satisfied_by(doc, dtd) for dep in sigma)
+        assert inst.satisfies(assignment) == expected
 
 
 def unpruned_pattern_counts(world, candidate):

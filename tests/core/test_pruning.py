@@ -38,7 +38,9 @@ CASES = [
 
 
 def state_for(schema, dep, rows, var_cells):
-    return PruningState(PruningPlan([schema], [rows], {"R": [dep]}), var_cells)
+    """A pruning state whose variables are the one-cell *var_cells*."""
+    plan = PruningPlan([schema], [rows], {"R": [dep]})
+    return PruningState(plan, [(cell,) for cell in var_cells])
 
 
 @st.composite
@@ -162,6 +164,18 @@ def test_empty_relation_is_never_violated():
         assert not state_for(schema, dep, [], []).violated()
 
 
+def test_a_variable_assigns_every_cell_it_owns():
+    # A -> B: the variable's first cell (row 2) is alone in its A group;
+    # only its second (row 1) meets row 0's known B = 5.
+    rows = [[1, 5, 7], [1, 0, 0], [2, 0, 0]]
+    variables = [((0, 0, 2),), ((0, 2, 1), (0, 1, 1))]
+    plan = PruningPlan([ABC], [rows], {"R": [FD("A", "B")]}, variables=variables)
+    state = PruningState(plan, variables)
+    assert not state.extend(0, 7)
+    assert state.extend(1, 6)
+    assert not state.extend(1, 5)
+
+
 def least_deficit(schema, dep, rows, unknown_cells):
     """The least deficit over the satisfying completions of
     *unknown_cells* (in assignment order), by brute force over their label
@@ -254,6 +268,17 @@ class TestDeficitBound:
         assert state.extend(0, 7, 1)
         assert not state.extend(0, 7, 2)
         assert least_deficit(ABC, FD("A", "B"), rows, [(1, 1), (2, 1)]) == 2
+
+    def test_fd_counts_a_shared_variable_once(self):
+        # A -> B: one variable owns both unknown B cells of row 0's A
+        # group, as an XML slot owns a cell per row; it spends one
+        # deficit.  A second unknown variable keeps the bound running.
+        rows = [[1, 5, 7], [1, 0, 0], [1, 0, 0]]
+        variables = [((0, 0, 2),), ((0, 1, 1), (0, 2, 1)), ((0, 1, 2),)]
+        plan = PruningPlan([ABC], [rows], {"R": [FD("A", "B")]}, variables=variables)
+        state = PruningState(plan, variables)
+        assert state.extend(0, 7, 0)
+        assert not state.extend(0, 7, 1)
 
     def test_witnesses_outnumbering_the_unknown_cells(self):
         # B ->> A: the group B = 0 requires (8,0,3) and (8,0,4), and only
