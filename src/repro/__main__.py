@@ -6,7 +6,7 @@ Usage::
     python -m repro advise --explain-plan "R(A,B,C); B->C"
     python -m repro --no-measure "R(C,S,Z); CS->Z; Z->C"
     python -m repro --method montecarlo --samples 400 --seed 7 "R(A,B,C); B->C"
-    python -m repro batch jobs.jsonl --workers 4 --cache cache.json
+    python -m repro batch jobs.jsonl --workers 4 --cache cache.jsonl
     python -m repro batch jobs.jsonl --processes --retries 3
     python -m repro batch jobs.jsonl --trace-out t.json --metrics-out m.json
     python -m repro batch jobs.jsonl --profile --profile-out profile.folded
@@ -40,7 +40,6 @@ and ``perf calibrate`` fits the cost model to a recorded trace (see
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -109,8 +108,10 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache",
         metavar="PATH",
-        help="persistent cache file: loaded if present, saved on exit "
-        "(re-running an unchanged batch then reports a 100%% hit rate)",
+        help="persistent cache file (JSONL): loaded if present, each "
+        "result appended as it completes, compacted on exit; re-running "
+        "the same batch, finished or killed, serves every stored result "
+        "from it",
     )
     parser.add_argument(
         "--cache-size",
@@ -131,19 +132,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="PATH",
         help="write the JSON report here instead of stdout",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="durably append completed results to this JSONL file as the "
-        "batch progresses (started fresh; see --resume to continue one)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="PATH",
-        help="resume an interrupted batch from this checkpoint file: "
-        "completed jobs are skipped bit-identically, new completions "
-        "keep appending to the same file",
     )
     parser.add_argument(
         "--retries",
@@ -188,7 +176,7 @@ def build_report_parser() -> argparse.ArgumentParser:
         description=(
             "Pretty-print an observability report from batch artifacts: "
             "top spans by self time, latency quantiles, and "
-            "retry/checkpoint/cache tallies."
+            "retry/cache tallies."
         ),
     )
     parser.add_argument(
@@ -277,7 +265,6 @@ def batch_main(argv: List[str]) -> int:
     file, or nothing parseable)."""
     import json
 
-    from repro.service import checkpoint as _checkpoint
     from repro.service.budget import Budget
     from repro.service.cache import ResultCache
     from repro.service.errors import JobError
@@ -312,8 +299,6 @@ def batch_main(argv: List[str]) -> int:
             ("--trace-out", args.trace_out),
             ("--metrics-out", args.metrics_out),
             ("--profile-out", args.profile_out),
-            ("--checkpoint", args.checkpoint),
-            ("--resume", args.resume),
             ("--cache", args.cache),
         ):
             check_output_path(option, value)
@@ -321,22 +306,9 @@ def batch_main(argv: List[str]) -> int:
             from repro.perf.profiler import StackSampler
 
             sampler = StackSampler().start()
-        if args.checkpoint and args.resume:
-            raise JobError(
-                "--checkpoint starts fresh and --resume continues; "
-                "pass only one",
-                kind="validation",
-            )
-
         cache = None
-        if args.cache and os.path.exists(args.cache):
+        if args.cache:
             cache = ResultCache.load(args.cache, maxsize=args.cache_size)
-        elif args.cache:
-            cache = ResultCache(maxsize=args.cache_size)
-
-        checkpoint_path = args.resume or args.checkpoint
-        if args.checkpoint and os.path.exists(args.checkpoint):
-            _checkpoint.truncate(args.checkpoint)
 
         budget = Budget(wall_seconds=args.timeout)
         report = run_batch(
@@ -344,8 +316,6 @@ def batch_main(argv: List[str]) -> int:
             workers=args.workers,
             cache=cache,
             budget=budget,
-            checkpoint_path=checkpoint_path,
-            resume=bool(args.resume),
             retries=args.retries,
             use_processes=args.processes,
         )

@@ -9,8 +9,8 @@ engine-relevant parameters (``samples``/``seed`` for sampled engines,
 
 Serialization normalizes away attribute order, dependency order, and row
 order, so two textually different but semantically identical requests
-share one :meth:`Problem.canonical_key` — the content address both the
-batch runner's result cache and its checkpoints are keyed on.
+share one :meth:`Problem.canonical_key` — the content address the batch
+runner's result cache is keyed on.
 Crucially, the key *includes* every engine-relevant parameter: the
 method, ``samples`` and ``seed`` whenever the method can sample, and
 ``k`` for finite-``k`` operations.  A cached exact result can therefore

@@ -5,7 +5,8 @@ from the submodules:
 
 - :mod:`repro.service.jobs` — typed job requests, validated when built,
   each with one content address;
-- :mod:`repro.service.cache` — the content-addressed LRU result cache;
+- :mod:`repro.service.cache` — the content-addressed LRU result cache,
+  journaled to its file so a killed batch resumes when rerun;
 - :mod:`repro.service.pool` — the worker pool: sharded Monte-Carlo RIC,
   job fan-out, and the rerun of chunks a dead worker lost;
 - :mod:`repro.service.budget` — per-job limits and
@@ -13,8 +14,6 @@ from the submodules:
 - :mod:`repro.service.runner` — JSONL batch execution
   (``python -m repro batch jobs.jsonl``);
 - :mod:`repro.service.errors` — the structured error taxonomy;
-- :mod:`repro.service.checkpoint` — atomic JSONL checkpoints and
-  ``--resume``;
 - :mod:`repro.service.validate` — shared bounds validation;
 - :mod:`repro.service.metrics`, :mod:`repro.service.hist`,
   :mod:`repro.service.trace`, :mod:`repro.service.export` — counters,

@@ -1,29 +1,31 @@
-"""A content-addressed LRU result cache for the batch runtime.
+"""A content-addressed, journaled LRU result cache for the batch runtime.
 
 Keys are :func:`repro.service.jobs.job_key` digests — SHA-256 over the
 job's canonical payload — so semantically identical requests (attribute
 order, dependency order, row order all normalized away) share one entry.
-Values are the runner's JSON-safe result dicts, which makes the cache
-trivially persistable: :meth:`ResultCache.save` / :meth:`ResultCache.load`
-round-trip through a plain JSON file so a later ``batch`` process can
-start warm.
+Values are the runner's JSON-safe result dicts.
 
 Eviction is LRU over a bounded entry count; hits refresh recency.  All
 operations take the internal lock, so one cache can back a thread pool.
 
-Persistence is hardened against the failure modes a long-running service
-actually meets:
+The cache is the runtime's one store of finished results.  Its file is
+JSONL: a header line ``{"maxsize": N}`` and then one
+``[key, value, checksum]`` line per entry.
 
-- **atomic save** — the file is written to a tempfile in the same
-  directory and ``os.replace``d into place, so a crash mid-save leaves
-  the previous cache intact, never a truncated one;
-- **per-entry checksums** — every saved entry carries a SHA-256 digest
-  of its value; entries whose digest no longer matches are skipped (and
-  counted) at load instead of resurfacing silently corrupted results;
-- **corrupt-file recovery** — a file that fails to parse (truncation,
-  garbage) is *quarantined* to ``<path>.corrupt`` and the cache starts
-  fresh: a damaged cache costs recomputation, never a traceback or a
-  wrong answer.
+- **journal** — a cache returned by :meth:`ResultCache.load` appends one
+  line per later :meth:`~ResultCache.put`, flushed and fsynced, so a
+  process killed mid-batch loses at most the job in flight.  The
+  kernels are deterministic, so rerunning the same batch against the
+  same file resumes it: every journaled job is an ordinary cache hit;
+- **atomic compaction** — :meth:`ResultCache.save` rewrites the file in
+  recency order through a tempfile in the same directory and
+  ``os.replace``, so a crash mid-save leaves the previous file intact;
+- **per-entry checksums** — each line carries a digest of its value's
+  canonical JSON; a line that fails to decode (the torn tail a kill
+  leaves) or fails its checksum is skipped and counted at load, the
+  damaged file is *quarantined* to ``<path>.corrupt`` and the good
+  entries are saved back: a damaged cache costs recomputation, never a
+  traceback or a wrong answer.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import threading
 from collections import OrderedDict
 from typing import Any, Optional
 
-from repro.service.errors import CacheCorruptError
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
@@ -46,12 +47,29 @@ _MISSING = object()
 logger = logging.getLogger(__name__)
 
 
-def entry_checksum(value: Any) -> str:
-    """The persistence checksum of a cached value (canonical JSON)."""
-    blob = json.dumps(
+def _canonical(value: Any) -> str:
+    return json.dumps(
         value, sort_keys=True, separators=(",", ":"), default=str
     )
+
+
+def _digest(blob: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def entry_checksum(value: Any) -> str:
+    """The persistence checksum of a cached value (canonical JSON)."""
+    return _digest(_canonical(value))
+
+
+def _line(key: str, blob: str) -> str:
+    """The journal line of an entry whose value's canonical JSON is
+    *blob*."""
+    return f"[{json.dumps(key)},{blob},\"{_digest(blob)}\"]\n"
+
+
+def _header(maxsize: int) -> str:
+    return json.dumps({"maxsize": maxsize}) + "\n"
 
 
 class ResultCache:
@@ -66,9 +84,11 @@ class ResultCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        # The file :meth:`put` appends to (set by :meth:`load`).
+        self._journal_path: Optional[str] = None
         #: Set by :meth:`load` when the source file had to be quarantined.
         self.recovered_from: Optional[str] = None
-        #: Entries dropped by :meth:`load` for failing their checksum.
+        #: Lines dropped by :meth:`load` (undecodable or bad checksum).
         self.corrupt_entries = 0
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -86,9 +106,24 @@ class ResultCache:
             return value
 
     def put(self, key: str, value: Any) -> None:
-        """Insert or refresh *key*; evicts the least recent beyond maxsize."""
+        """Insert or refresh *key*; evicts the least recent beyond maxsize.
+
+        A loaded cache also appends the entry to its file (flushed and
+        fsynced) before returning.  An append that fails stops the
+        journal with a warning: the result itself is still good.
+        """
         with TRACER.span("cache.put", key=key[:16]):
             with self._lock:
+                if self._journal_path is not None:
+                    try:
+                        self._append(_line(key, _canonical(value)))
+                    except OSError as exc:
+                        logger.warning(
+                            "result cache %s: journal stopped (%s)",
+                            self._journal_path,
+                            exc,
+                        )
+                        self._journal_path = None
                 self._entries[key] = value
                 self._entries.move_to_end(key)
                 while len(self._entries) > self.maxsize:
@@ -117,101 +152,117 @@ class ResultCache:
             }
 
     # ------------------------------------------------------------------
-    # persistence (JSON, because values are JSON-safe result dicts)
+    # persistence (JSONL, because values are JSON-safe result dicts)
     # ------------------------------------------------------------------
+
+    def _append(self, line: str) -> None:
+        """Durably append one journal line (caller holds the lock).
+
+        The file is opened per append, so no handle outlives the call
+        and each append reaches whatever file :meth:`save` last put at
+        the path.
+        """
+        with open(self._journal_path, "a", encoding="utf-8") as handle:
+            if handle.tell() == 0:
+                line = _header(self.maxsize) + line
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def save(self, path: str) -> None:
         """Atomically write the entries (in recency order, checksummed).
 
         Tempfile + ``os.replace`` in the target directory: a crash
-        mid-save leaves the previous file untouched.
+        mid-save leaves the previous file untouched.  The lock is held
+        throughout, so no journal append lands in the file being
+        replaced.
         """
         with self._lock:
-            payload = {
-                "maxsize": self.maxsize,
-                "entries": [
-                    [key, value, entry_checksum(value)]
-                    for key, value in self._entries.items()
-                ],
-            }
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(
-            prefix=".cache-", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
+            lines = [_header(self.maxsize)] + [
+                _line(key, _canonical(value))
+                for key, value in self._entries.items()
+            ]
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(
+                prefix=".cache-", suffix=".tmp", dir=directory
+            )
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write("".join(lines))
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
 
     @classmethod
     def load(cls, path: str, maxsize: Optional[int] = None) -> "ResultCache":
-        """Rebuild a cache from :meth:`save` output (stats start at zero).
+        """Replay the file at *path* into a cache that journals to it.
 
-        A missing file raises ``FileNotFoundError`` (callers guard with
-        ``os.path.exists``); an *unreadable* one — truncated JSON, wrong
-        structure — is quarantined to
-        ``<path>.corrupt`` and an empty cache is returned.  Individual
-        entries failing their checksum are skipped and counted in
-        ``corrupt_entries``; legacy two-element entries (saved before
-        checksums existed) load unverified.
+        Lines replay in order through :meth:`put`, so LRU eviction
+        applies; stats start at zero.  *maxsize* overrides the header's.
+        A missing file gives an empty cache; nothing is written until
+        the first :meth:`put`.  A line that fails to decode or fails its
+        checksum is skipped and counted in ``corrupt_entries``; if any
+        was, the file is moved to ``<path>.corrupt`` (``recovered_from``)
+        and the good entries are saved back to *path*.
         """
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("entries", []), list
-            ):
-                raise CacheCorruptError(
-                    f"cache file {path}: not a cache payload"
-                )
+            with open(path, "rb") as handle:
+                raw_lines = handle.read().splitlines()
         except FileNotFoundError:
-            raise
-        except (
-            json.JSONDecodeError,
-            CacheCorruptError,
-            UnicodeDecodeError,
-        ) as exc:
-            quarantine = path + ".corrupt"
-            os.replace(path, quarantine)
+            raw_lines = []
+        records = []
+        corrupt = 0
+        for number, raw in enumerate(raw_lines):
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                corrupt += 1
+                continue
+            if number == 0 and _is_header(record):
+                maxsize = maxsize or record["maxsize"]
+            elif (
+                isinstance(record, list)
+                and len(record) == 3
+                and isinstance(record[0], str)
+                and entry_checksum(record[1]) == record[2]
+            ):
+                records.append(record)
+            else:
+                corrupt += 1
+
+        cache = cls(maxsize=maxsize or 1024)
+        for key, value, _ in records:
+            cache.put(key, value)
+        cache._evictions = 0
+        cache._journal_path = path
+        if corrupt:
+            cache.corrupt_entries = corrupt
+            cache.recovered_from = path + ".corrupt"
+            os.replace(path, cache.recovered_from)
+            cache.save(path)
             logger.warning(
-                "corrupt result cache %s quarantined to %s (%s); "
-                "starting fresh",
+                "result cache %s: dropped %d damaged line%s; "
+                "quarantined to %s",
                 path,
-                quarantine,
-                exc,
+                corrupt,
+                "" if corrupt == 1 else "s",
+                cache.recovered_from,
             )
             METRICS.inc("cache.recoveries")
-            cache = cls(maxsize=maxsize or 1024)
-            cache.recovered_from = quarantine
-            return cache
-
-        cache = cls(maxsize=maxsize or payload.get("maxsize", 1024))
-        for item in payload.get("entries", []):
-            if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
-                cache.corrupt_entries += 1
-                continue
-            if len(item) == 3:
-                key, value, checksum = item
-                if entry_checksum(value) != checksum:
-                    cache.corrupt_entries += 1
-                    continue
-            else:  # legacy pre-checksum format
-                key, value = item
-            cache.put(key, value)
-        if cache.corrupt_entries:
-            logger.warning(
-                "result cache %s: dropped %d entr%s with bad checksums",
-                path,
-                cache.corrupt_entries,
-                "y" if cache.corrupt_entries == 1 else "ies",
-            )
-            METRICS.inc("cache.corrupt_entries", cache.corrupt_entries)
+            METRICS.inc("cache.corrupt_entries", corrupt)
         return cache
+
+
+def _is_header(record: Any) -> bool:
+    return (
+        isinstance(record, dict)
+        and record.keys() == {"maxsize"}
+        and type(record["maxsize"]) is int
+        and record["maxsize"] > 0
+    )

@@ -153,9 +153,7 @@ class Metrics:
 #: The process-wide default registry; the engines record into this one.
 METRICS = Metrics()
 
-# Canonical counter names recorded by the recovery layer (the modules
-# share these constants so reports, tests, and docs agree on spelling):
-# every chunk resubmitted after a worker died, and every checkpoint line
-# or compaction written.
+# Canonical counter name recorded by the recovery layer (the modules
+# share it so reports, tests, and docs agree on spelling): every chunk
+# resubmitted after a worker died.
 RETRIES = "retries"
-CHECKPOINTS_WRITTEN = "checkpoints_written"

@@ -35,9 +35,9 @@ Fault tolerance (see also :mod:`repro.service.errors`):
   other failure would only repeat;
 - a malformed JSONL line becomes a ``parse``/``validation`` entry with
   its line number; the remaining lines still run;
-- with a :class:`~repro.service.checkpoint.Checkpoint`, completed results
-  are durably appended as the batch progresses and a ``--resume`` run
-  skips them bit-identically;
+- with a loaded :class:`~repro.service.cache.ResultCache`, each result
+  is journaled to the cache file as it completes, so rerunning a killed
+  batch against the same file serves those jobs as cache hits;
 - a damaged cache *file* is quarantined at load (see
   :meth:`~repro.service.cache.ResultCache.load`) — it costs
   recomputation, never a wrong or missing result.
@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.advisor import DesignReport, advise
 from repro.core.montecarlo import MCEstimate
@@ -58,7 +58,6 @@ from repro.graph.rpq import rpq_eval, rpq_reachable
 from repro.relational.attributes import fmt_attrs
 from repro.service.budget import Budget
 from repro.service.cache import ResultCache
-from repro.service.checkpoint import Checkpoint
 from repro.service.errors import JobError, from_exception
 from repro.service.jobs import (
     AdviseJob,
@@ -221,21 +220,11 @@ class BatchRunner:
             }
 
     # ------------------------------------------------------------------
-    # batch execution (cache + resume + fan-out)
+    # batch execution (cache + fan-out)
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        jobs: Sequence[Job],
-        checkpoint: Optional[Checkpoint] = None,
-        resume_map: Optional[Dict[str, dict]] = None,
-    ) -> dict:
+    def run(self, jobs: Sequence[Job]) -> dict:
         """Run *jobs*, returning the full batch report dict.
-
-        With *checkpoint*, each executed result is durably appended as it
-        completes and the file is atomically compacted to input order at
-        the end.  With *resume_map* (a :meth:`Checkpoint.load` result),
-        already-completed jobs are reused without re-execution.
 
         When tracing is enabled the batch runs under a ``batch.run``
         root span and every job opens a ``job`` span re-rooted under it
@@ -245,24 +234,17 @@ class BatchRunner:
         with TRACER.span("batch.run", jobs=len(jobs)) as span:
             self._batch_span = TRACER.current_id()
             try:
-                report = self._run(jobs, checkpoint, resume_map)
+                report = self._run(jobs)
             finally:
                 self._batch_span = None
             span.set(ok=report["ok"], failed=report["failed"])
             return report
 
-    def _run(
-        self,
-        jobs: Sequence[Job],
-        checkpoint: Optional[Checkpoint] = None,
-        resume_map: Optional[Dict[str, dict]] = None,
-    ) -> dict:
+    def _run(self, jobs: Sequence[Job]) -> dict:
         batch_start = perf_counter()
-        resume_map = resume_map or {}
         results: List[Optional[dict]] = [None] * len(jobs)
         sharded: List[Tuple[int, Job, str, Optional[Plan]]] = []
         fanout: List[Tuple[int, Job, str, Optional[Plan]]] = []
-        resumed = 0
 
         for index, job in enumerate(jobs):
             key = job_key(job)
@@ -272,17 +254,6 @@ class BatchRunner:
                 results[index] = self._entry(
                     job, key, ok=True, value=cached, seconds=0.0, cached=True
                 )
-            elif key in resume_map and resume_map[key].get("ok"):
-                # Reuse the checkpointed result verbatim (deterministic
-                # estimators make it equal to a re-execution).  The cache
-                # is deliberately NOT warmed here: intra-batch duplicates
-                # then take the same path as in an uninterrupted run, so
-                # the finalized checkpoint stays byte-identical.
-                entry = dict(resume_map[key])
-                entry.update(id=job.id, seconds=0.0, resumed=True)
-                results[index] = entry
-                self.metrics.inc("runner.checkpoint_hits")
-                resumed += 1
             else:
                 plan = self._plan(job)
                 axis = sharded if plan and plan.uses("montecarlo") else fanout
@@ -299,23 +270,13 @@ class BatchRunner:
         ]
         for index, job, key, plan in sharded:
             results[index] = self._complete(
-                job,
-                key,
-                *self._run_timed(job, plan),
-                checkpoint=checkpoint,
+                job, key, *self._run_timed(job, plan)
             )
         for index, job, key, future in futures:
-            results[index] = self._complete(
-                job, key, *future.result(), checkpoint=checkpoint
-            )
-
-        if checkpoint is not None:
-            checkpoint.finalize(
-                entry for entry in results if entry and entry["ok"]
-            )
+            results[index] = self._complete(job, key, *future.result())
 
         ok = sum(1 for entry in results if entry and entry["ok"])
-        report = {
+        return {
             "jobs": len(jobs),
             "ok": ok,
             "failed": len(jobs) - ok,
@@ -324,9 +285,6 @@ class BatchRunner:
             "cache": self.cache.stats(),
             "metrics": self.metrics.snapshot(),
         }
-        if resume_map or checkpoint is not None:
-            report["resumed"] = resumed
-        return report
 
     def _run_timed(self, job: Job, plan: Optional[Plan]):
         """Execute one job, capturing ``(value|None, error|None, seconds)``.
@@ -349,23 +307,12 @@ class BatchRunner:
                 return None, error.to_dict(), perf_counter() - start
             return value, None, perf_counter() - start
 
-    def _complete(
-        self,
-        job: Job,
-        key: str,
-        value,
-        error,
-        seconds,
-        checkpoint: Optional[Checkpoint] = None,
-    ) -> dict:
+    def _complete(self, job: Job, key: str, value, error, seconds) -> dict:
         if error is None:
             self.cache.put(key, value)
-            entry = self._entry(
+            return self._entry(
                 job, key, ok=True, value=value, seconds=seconds, cached=False
             )
-            if checkpoint is not None:
-                checkpoint.append(key, entry)
-            return entry
         self.metrics.inc("runner.job_errors")
         return self._entry(
             job, key, ok=False, error=error, seconds=seconds, cached=False
@@ -420,8 +367,6 @@ def run_batch(
     cache: Optional[ResultCache] = None,
     budget: Optional[Budget] = None,
     metrics: Metrics = METRICS,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
     retries: int = 3,
     use_processes: bool = False,
     reset_metrics: bool = True,
@@ -433,10 +378,10 @@ def run_batch(
     file with *no* parseable job at all raises
     :class:`~repro.service.errors.JobError` (a batch-level failure).
 
-    With *checkpoint_path*, completed results are durably appended as the
-    run progresses; *resume* additionally loads the file first and skips
-    every job already completed (bit-identically — the estimators are
-    deterministic and wall-clock fields are excluded from checkpoints).
+    A *cache* from :meth:`~repro.service.cache.ResultCache.load` journals
+    each result as it completes; running the same file again against it
+    serves every journaled job as a hit (the estimators are
+    deterministic, so the values are the ones a recomputation gives).
 
     *retries* bounds the attempts of each Monte-Carlo chunk whose worker
     died (see :meth:`~repro.service.pool.WorkerPool.map_retrying`).
@@ -467,13 +412,6 @@ def run_batch(
             details={"path": path, "bad_lines": parse_errors},
         )
 
-    checkpoint = (
-        Checkpoint(checkpoint_path, metrics=metrics)
-        if checkpoint_path
-        else None
-    )
-    resume_map = checkpoint.load() if (checkpoint and resume) else None
-
     shard_pool = (
         WorkerPool(workers=workers, use_processes=True, retries=retries)
         if use_processes
@@ -487,13 +425,11 @@ def run_batch(
         shard_pool=shard_pool,
     )
     try:
-        report = runner.run(jobs, checkpoint=checkpoint, resume_map=resume_map)
+        report = runner.run(jobs)
     finally:
         runner.pool.shutdown()
         if shard_pool is not None:
             shard_pool.shutdown()
-        if checkpoint is not None:
-            checkpoint.close()
 
     if parse_errors:
         # Interleave the bad-line entries back at their line positions.

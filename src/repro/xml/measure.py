@@ -94,13 +94,6 @@ class PositionedDocument(PositionedInstance):
             constraints[schema.name] = [FD(schema.attributes[:-1], schema.attributes[-1:])]
         self._set_tables(schemas, rows, constraints, cells)
 
-    def position(self, node_id: int, attribute: str) -> XPosition:
-        """The position for a (node id, attribute) pair."""
-        for p in self._positions:
-            if p.node_id == node_id and p.attribute == attribute:
-                return p
-        raise KeyError(f"no attribute slot @{attribute} on node {node_id}")
-
     def value_at(self, pos: XPosition) -> Any:
         """The document's original value at *pos*."""
         return self._slot_value[pos]

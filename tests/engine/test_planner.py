@@ -78,8 +78,9 @@ class TestFallbackChain:
         assert plan.uses("montecarlo") and not plan.uses("exact")
 
     def test_exhausted_chain_raises_the_structured_error(self):
-        # Same stage history the old degradation ladder produced.
-        prob = problem(6, samples=2_000)
+        # Same stage history the old degradation ladder produced; the
+        # sample count is worth seconds of work against a 50 ms budget.
+        prob = problem(6, samples=200_000)
         budget = Budget(wall_seconds=0.05, exact_max_positions=4)
         with pytest.raises(BudgetExceeded) as excinfo:
             PLANNER.plan_and_run(prob, budget=budget)

@@ -73,7 +73,7 @@ class TestTimeout:
         # is skipped by size).
         budget = Budget(wall_seconds=0.05, exact_max_positions=4)
         with pytest.raises(BudgetExceeded) as excinfo:
-            measure(6, budget, samples=2_000)
+            measure(6, budget, samples=200_000)
         err = excinfo.value
         assert ("exact", "skipped:size") in err.stages
         assert ("montecarlo", "timeout") in err.stages
@@ -100,14 +100,15 @@ class TestTimeout:
 TIMEOUT = 0.05
 
 #: One sharded Monte-Carlo job worth seconds of work (6 rows, 18
-#: positions, 2,000 samples).
+#: positions, 200,000 samples: the chase decides each FD world in
+#: about 30 us, so 2,000 samples no longer outlast the budget).
 MC_JOB = {
     "kind": "measure",
     "design": "R(A,B,C); B->C",
     "rows": [[i, 2, 3] if i < 2 else [i, 20 + i, 30 + i] for i in range(6)],
     "position": [0, "C"],
     "method": "montecarlo",
-    "samples": 2_000,
+    "samples": 200_000,
 }
 
 

@@ -123,7 +123,7 @@ class TestBatchRunner:
                         ),
                         position=(0, "C"),
                         method="auto",
-                        samples=2_000,
+                        samples=200_000,
                     )
                 ]
             )
