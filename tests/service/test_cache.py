@@ -126,6 +126,26 @@ class TestJournal:
         assert list(replayed._entries.items()) == list(cache._entries.items())
         assert replayed.stats()["evictions"] == 0
 
+    def test_append_then_load_round_trips(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        cache = ResultCache.load(path, maxsize=8)
+        values = {"k1": {"value": 0.875}, "k2": {"pairs": [["a", "b"]]}}
+        for key, value in values.items():
+            cache.put(key, value)
+
+        lines = file_lines(path)
+        assert json.loads(lines[0]) == {"maxsize": 8}
+        entries = [json.loads(line) for line in lines[1:]]
+        assert [(key, value) for key, value, _ in entries] == list(
+            values.items()
+        )
+        for _, value, checksum in entries:
+            assert checksum == entry_checksum(value)
+
+        loaded = ResultCache.load(path)
+        assert {key: loaded.get(key) for key in values} == values
+        assert loaded.corrupt_entries == 0
+
     def test_missing_file_is_created_by_the_first_put(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         cache = ResultCache.load(path, maxsize=4)
