@@ -43,8 +43,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.advisor import advise
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The advisor CLI argument parser (exposed for testing)."""
@@ -269,6 +267,7 @@ def batch_main(argv: List[str]) -> int:
     from repro.service.cache import ResultCache
     from repro.service.errors import JobError
     from repro.service.export import save_trace
+    from repro.service.metrics import METRICS
     from repro.service.runner import format_report, run_batch
     from repro.service.trace import TRACER
     from repro.service.validate import (
@@ -306,6 +305,9 @@ def batch_main(argv: List[str]) -> int:
             from repro.perf.profiler import StackSampler
 
             sampler = StackSampler().start()
+        # The report counts this batch only, the cache load included: a
+        # quarantined cache file records its recovery at load.
+        METRICS.reset()
         cache = None
         if args.cache:
             cache = ResultCache.load(args.cache, maxsize=args.cache_size)
@@ -318,6 +320,7 @@ def batch_main(argv: List[str]) -> int:
             budget=budget,
             retries=args.retries,
             use_processes=args.processes,
+            reset_metrics=False,
         )
     except (OSError, JobError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -375,6 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = argv[1:]
 
     args = build_parser().parse_args(argv)
+    from repro.advisor import advise
     from repro.service.validate import validate_batch_options
 
     try:

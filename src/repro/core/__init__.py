@@ -36,34 +36,30 @@ Engines
   per-``X`` limits; scales to larger instances.
 """
 
-from repro.core.positions import Position, PositionedInstance
-from repro.core.bruteforce import inf_k_bruteforce
-from repro.core.symbolic import inf_k_symbolic, ric_exact
-from repro.core.montecarlo import MCEstimate, ric_montecarlo
-from repro.core.measure import inf_k, ric, ric_profile
-from repro.core.welldesign import (
-    is_well_designed_theory,
-    min_ric,
-    redundant_positions,
-    witness_instance,
-)
-from repro.core.gains import decompose_instance, normalization_gain
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Position",
-    "PositionedInstance",
-    "inf_k_bruteforce",
-    "inf_k_symbolic",
-    "ric_exact",
-    "ric_montecarlo",
-    "MCEstimate",
-    "inf_k",
-    "ric",
-    "ric_profile",
-    "is_well_designed_theory",
-    "redundant_positions",
-    "min_ric",
-    "witness_instance",
-    "decompose_instance",
-    "normalization_gain",
-]
+#: Each public name and the submodule that defines it; a name's module is
+#: imported on first access (PEP 562), so ``import repro.core`` loads no
+#: kernel.
+_EXPORTS = {
+    "Position": "positions",
+    "PositionedInstance": "positions",
+    "inf_k_bruteforce": "bruteforce",
+    "inf_k_symbolic": "symbolic",
+    "ric_exact": "symbolic",
+    "ric_montecarlo": "montecarlo",
+    "MCEstimate": "montecarlo",
+    "inf_k": "measure",
+    "ric": "measure",
+    "ric_profile": "measure",
+    "is_well_designed_theory": "welldesign",
+    "redundant_positions": "welldesign",
+    "min_ric": "welldesign",
+    "witness_instance": "welldesign",
+    "decompose_instance": "gains",
+    "normalization_gain": "gains",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,19 +8,24 @@ instances, which the planner's problem IR cannot express.  A document is
 a positioned instance over its lowered XFD tables, so its worlds get the
 same oracle, pruning and FD chase as relational ones.
 
-The method names per operation, and the ``"auto"`` ladders the planner
-walks, are defined here, next to the table they index.
+The method names per operation, the ``"auto"`` ladders the planner
+walks, and the exact sweeps' size guard are defined here, next to the
+table they index.  Each kernel module is imported when its method first
+runs, so callers that need only these constants load no kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.core.bruteforce import inf_k_bruteforce
-from repro.core.montecarlo import MCEstimate, ric_montecarlo
-from repro.core.positions import Position, PositionedInstance
-from repro.core.symbolic import inf_k_symbolic, ric_exact
+if TYPE_CHECKING:
+    from repro.core.montecarlo import MCEstimate
+    from repro.core.positions import Position, PositionedInstance
+
+#: The exact sweeps' default guard: more than ``EXACT_MAX_POSITIONS + 1``
+#: positions (``2^EXACT_MAX_POSITIONS`` revealed sets) is refused.
+EXACT_MAX_POSITIONS = 18
 
 #: ``"auto"`` preference ladders per operation: exactness first, the
 #: scalable estimator (or the enumeration ground truth) as fallback.
@@ -58,8 +63,12 @@ def inf_k(
     (a :func:`time.monotonic` value) the kernel raises ``DeadlineExceeded``.
     """
     if method == "symbolic":
+        from repro.core.symbolic import inf_k_symbolic
+
         return inf_k_symbolic(instance, p, k, deadline=deadline)
     if method == "bruteforce":
+        from repro.core.bruteforce import inf_k_bruteforce
+
         return inf_k_bruteforce(instance, p, k, deadline=deadline)
     raise ValueError(f"unknown method {method!r}")
 
@@ -84,8 +93,12 @@ def ric(
     bit-identical either way.  *deadline* is as for :func:`inf_k`.
     """
     if method == "exact":
+        from repro.core.symbolic import ric_exact
+
         return ric_exact(instance, p, deadline=deadline)
     if method == "montecarlo":
+        from repro.core.montecarlo import ric_montecarlo
+
         estimate = ric_montecarlo if pool is None else pool.ric_montecarlo
         return estimate(
             instance, p, samples=samples, seed=seed, deadline=deadline

@@ -20,17 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
-    Sequence, Tuple,
+    TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
-from repro.chase.engine import Dependency
 from repro.core.fastcheck import Check, compile_check
 from repro.core.fdchase import FDChase
 from repro.core.pruning import PruningPlan, PruningState
 from repro.core.worlds import FRESH, FreshValue
 from repro.dependencies.fd import FD
 from repro.relational.relation import DatabaseInstance, Relation
+
+if TYPE_CHECKING:
+    from repro.chase.engine import Dependency
 
 
 #: A table cell: ``(table index, row index, column index)``.

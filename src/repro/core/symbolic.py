@@ -47,6 +47,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
+from repro.core.measure import EXACT_MAX_POSITIONS
 from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import Position, PositionedInstance
 from repro.core.worlds import FRESH, World, check_deadline
@@ -55,10 +56,6 @@ from repro.service.trace import TRACER
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-#: The exact sweeps' default guard: more than ``EXACT_MAX_POSITIONS + 1``
-#: positions (``2^EXACT_MAX_POSITIONS`` revealed sets) is refused.
-EXACT_MAX_POSITIONS = 18
 
 
 def falling_factorial(n: int, b: int) -> int:

@@ -22,30 +22,28 @@ Mixed FD/MVD/JD implication is chase-based and lives in
 dependencies).
 """
 
-from repro.dependencies.fd import FD
-from repro.dependencies.mvd import MVD
-from repro.dependencies.jd import JD
-from repro.dependencies.closure import attribute_closure, fd_implies, fds_equivalent
-from repro.dependencies.minimal_cover import minimal_cover
-from repro.dependencies.keys import candidate_keys, is_superkey, prime_attributes
-from repro.dependencies.basis import dependency_basis
-from repro.dependencies.projection import project_fds, project_dependencies
-from repro.dependencies.armstrong import armstrong_relation, closed_sets
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FD",
-    "MVD",
-    "JD",
-    "attribute_closure",
-    "fd_implies",
-    "fds_equivalent",
-    "minimal_cover",
-    "candidate_keys",
-    "is_superkey",
-    "prime_attributes",
-    "dependency_basis",
-    "project_fds",
-    "project_dependencies",
-    "armstrong_relation",
-    "closed_sets",
-]
+#: Each public name and the submodule that defines it (imported on first
+#: access, so the constraint classes load without the algorithms).
+_EXPORTS = {
+    "FD": "fd",
+    "MVD": "mvd",
+    "JD": "jd",
+    "attribute_closure": "closure",
+    "fd_implies": "closure",
+    "fds_equivalent": "closure",
+    "minimal_cover": "minimal_cover",
+    "candidate_keys": "keys",
+    "is_superkey": "keys",
+    "prime_attributes": "keys",
+    "dependency_basis": "basis",
+    "project_fds": "projection",
+    "project_dependencies": "projection",
+    "armstrong_relation": "armstrong",
+    "closed_sets": "armstrong",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

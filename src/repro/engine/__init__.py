@@ -31,25 +31,22 @@ Modules:
 See ``src/repro/engine/README.md`` for how to add an engine.
 """
 
-from repro.engine.cost import CostEstimate, CostModel
-from repro.engine.planner import (
-    PLANNER,
-    ExecutionResult,
-    Plan,
-    Planner,
-    PlanStep,
-    plan_and_run,
-)
-from repro.engine.problem import Problem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CostEstimate",
-    "CostModel",
-    "ExecutionResult",
-    "PLANNER",
-    "Plan",
-    "PlanStep",
-    "Planner",
-    "Problem",
-    "plan_and_run",
-]
+#: Each public name and the submodule that defines it (imported on first
+#: access, so ``import repro.engine.problem`` loads no planner).
+_EXPORTS = {
+    "CostEstimate": "cost",
+    "CostModel": "cost",
+    "ExecutionResult": "planner",
+    "PLANNER": "planner",
+    "Plan": "planner",
+    "PlanStep": "planner",
+    "Planner": "planner",
+    "Problem": "problem",
+    "plan_and_run": "planner",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

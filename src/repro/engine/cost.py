@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.symbolic import EXACT_MAX_POSITIONS
+from repro.core.measure import EXACT_MAX_POSITIONS
 from repro.engine.problem import Problem
 
 #: Mirrors ``inf_k_bruteforce``'s default oracle-call ceiling.

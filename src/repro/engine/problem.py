@@ -23,10 +23,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.core.measure import METHODS, SAMPLING_METHODS
-from repro.core.positions import Position, PositionedInstance
 from repro.service.errors import ValidationError
 from repro.service.validate import (
     MAX_SAMPLES,
@@ -34,6 +33,9 @@ from repro.service.validate import (
     check_method,
     check_positive_int,
 )
+
+if TYPE_CHECKING:
+    from repro.core.positions import Position, PositionedInstance
 
 #: Operations the planner understands.
 OPS = tuple(METHODS)
@@ -214,6 +216,7 @@ class Problem:
         """The live instance to run engines on (built once, memoized)."""
         if self.instance is not None:
             return self.instance
+        from repro.core.positions import PositionedInstance
         from repro.relational.parser import parse_design
         from repro.relational.relation import Relation
 

@@ -19,34 +19,33 @@ defined by translation to stratified linear Datalog.
 - :mod:`repro.graph.graphlog` — GraphLog queries translated to Datalog.
 """
 
-from repro.graph.graphdb import GraphDB
-from repro.graph.regex import Regex, parse_regex
-from repro.graph.nfa import DFA, NFA, minimize_dfa, nfa_to_dfa, regex_to_nfa
-from repro.graph.io import parse_edge_list, to_edge_list
-from repro.graph.rpq import rpq_eval, rpq_eval_naive, rpq_pairs
-from repro.graph.simplepath import simple_path_pairs
-from repro.graph.crpq import CRPQ, RPQAtom, crpq_eval
-from repro.graph.graphlog import GraphLogEdge, GraphLogQuery, graphlog_eval
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GraphDB",
-    "Regex",
-    "parse_regex",
-    "NFA",
-    "DFA",
-    "regex_to_nfa",
-    "nfa_to_dfa",
-    "minimize_dfa",
-    "parse_edge_list",
-    "to_edge_list",
-    "rpq_eval",
-    "rpq_eval_naive",
-    "rpq_pairs",
-    "simple_path_pairs",
-    "CRPQ",
-    "RPQAtom",
-    "crpq_eval",
-    "GraphLogQuery",
-    "GraphLogEdge",
-    "graphlog_eval",
-]
+#: Each public name and the submodule that defines it (imported on first
+#: access).
+_EXPORTS = {
+    "GraphDB": "graphdb",
+    "Regex": "regex",
+    "parse_regex": "regex",
+    "NFA": "nfa",
+    "DFA": "nfa",
+    "regex_to_nfa": "nfa",
+    "nfa_to_dfa": "nfa",
+    "minimize_dfa": "nfa",
+    "parse_edge_list": "io",
+    "to_edge_list": "io",
+    "rpq_eval": "rpq",
+    "rpq_eval_naive": "rpq",
+    "rpq_pairs": "rpq",
+    "simple_path_pairs": "simplepath",
+    "CRPQ": "crpq",
+    "RPQAtom": "crpq",
+    "crpq_eval": "crpq",
+    "GraphLogQuery": "graphlog",
+    "GraphLogEdge": "graphlog",
+    "graphlog_eval": "graphlog",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

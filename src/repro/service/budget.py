@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.symbolic import EXACT_MAX_POSITIONS
+from repro.core.measure import EXACT_MAX_POSITIONS
 from repro.service.validate import check_positive_int, check_timeout
 
 
@@ -38,7 +38,7 @@ class Budget:
     ``wall_seconds=None`` disables the clock (size limits still apply);
     ``exact_max_positions`` is the exact sweep guard every plan applies,
     and so the exact→Monte-Carlo degradation threshold (default: the
-    exact kernels' own guard, ``cost.EXACT_MAX_POSITIONS``).
+    exact kernels' own guard, ``measure.EXACT_MAX_POSITIONS``).
     """
 
     wall_seconds: Optional[float] = None

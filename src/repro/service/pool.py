@@ -35,23 +35,9 @@ metrics report and trace tree are complete under process sharding.
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from typing import Callable, List, Optional, Sequence, Tuple
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.montecarlo import (
-    MCChunk,
-    MCEstimate,
-    merge_mc_chunks,
-    ric_mc_chunk,
-)
-from repro.core.positions import Position, PositionedInstance
-from repro.core.symbolic import require_consistent
-from repro.core.worlds import DeadlineExceeded
 from repro.service.errors import from_exception
 from repro.service.metrics import METRICS, RETRIES
 from repro.service.trace import TRACER
@@ -60,6 +46,10 @@ from repro.service.validate import (
     MAX_WORKERS,
     check_positive_int,
 )
+
+if TYPE_CHECKING:
+    from repro.core.montecarlo import MCChunk, MCEstimate
+    from repro.core.positions import Position, PositionedInstance
 
 
 def chunk_ranges(samples: int, chunks: int) -> List[Tuple[int, int]]:
@@ -77,6 +67,14 @@ def chunk_ranges(samples: int, chunks: int) -> List[Tuple[int, int]]:
             ranges.append((start, count))
             start += count
     return ranges
+
+
+def ric_mc_chunk(*args):
+    """:func:`repro.core.montecarlo.ric_mc_chunk`; the kernel module is
+    imported on the first chunk, so a pool that runs none loads none."""
+    from repro.core.montecarlo import ric_mc_chunk as kernel
+
+    return kernel(*args)
 
 
 def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
@@ -151,6 +149,8 @@ class WorkerPool:
 
     def _new_executor(self) -> Executor:
         if self._use_processes:
+            from concurrent.futures import ProcessPoolExecutor
+
             return ProcessPoolExecutor(max_workers=self.workers)
         return ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-pool"
@@ -187,6 +187,8 @@ class WorkerPool:
         raised.  Any other failure raises its taxonomy-wrapped error at
         once, and an expired deadline passes through unwrapped.
         """
+        from repro.core.worlds import DeadlineExceeded
+
         results: List = [None] * len(items)
         pending = list(range(len(items)))
         for attempt in range(1, self.retries + 1):
@@ -235,6 +237,9 @@ class WorkerPool:
         the failure-free serial result.
         Every chunk stops at *deadline*, in worker processes too.
         """
+        from repro.core.montecarlo import merge_mc_chunks
+        from repro.core.symbolic import require_consistent
+
         require_consistent(instance)
         ranges = chunk_ranges(samples, self.workers)
         METRICS.inc("pool.mc.shards", len(ranges))

@@ -3,12 +3,13 @@
 Invariants of RIC that hold by definition or by the paper's theorems:
 bounds, symmetry under value renaming, full information without
 constraints, the BCNF direction on random instances, an MVD measuring
-like the two-component JD equivalent to it, and equivalent FD sets
-measuring alike.
+like the two-component JD equivalent to it, equivalent FD sets
+measuring alike, and an independent extra relation changing nothing.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,9 @@ from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.minimal_cover import minimal_cover
 from repro.dependencies.mvd import MVD
-from repro.relational.relation import Relation
+from repro.relational.relation import DatabaseInstance, Relation
 from repro.relational.schema import RelationSchema
+from tests.core.test_patterns import SMALL_INSTANCES
 
 AB = RelationSchema("R", ("A", "B"))
 
@@ -196,3 +198,26 @@ class TestEquivalentFdSetsMeasureAlike:
             inst = PositionedInstance.from_relation(relation, sigma)
             profiles.append([ric_exact(inst, p) for p in inst.positions])
         assert profiles[0] == profiles[1] == profiles[2]
+
+
+class TestIndependentRelation:
+    """A relation that no dependency mentions is independent of the
+    others: adding one leaves every original position's ``RIC`` as it
+    was.  Its row reuses the values 1 and 2 of the original relation."""
+
+    @pytest.mark.parametrize(
+        "name", ["fd", "fd-mvd", "mvd", "mvd-empty-lhs", "jd2", "jd3"]
+    )
+    def test_extra_relation_changes_no_value(self, name):
+        inst = SMALL_INSTANCES[name]()
+        (schema,) = inst.schemas
+        relation = Relation(schema, inst.rows_of(schema.name))
+        extra = Relation(RelationSchema("S", ("D", "E")), [(1, 2)])
+        both = PositionedInstance.from_instance(
+            DatabaseInstance([relation, extra]),
+            {schema.name: inst.constraints_for(schema.name)},
+        )
+        assert len(both.positions) == len(inst.positions) + 2 <= 11
+        assert [ric_exact(both, p) for p in inst.positions] == [
+            ric_exact(inst, p) for p in inst.positions
+        ]

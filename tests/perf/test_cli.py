@@ -115,3 +115,62 @@ def test_cli_import_loads_no_perf_module():
         env=env, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def loaded_modules(code: str) -> set:
+    """The modules a fresh interpreter holds after running *code*."""
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_advisor_or_kernel():
+    loaded = loaded_modules("import repro.__main__")
+    assert "repro.__main__" in loaded
+    assert not loaded & {"repro.advisor", "repro.core.symbolic"}
+
+
+#: One job of each kind, the measure jobs on both engines.
+EVERY_KIND = [
+    {"kind": "advise", "design": "R(A,B,C); B->C", "id": "a"},
+    {"kind": "measure", "design": "T(A,B,C); B->C",
+     "rows": [[1, 2, 3], [4, 2, 3]], "position": [0, "C"], "id": "m"},
+    {"kind": "measure", "design": "T(A,B,C); B->C",
+     "rows": [[1, 2, 3], [4, 2, 3]], "position": [0, "C"],
+     "method": "montecarlo", "samples": 40, "seed": 3, "id": "mc"},
+    {"kind": "rpq", "edges": [["a", "l", "b"], ["b", "l", "c"]],
+     "query": "l+", "source": "a", "id": "r"},
+]
+
+
+def test_warm_batch_loads_no_advisor_planner_or_kernel(tmp_path):
+    # Every job is a cache hit, so nothing that computes a result loads.
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(
+        "".join(json.dumps(job) + "\n" for job in EVERY_KIND),
+        encoding="utf-8",
+    )
+    cache, out = str(tmp_path / "cache.jsonl"), tmp_path / "report.json"
+    argv = ["batch", str(jobs), "--workers", "2", "--cache", cache,
+            "--out", str(out)]
+    assert main(argv) == 0
+
+    loaded = loaded_modules(
+        f"from repro.__main__ import main\nassert main({argv!r}) == 0"
+    )
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [e["cached"] for e in report["results"]] == [True] * 4
+    assert not loaded & {
+        "repro.advisor",
+        "repro.engine.planner",
+        "repro.core.symbolic",
+        "repro.core.pruning",
+        "repro.core.positions",
+        "repro.chase.engine",
+        "multiprocessing",
+    }

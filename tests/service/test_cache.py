@@ -324,6 +324,44 @@ class TestRerun:
         assert rerun["results"][0]["cached"] is False
 
 
+class TestCorruptCacheCLI:
+    """The counters a quarantine records at load reach the batch report."""
+
+    def test_quarantine_counters_reach_report_and_metrics_out(
+        self, tmp_path
+    ):
+        from repro.__main__ import main
+
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(
+            "".join(json.dumps(job.to_dict()) + "\n" for job in JOBS[2:]),
+            encoding="utf-8",
+        )
+        path = str(tmp_path / "cache.jsonl")
+        out, metrics = tmp_path / "report.json", tmp_path / "metrics.json"
+        batch = ["batch", str(jobs), "--workers", "1", "--cache", path]
+        assert main(batch + ["--out", str(out)]) == 0
+        # One line's value no longer matches its checksum.
+        lines = file_lines(path)
+        lines[1] = lines[1].replace("true", "false", 1)
+        assert lines[1] != file_lines(path)[1]
+        Path(path).write_text("".join(lines), encoding="utf-8")
+
+        code = main(
+            batch + ["--out", str(out), "--metrics-out", str(metrics)]
+        )
+        assert code == 0
+        assert os.path.exists(path + ".corrupt")
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert [e["cached"] for e in report["results"]].count(False) == 1
+        for counters in (
+            report["metrics"]["counters"],
+            json.loads(metrics.read_text(encoding="utf-8"))["counters"],
+        ):
+            assert counters["cache.recoveries"] == 1
+            assert counters["cache.corrupt_entries"] == 1
+
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 

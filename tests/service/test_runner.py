@@ -1,6 +1,7 @@
 """The batch runner and the ``python -m repro batch`` CLI."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.service.jobs import (
     parse_jsonl_lenient,
 )
 from repro.service.metrics import METRICS, Metrics
-from repro.service.runner import BatchRunner, run_batch
+from repro.service.runner import BatchRunner, format_report, run_batch
 from repro.service.pool import WorkerPool
 
 THREE_JOBS = [
@@ -175,6 +176,66 @@ class TestParseTimeValidation:
             ["seed", "seed", "position", "samples", "samples", "schema"],
         ):
             assert field in message, message
+
+
+def batch_report(results, **header):
+    return {
+        "jobs": len(results),
+        "ok": len(results),
+        "failed": 0,
+        "elapsed_seconds": 0.125,
+        "results": results,
+        "cache": {"entries": 0, "hits": 0, "hit_rate": 0.0},
+        "metrics": {"counters": {"runner.cache_hits": 0}, "timers": {}},
+        "parse_errors": 0,
+        **header,
+    }
+
+
+class TestFormatReport:
+    """The report text: indented header, one compact line per result."""
+
+    @staticmethod
+    def check(report):
+        text = format_report(report)
+        assert json.loads(text) == json.loads(json.dumps(report, default=str))
+        entries = [
+            line.strip().rstrip(",")
+            for line in text.splitlines()
+            if line.startswith("    {")
+        ]
+        assert [json.loads(e) for e in entries] == json.loads(
+            json.dumps(report["results"], default=str)
+        )
+        return text
+
+    def test_fractions_render_as_strings(self):
+        exact = {"kind": "exact", "fraction": Fraction(7, 8), "value": 0.875}
+        text = self.check(
+            batch_report(
+                [{"id": "m1", "ok": True, "value": exact}],
+                ratio=Fraction(1, 3),
+            )
+        )
+        assert '"fraction": "7/8"' in text and '"ratio": "1/3"' in text
+
+    def test_rpq_pairs_stay_on_their_entry_line(self):
+        runner = BatchRunner(pool=WorkerPool(workers=1), metrics=Metrics())
+        try:
+            report = runner.run([
+                RPQJob(edges=(("a", "l", "b"), ("b", "l", "c")), query="l+"),
+                RPQJob(edges=(("x", "m", "y"),), query="m", source="x"),
+            ])
+        finally:
+            runner.pool.shutdown()
+        assert report["results"][0]["value"]["pairs"] == [
+            ["a", "b"], ["a", "c"], ["b", "c"]
+        ]
+        self.check(report)
+
+    def test_empty_results(self):
+        text = self.check(batch_report([]))
+        assert '"results": []' in text
 
 
 class TestBatchCLI:
