@@ -24,8 +24,13 @@ dependencies).
 
 from repro._lazy import lazy_exports
 
-#: Each public name and the submodule that defines it (imported on first
-#: access, so the constraint classes load without the algorithms).
+# Bound eagerly: the name is also a submodule's, and importing that
+# submodule anywhere would set the package attribute to the module, which
+# a lazy ``__getattr__`` (run only for missing attributes) cannot undo.
+from repro.dependencies.minimal_cover import minimal_cover
+
+#: Each other public name and the submodule that defines it (imported on
+#: first access, so the constraint classes load without the algorithms).
 _EXPORTS = {
     "FD": "fd",
     "MVD": "mvd",
@@ -33,7 +38,6 @@ _EXPORTS = {
     "attribute_closure": "closure",
     "fd_implies": "closure",
     "fds_equivalent": "closure",
-    "minimal_cover": "minimal_cover",
     "candidate_keys": "keys",
     "is_superkey": "keys",
     "prime_attributes": "keys",
@@ -44,6 +48,22 @@ _EXPORTS = {
     "closed_sets": "armstrong",
 }
 
-__all__ = list(_EXPORTS)
+__all__ = [
+    "FD",
+    "MVD",
+    "JD",
+    "attribute_closure",
+    "fd_implies",
+    "fds_equivalent",
+    "minimal_cover",
+    "candidate_keys",
+    "is_superkey",
+    "prime_attributes",
+    "dependency_basis",
+    "project_fds",
+    "project_dependencies",
+    "armstrong_relation",
+    "closed_sets",
+]
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
