@@ -40,6 +40,7 @@ and ``perf calibrate`` fits the cost model to a recorded trace (see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -361,10 +362,28 @@ def batch_main(argv: List[str]) -> int:
     return 0 if report["failed"] == 0 else 1
 
 
+#: The exit code of a run whose reader closed stdout: 128 + SIGPIPE, as
+#: a shell reports a writer that signal ended.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Dispatch to the advisor (default) or the ``batch`` subcommand;
     returns a process exit code (advisor: 0 = all designs well-designed,
-    1 = redundancy found, 2 = bad input)."""
+    1 = redundancy found, 2 = bad input; any command: 141 when its reader
+    closed stdout early, as ``| head`` does)."""
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit cannot raise too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _dispatch(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "batch":
         return batch_main(argv[1:])

@@ -9,8 +9,9 @@ together.
 *Certain violation*: some dependency is violated however the unassigned
 cells are filled in.  The search extends only prefixes that are not, so
 a new violation must involve a cell just assigned.  The root of a
-search (variable 0) runs the full check; every later assignment runs a
-delta check of what each of its cells can break.
+search (variable 0) runs the full check; every later variable, once all
+its cells are assigned, runs a delta check of what each of them can
+break.
 
 - FD ``X → Y``: rows with known, equal ``X`` and a ``Y`` cell known on both
   and different.
@@ -37,11 +38,23 @@ the search has left.
   the unknown cells (a violation the per-witness check misses), so unlike
   the FD count it is never skipped for a budget that covers them all.
 
+The MVD count is kept as rows change (:class:`_MvdCount`), so a bound
+costs the rows changed, not the table.  Each assignment and backtrack
+unassignment marks its row in the table's ``dirty`` mask; when a bound
+is asked for, each count drops the stored parts of every dirty row, adds
+its current ones and the mask is cleared.  Invariant: after any
+:meth:`PruningState.extend` that computes a bound, each count's total
+equals :meth:`_MVD.bound` counted from scratch.  An ``extend`` assigns
+every cell of its variable, then tests the MVD counts, then the delta
+(or full) checks, then the FD bounds: the verdict is their OR, whatever
+the order, and the cheapest test decides first.
+
 Cells hold values encoded as small ints (``None`` when unassigned) and each
 column a bitmask of rows per value, so the checks are mask operations.  A
 :class:`PruningPlan`, built once per instance, holds what no world
 changes: the codes, the coded rows with their masks and the compiled
-checks.  Each :class:`PruningState` copies only the rows and masks.
+checks.  Each :class:`PruningState` copies only the rows and masks, and
+owns its MVD counts.
 """
 
 from __future__ import annotations
@@ -110,7 +123,16 @@ class PruningState:
             (ch, t) for chs, t in zip(plan.checks, tables) for ch in chs
         ]
         self._fds = [(ch, t) for ch, t in self.checks if isinstance(ch, _FD)]
-        self._mvds = [(ch, t) for ch, t in self.checks if isinstance(ch, _MVD)]
+        #: The kept MVD counts of each table that has some, every row of
+        #: it dirty: the first bound counts them all.
+        self._counts = []
+        for chs, table in zip(plan.checks, tables):
+            counts = tuple(
+                _MvdCount(ch, len(table.rows)) for ch in chs if isinstance(ch, _MVD)
+            )
+            if counts:
+                table.dirty = table.all
+                self._counts.append((table, counts))
         self._cells = []
         for cells in var_cells:
             entry = []
@@ -131,40 +153,53 @@ class PruningState:
     def extend(self, cell: int, value: Any, budget: Optional[int] = None) -> bool:
         """Assign variable *cell*, every later variable unknown: is some
         dependency now certainly violated, or, given a *budget*, must the
-        unknown cells spend more than *budget* deficit?  Variable 0 runs
-        the full violation check, any other the delta check of each of
-        its cells as it is assigned: sound, and equal to the full check
-        when the rows were not certainly violated before the call."""
+        unknown cells spend more than *budget* deficit?  Every cell of the
+        variable is assigned first.  Then, given a budget, the kept MVD
+        counts are tested; then variable 0 runs the full violation check,
+        any other the delta check of each of its cells: sound, and equal
+        to the full check when the rows were not certainly violated
+        before the call; then the FD bounds."""
         cells = self._cells
         depth = self._depth
         while depth > cell:
             depth -= 1
-            for row, c, bit, eq, unknown, _table, _i, _deltas in cells[depth]:
+            for row, c, bit, eq, unknown, table, _i, _deltas in cells[depth]:
                 old = row[c]
                 if old is not None:
                     row[c] = None
                     eq[old] &= ~bit
                     unknown[c] |= bit
+                    table.dirty |= bit
         self._depth = cell + 1
         code = self._codes.get(value)
         if code is None:
             code = self._extra.setdefault(value, len(self._codes) + len(self._extra))
-        for row, c, bit, eq, unknown, table, i, deltas in cells[cell]:
+        entry = cells[cell]
+        for row, c, bit, eq, unknown, table, _i, _deltas in entry:
             row[c] = code
             eq[code] = eq.get(code, 0) | bit
             unknown[c] &= ~bit
-            if cell:
+            table.dirty |= bit
+        # An MVD's count can exceed the unknown cells, so it always runs.
+        if budget is not None:
+            for table, counts in self._counts:
+                dirty = table.dirty
+                if dirty:
+                    table.dirty = 0
+                    for count in counts:
+                        count.recount(table, dirty)
+                for count in counts:
+                    if count.total > budget:
+                        return True
+        if cell:
+            for _row, c, _bit, _eq, _unknown, table, i, deltas in entry:
                 for delta in deltas:
                     if delta(table, i, c):
                         return True
-        if not cell and self.violated():
+        elif self.violated():
             return True
         if budget is None:
             return False
-        # An MVD's count can exceed the unknown cells, so it always runs.
-        for check, t in self._mvds:
-            if check.bound(t, budget + 1) > budget:
-                return True
         # An FD's count never exceeds the unknown variables: a budget
         # covering them all skips it.
         if budget < len(cells) - cell - 1:
@@ -183,9 +218,11 @@ class _Table:
     """One table's live rows; ``eq[k][v]`` is the bitmask of rows whose
     column ``k`` holds ``v``, ``unknown[k]`` of rows where it is unset, and
     ``first[k]`` of rows whose cell is its variable's first in column
-    ``k`` (every row unless a variable has several cells there)."""
+    ``k`` (every row unless a variable has several cells there).
+    ``dirty`` is the bitmask of rows assigned or unassigned since the
+    kept MVD counts last looked at them."""
 
-    __slots__ = ("rows", "all", "eq", "unknown", "first")
+    __slots__ = ("rows", "all", "eq", "unknown", "first", "dirty")
 
     @classmethod
     def of(cls, rows: List[List[Any]], schema: Any) -> "_Table":
@@ -195,6 +232,7 @@ class _Table:
         table.eq = [{} for _ in range(schema.arity)]
         table.unknown = [0] * schema.arity
         table.first = [table.all] * schema.arity
+        table.dirty = 0
         for i, row in enumerate(rows):
             for k, v in enumerate(row):
                 table.eq[k][v] = table.eq[k].get(v, 0) | 1 << i
@@ -207,6 +245,7 @@ class _Table:
         table.eq = [dict(eq) for eq in self.eq]
         table.unknown = list(self.unknown)
         table.first = self.first  # fixed by the plan
+        table.dirty = self.dirty
         return table
 
     def known(self, cols) -> int:
@@ -375,8 +414,9 @@ class _MVD:
         return self.uncovered(table, t1s & differ, t2s)
 
     def bound(self, table: _Table, limit: int) -> int:
-        """The distinct witnesses no fully known row equals, counted up to
-        *limit*: in each ``X`` group the ``Y`` values of its t1s times the
+        """The distinct witnesses no fully known row equals, counted from
+        scratch up to *limit* (the reference of :class:`_MvdCount`, which
+        the search uses): in each ``X`` group the ``Y`` values of its t1s times the
         ``Z`` values of its t2s, less its distinct fully known rows (each
         equals one witness)."""
         t1s, t2s = table.known(self.xy), table.known(self.xz)
@@ -399,3 +439,95 @@ class _MVD:
             if count >= limit:  # the rest only adds
                 break
         return count
+
+
+class _MvdCount:
+    """The count of :meth:`_MVD.bound`, kept for one state's table as its
+    rows change.  Per ``X`` group a multiplicity map of the ``Y`` parts of
+    its t1s and one of the ``Z`` parts of its t2s, a multiplicity map of
+    the fully known rows, and ``total`` = ``Σ |ys|·|zs| − |full|``.  Each
+    row's counted parts are stored, so :meth:`recount` of a changed row
+    drops them and adds its current ones."""
+
+    __slots__ = ("check", "total", "groups", "full", "xs", "ys", "zs")
+
+    def __init__(self, check: _MVD, n_rows: int):
+        self.check = check
+        self.total = 0
+        self.groups: Dict[Any, tuple] = {}  # X -> (Y multiplicities, Z multiplicities)
+        self.full: Dict[Any, int] = {}
+        # Per row, the X, Y and Z parts it counts (None: not counted).
+        self.xs: List[Any] = [None] * n_rows
+        self.ys: List[Any] = [None] * n_rows
+        self.zs: List[Any] = [None] * n_rows
+
+    def recount(self, table: _Table, dirty: int) -> None:
+        """Count the rows of *dirty* again from *table*."""
+        check, groups, full, xs, ys, zs = (
+            self.check, self.groups, self.full, self.xs, self.ys, self.zs
+        )
+        t1s, t2s = table.known(check.xy), table.known(check.xz)
+        rows = table.rows
+        total = self.total
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            t = low.bit_length() - 1
+            row = rows[t]
+            x = y = z = None
+            if t1s & low or t2s & low:
+                x = check.x_of(row)
+                if t1s & low:
+                    y = check.y_of(row)
+                if t2s & low:
+                    z = check.z_of(row)
+            old_x, old_y, old_z = xs[t], ys[t], zs[t]
+            if x == old_x and y == old_y and z == old_z:
+                continue
+            if old_x is not None:  # drop the row's counted parts
+                group_ys, group_zs = groups[old_x]
+                if old_y is not None:
+                    m = group_ys[old_y]
+                    if m == 1:
+                        del group_ys[old_y]
+                        total -= len(group_zs)
+                    else:
+                        group_ys[old_y] = m - 1
+                if old_z is not None:
+                    m = group_zs[old_z]
+                    if m == 1:
+                        del group_zs[old_z]
+                        total -= len(group_ys)
+                    else:
+                        group_zs[old_z] = m - 1
+                    if old_y is not None:
+                        key = (old_x, old_y, old_z)
+                        m = full[key]
+                        if m == 1:
+                            del full[key]
+                            total += 1
+                        else:
+                            full[key] = m - 1
+            if x is not None:  # add its current ones
+                group = groups.get(x)
+                if group is None:
+                    group = groups[x] = ({}, {})
+                group_ys, group_zs = group
+                if y is not None:
+                    m = group_ys.get(y, 0)
+                    group_ys[y] = m + 1
+                    if not m:
+                        total += len(group_zs)
+                if z is not None:
+                    m = group_zs.get(z, 0)
+                    group_zs[z] = m + 1
+                    if not m:
+                        total += len(group_ys)
+                    if y is not None:
+                        key = (x, y, z)
+                        m = full.get(key, 0)
+                        full[key] = m + 1
+                        if not m:
+                            total -= 1
+            xs[t], ys[t], zs[t] = x, y, z
+        self.total = total

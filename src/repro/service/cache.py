@@ -19,7 +19,11 @@ JSONL: a header line ``{"maxsize": N}`` and then one
   same file resumes it: every journaled job is an ordinary cache hit;
 - **atomic compaction** — :meth:`ResultCache.save` rewrites the file in
   recency order through a tempfile in the same directory and
-  ``os.replace``, so a crash mid-save leaves the previous file intact;
+  ``os.replace``, so a crash mid-save leaves the previous file intact.
+  A loaded file that is already compact (its header's ``maxsize``, no
+  line that replay dropped or overrode) and took no ``put`` since is
+  left as it is: a run that only reads writes nothing, so its hits do
+  not move their entries up the file's recency order;
 - **per-entry checksums** — each line carries a digest of its value's
   canonical JSON; a line that fails to decode (the torn tail a kill
   leaves) or fails its checksum is skipped and counted at load, the
@@ -86,6 +90,8 @@ class ResultCache:
         self._evictions = 0
         # The file :meth:`put` appends to (set by :meth:`load`).
         self._journal_path: Optional[str] = None
+        # Is that file compact: one line per entry, none since replaced?
+        self._compact = False
         #: Set by :meth:`load` when the source file had to be quarantined.
         self.recovered_from: Optional[str] = None
         #: Lines dropped by :meth:`load` (undecodable or bad checksum).
@@ -114,6 +120,7 @@ class ResultCache:
         """
         with TRACER.span("cache.put", key=key[:16]):
             with self._lock:
+                self._compact = False
                 if self._journal_path is not None:
                     try:
                         self._append(_line(key, _canonical(value)))
@@ -175,9 +182,12 @@ class ResultCache:
         Tempfile + ``os.replace`` in the target directory: a crash
         mid-save leaves the previous file untouched.  The lock is held
         throughout, so no journal append lands in the file being
-        replaced.
+        replaced.  Saving a loaded cache back to its own file is skipped
+        while that file is compact and no :meth:`put` came since.
         """
         with self._lock:
+            if path == self._journal_path and self._compact:
+                return
             lines = [_header(self.maxsize)] + [
                 _line(key, _canonical(value))
                 for key, value in self._entries.items()
@@ -192,6 +202,8 @@ class ResultCache:
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp, path)
+                if path == self._journal_path:
+                    self._compact = True
             except BaseException:
                 try:
                     os.unlink(tmp)
@@ -218,6 +230,7 @@ class ResultCache:
             raw_lines = []
         records = []
         corrupt = 0
+        header = None  # the header's maxsize
         for number, raw in enumerate(raw_lines):
             try:
                 record = json.loads(raw)
@@ -225,7 +238,8 @@ class ResultCache:
                 corrupt += 1
                 continue
             if number == 0 and _is_header(record):
-                maxsize = maxsize or record["maxsize"]
+                header = record["maxsize"]
+                maxsize = maxsize or header
             elif (
                 isinstance(record, list)
                 and len(record) == 3
@@ -239,6 +253,10 @@ class ResultCache:
         cache = cls(maxsize=maxsize or 1024)
         for key, value, _ in records:
             cache.put(key, value)
+        # Every line replayed into an entry of its own, none evicted.
+        cache._compact = (
+            header == cache.maxsize and not corrupt and len(cache) == len(records)
+        )
         cache._evictions = 0
         cache._journal_path = path
         if corrupt:

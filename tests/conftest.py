@@ -5,8 +5,8 @@ force.  ``HYPOTHESIS_PROFILE=ci`` loads ``ci``: a larger, randomized
 budget for the property tests that take their budget from the loaded
 profile (the per-world ratio equivalence, the FD chase decision on
 relational and XML worlds, pruned against unpruned search and the pruned
-pattern counts in ``core/test_patterns.py``, the deficit bound in
-``core/test_pruning.py``).
+pattern counts in ``core/test_patterns.py``, the deficit bound and the
+kept MVD count in ``core/test_pruning.py``).
 """
 
 import os

@@ -293,3 +293,39 @@ class TestDeficitBound:
         assert not state.extend(0, 8, 2)
         rows[3][0] = 8
         assert least_deficit(ABC, dep, rows, [(3, 2)]) is None
+
+
+@st.composite
+def variable_runs(draw):
+    """A walk of :func:`runs` whose cells are grouped into variables of
+    one to three cells, with a flag per step: is a bound asked for?"""
+    schema, dep, rows, var_cells, steps = draw(runs())
+    variables = []
+    for cell in var_cells:
+        if variables and len(variables[-1]) < 3 and draw(st.booleans()):
+            variables[-1].append(cell)
+        else:
+            variables.append([cell])
+    bounded = draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    return schema, dep, rows, [tuple(v) for v in variables], steps, bounded
+
+
+class TestKeptMvdCount:
+    """After every ``extend`` that asks for a bound, each MVD check's kept
+    count equals the count made from scratch on the same rows."""
+
+    @BOUND_CORPUS
+    @given(variable_runs())
+    def test_kept_count_equals_the_count_from_scratch(self, run):
+        schema, dep, rows, variables, steps, bounded = run
+        plan = PruningPlan([schema], [rows], {"R": [dep]}, variables=variables)
+        state = PruningState(plan, variables)
+        assigned = 0
+        for (back, value), bound in zip(steps, bounded):
+            cell = max(0, min(assigned, len(variables) - 1) - back)
+            assigned = cell + 1
+            state.extend(cell, value, len(rows) * schema.arity if bound else None)
+            if bound:
+                for table, counts in state._counts:
+                    for count in counts:
+                        assert count.total == count.check.bound(table, float("inf"))

@@ -4,17 +4,19 @@ Invariants of RIC that hold by definition or by the paper's theorems:
 bounds, symmetry under value renaming, full information without
 constraints, the BCNF direction on random instances, an MVD measuring
 like the two-component JD equivalent to it, equivalent FD sets
-measuring alike, and an independent extra relation changing nothing.
+measuring alike, and neither an independent extra relation nor the order
+of a relation's rows changing anything.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.measure import ric
-from repro.core.positions import PositionedInstance
+from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import ric_exact
 from repro.dependencies.closure import attribute_closure, fds_equivalent
 from repro.dependencies.fd import FD
@@ -221,3 +223,41 @@ class TestIndependentRelation:
         assert [ric_exact(both, p) for p in inst.positions] == [
             ric_exact(inst, p) for p in inst.positions
         ]
+
+
+def with_rows_in_order(inst, order):
+    """*inst* (one relation) with its rows in the table in *order*: row
+    ``order[j]`` of *inst* is row ``j``, its positions renumbered along."""
+    (schema,) = inst.schemas
+    rows = inst.rows_of(schema.name)
+    permuted = PositionedInstance.__new__(PositionedInstance)
+    permuted._set_tables(
+        [schema],
+        [[rows[i] for i in order]],
+        {schema.name: inst.constraints_for(schema.name)},
+        {
+            Position(schema.name, j, attr): ((0, j, c),)
+            for j in range(len(order))
+            for c, attr in enumerate(schema.attributes)
+        },
+    )
+    return permuted
+
+
+class TestRowOrder:
+    """A relation is a set: the order of its rows in the table, which the
+    oracle, the chase and the pruning counts walk, changes no ``RIC``."""
+
+    @pytest.mark.parametrize(
+        "name", ["fd", "fd-mvd", "mvd", "mvd-empty-lhs", "jd2", "jd3"]
+    )
+    def test_permuted_rows_change_no_value(self, name):
+        inst = SMALL_INSTANCES[name]()
+        expected = {p: ric_exact(inst, p) for p in inst.positions}
+        n_rows = len(inst.rows_of(inst.schemas[0].name))
+        for order in list(permutations(range(n_rows)))[1:]:
+            permuted = with_rows_in_order(inst, order)
+            assert {
+                Position(p.relation, order[p.row], p.attribute): ric_exact(permuted, p)
+                for p in permuted.positions
+            } == expected

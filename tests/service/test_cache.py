@@ -362,6 +362,117 @@ class TestCorruptCacheCLI:
             assert counters["cache.corrupt_entries"] == 1
 
 
+
+def identity(path):
+    """The bytes and inode of the file at *path*."""
+    return Path(path).read_bytes(), os.stat(path).st_ino
+
+
+class TestSaveSkipsACompactFile:
+    """Saving a loaded cache back to its file rewrites it only when the
+    file differs from what the save would write."""
+
+    def test_warm_rerun_leaves_the_file_alone(self, tmp_path):
+        from repro.__main__ import main
+
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(
+            "".join(json.dumps(job.to_dict()) + "\n" for job in JOBS),
+            encoding="utf-8",
+        )
+        path = str(tmp_path / "cache.jsonl")
+        batch = ["batch", str(jobs), "--workers", "1", "--cache", path,
+                 "--out", str(tmp_path / "report.json")]
+        assert main(batch) == 0  # cold: every job journaled, then compacted
+        before = identity(path)
+        assert main(batch) == 0
+        assert identity(path) == before
+        report = json.loads((tmp_path / "report.json").read_text("utf-8"))
+        assert all(entry["cached"] for entry in report["results"])
+
+    def test_reads_alone_write_nothing(self, tmp_path):
+        # A run that only reads keeps the file's recency order: its hit
+        # on k1 does not move k1 after k2.
+        path = str(tmp_path / "cache.jsonl")
+        fill(path, "save", 8, [("k1", 1), ("k2", 2)])
+        before = identity(path)
+        cache = ResultCache.load(path)
+        assert cache.get("k1") == 1
+        cache.save(path)
+        assert identity(path) == before
+
+    def test_a_put_saves_the_recency_of_the_reads(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        fill(path, "save", 8, [("k1", 1), ("k2", 2)])
+        cache = ResultCache.load(path)
+        assert cache.get("k1") == 1
+        cache.put("k3", 3)
+        cache.save(path)
+        assert [json.loads(line)[0] for line in file_lines(path)[1:]] == [
+            "k2", "k1", "k3"
+        ]
+
+    def test_puts_compact_the_file(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        fill(path, "save", 8, [("k1", 1), ("k2", 2)])
+        cache = ResultCache.load(path)
+        cache.put("k1", 1)  # a second line for k1
+        assert len(file_lines(path)) == 4
+        inode = os.stat(path).st_ino
+        cache.save(path)
+        assert len(file_lines(path)) == 3  # header + two entries
+        assert os.stat(path).st_ino != inode
+        # The compacted file is an exact image: a second save skips.
+        before = identity(path)
+        cache.save(path)
+        assert identity(path) == before
+
+    @pytest.mark.parametrize("case", ["duplicate", "evicted", "maxsize", "no-header"])
+    def test_a_file_replay_changes_is_rewritten(self, tmp_path, case):
+        path = str(tmp_path / "cache.jsonl")
+        fill(path, "journal", 2, [("k1", 1), ("k2", 2)])
+        lines = file_lines(path)
+        maxsize = None
+        if case == "duplicate":
+            lines.append(lines[1])
+        elif case == "evicted":
+            lines.append(lines[1].replace('"k1"', '"k3"'))
+        elif case == "maxsize":
+            maxsize = 4
+        else:
+            del lines[0]
+        Path(path).write_text("".join(lines), encoding="utf-8")
+        cache = ResultCache.load(path, maxsize=maxsize)
+        inode = os.stat(path).st_ino
+        cache.save(path)
+        assert os.stat(path).st_ino != inode
+        assert file_lines(path)[0] == json.dumps({"maxsize": cache.maxsize}) + "\n"
+        assert len(file_lines(path)) == 1 + len(cache)
+
+    def test_quarantine_saves_the_good_entries_back(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        fill(path, "journal", 8, [("k1", 1), ("k2", 2)])
+        Path(path).write_text(
+            "".join(file_lines(path)) + '["k3", 3, "not-its-checksum"]\n',
+            encoding="utf-8",
+        )
+        cache = ResultCache.load(path)
+        assert os.path.exists(path + ".corrupt")
+        assert [json.loads(line)[0] for line in file_lines(path)[1:]] == [
+            "k1", "k2"
+        ]
+        before = identity(path)
+        cache.save(path)
+        assert identity(path) == before
+
+    def test_a_save_elsewhere_always_writes(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        fill(path, "save", 8, [("k1", 1)])
+        other = str(tmp_path / "copy.jsonl")
+        ResultCache.load(path).save(other)
+        assert Path(other).read_bytes() == Path(path).read_bytes()
+
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 

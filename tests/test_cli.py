@@ -1,8 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import EXIT_BROKEN_PIPE, build_parser, main
 
 
 class TestCLI:
@@ -40,3 +45,22 @@ class TestCLI:
     def test_parser_help_mentions_notation(self):
         parser = build_parser()
         assert "B->C" in parser.format_help()
+
+
+@pytest.mark.parametrize("command", ["advise", "batch"])
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path, command):
+    # The reader goes away before any output, as ``| head`` may.
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('{"kind": "advise", "design": "R(A,B,C); B->C"}\n')
+    args = {"advise": ["R(A,B,C); B->C"], "batch": ["batch", str(jobs)]}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *args[command]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in stderr
