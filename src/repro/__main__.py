@@ -8,9 +8,9 @@ Usage::
     python -m repro --method montecarlo --samples 400 --seed 7 "R(A,B,C); B->C"
     python -m repro batch jobs.jsonl --workers 4 --cache cache.jsonl
     python -m repro batch jobs.jsonl --processes --retries 3
-    python -m repro batch jobs.jsonl --trace-out t.json --metrics-out m.json
+    python -m repro batch jobs.jsonl --trace-out t.json --out report.json
     python -m repro batch jobs.jsonl --profile --profile-out profile.folded
-    python -m repro metrics-report --metrics m.json --trace t.json
+    python -m repro metrics-report --metrics report.json --trace t.json
     python -m repro perf calibrate --trace t.json --out cost_calibration.json
 
 The default mode (spelled ``advise`` or bare) prints the
@@ -24,10 +24,10 @@ per-engine cost estimates, and the fallback chain.
 ``batch`` executes a JSONL job file (one job object per line — see
 :mod:`repro.service.jobs`) through the worker pool and the
 content-addressed result cache, and prints a JSON report with per-job
-timing plus cache and engine-metrics summaries.  ``--trace-out`` records
-a span tree (Chrome/Perfetto format), ``--metrics-out`` exports the
-metrics snapshot, and ``--processes`` shards Monte-Carlo sampling over
-worker processes (their counters and spans are merged back);
+timing plus cache and engine-counter summaries.  ``--trace-out`` records
+a span tree (Chrome/Perfetto format), and ``--processes`` shards
+Monte-Carlo sampling over worker processes (their counters and spans
+are merged back);
 ``--retries N`` gives each such chunk at most N attempts when its worker
 dies.
 ``--profile`` attaches the stdlib stack
@@ -147,12 +147,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "file here (open at chrome://tracing or ui.perfetto.dev)",
     )
     parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write the final metrics snapshot (counters, timers with "
-        "min/max, latency histograms with p50/p95/p99) as JSON here",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="attach the sampling profiler for the whole batch and "
@@ -174,15 +168,15 @@ def build_report_parser() -> argparse.ArgumentParser:
         prog="python -m repro metrics-report",
         description=(
             "Pretty-print an observability report from batch artifacts: "
-            "top spans by self time, latency quantiles, and "
-            "retry/cache tallies."
+            "top spans by self time, job latency quantiles, and "
+            "counters."
         ),
     )
     parser.add_argument(
         "--metrics",
         metavar="PATH",
-        help="a metrics snapshot (--metrics-out) or full batch report "
-        "(--out) JSON file",
+        help="a batch report (--out) JSON file, or a bare metrics "
+        "snapshot (its \"metrics\" object: counters only)",
     )
     parser.add_argument(
         "--trace",
@@ -199,29 +193,6 @@ def build_report_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spans_from_trace(document: dict) -> list:
-    """Recover span-shaped dicts from a Chrome trace document."""
-    spans = []
-    for event in document.get("traceEvents", []):
-        if event.get("ph") != "X":
-            continue
-        args = event.get("args", {})
-        spans.append(
-            {
-                "id": args.get("span_id"),
-                "parent": args.get("parent_id"),
-                "name": event["name"],
-                "ts": event["ts"] / 1e6,
-                "dur": event.get("dur", 0) / 1e6,
-                "pid": event.get("pid", 0),
-                "tid": event.get("tid", 0),
-                "attrs": args,
-                "events": [],
-            }
-        )
-    return spans
-
-
 def report_main(argv: List[str]) -> int:
     """Run the ``metrics-report`` subcommand (0 = report printed,
     2 = unreadable/invalid input or nothing to report)."""
@@ -229,6 +200,7 @@ def report_main(argv: List[str]) -> int:
 
     from repro.service.export import (
         render_report,
+        spans_from_chrome_trace,
         validate_chrome_trace,
         validate_metrics,
     )
@@ -244,12 +216,13 @@ def report_main(argv: List[str]) -> int:
     try:
         if args.metrics:
             with open(args.metrics, "r", encoding="utf-8") as handle:
-                metrics = validate_metrics(json.load(handle))
+                metrics = json.load(handle)
+            validate_metrics(metrics)
         if args.trace:
             with open(args.trace, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
             validate_chrome_trace(document)
-            spans = _spans_from_trace(document)
+            spans = spans_from_chrome_trace(document)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -262,8 +235,6 @@ def batch_main(argv: List[str]) -> int:
     (0 = every job succeeded, 1 = some jobs failed — typed per-job
     errors in the report, 2 = batch-level failure: bad input, missing
     file, or nothing parseable)."""
-    import json
-
     from repro.service.budget import Budget
     from repro.service.cache import ResultCache
     from repro.service.errors import JobError
@@ -297,7 +268,6 @@ def batch_main(argv: List[str]) -> int:
         for option, value in (
             ("--out", args.out),
             ("--trace-out", args.trace_out),
-            ("--metrics-out", args.metrics_out),
             ("--profile-out", args.profile_out),
             ("--cache", args.cache),
         ):
@@ -341,10 +311,6 @@ def batch_main(argv: List[str]) -> int:
     try:
         if tracing:
             save_trace(args.trace_out, TRACER.drain())
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(report["metrics"], handle, indent=2, default=str)
-                handle.write("\n")
         if sampler is not None and args.profile_out:
             sampler.write_collapsed(args.profile_out)
     except OSError as exc:

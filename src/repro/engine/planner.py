@@ -267,16 +267,11 @@ class Planner:
                 ) as span:
                     if step.estimate.seconds is not None:
                         span.set(predicted_seconds=step.estimate.seconds)
-                    stage_started = perf_counter()
                     value = _run_engine(
                         problem, step.engine, pool, stage_deadline()
                     )
                     span.set(ok=True)
                 METRICS.inc("engine.runs", engine=step.engine)
-                METRICS.observe(
-                    f"engine.run.{step.engine}",
-                    perf_counter() - stage_started,
-                )
                 return value, step.engine
             except DeadlineExceeded:
                 attempts.append((step.engine, "timeout"))

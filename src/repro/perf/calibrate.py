@@ -43,6 +43,8 @@ import platform
 import subprocess
 from typing import Dict, List, Optional, Sequence
 
+from repro.service.export import spans_from_chrome_trace
+
 #: The calibration file's family marker and version.
 SCHEMA_NAME = "repro-cost-calibration"
 SCHEMA_VERSION = 1
@@ -87,19 +89,7 @@ def collect_engine_runs(trace) -> List[dict]:
     estimates) yield an empty list, which callers turn into exit code 2.
     """
     if isinstance(trace, dict):
-        spans = []
-        for event in trace.get("traceEvents", []):
-            if event.get("ph") != "X" or not isinstance(
-                event.get("dur", 0), (int, float)
-            ):
-                continue
-            spans.append(
-                {
-                    "name": event.get("name"),
-                    "dur": event.get("dur", 0) / 1e6,
-                    "attrs": event.get("args", {}),
-                }
-            )
+        spans = spans_from_chrome_trace(trace)
     else:
         spans = list(trace)
     runs = []

@@ -15,9 +15,8 @@ from the submodules:
   (``python -m repro batch jobs.jsonl``);
 - :mod:`repro.service.errors` — the structured error taxonomy;
 - :mod:`repro.service.validate` — shared bounds validation;
-- :mod:`repro.service.metrics`, :mod:`repro.service.hist`,
-  :mod:`repro.service.trace`, :mod:`repro.service.export` — counters,
-  latency histograms, spans, and their exporters.
+- :mod:`repro.service.metrics`, :mod:`repro.service.trace`,
+  :mod:`repro.service.export` — counters, spans, and their exporters.
 
 Nothing is imported here: the low-level engines import
 ``repro.service.metrics`` directly, and an eager import of the runner

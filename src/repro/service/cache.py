@@ -215,8 +215,10 @@ class ResultCache:
     def load(cls, path: str, maxsize: Optional[int] = None) -> "ResultCache":
         """Replay the file at *path* into a cache that journals to it.
 
-        Lines replay in order through :meth:`put`, so LRU eviction
-        applies; stats start at zero.  *maxsize* overrides the header's.
+        Lines fill the cache in file order: a later line for a key
+        overrides an earlier one, and past *maxsize* the most recent
+        entries are kept.  Stats start at zero.  *maxsize* overrides the
+        header's.
         A missing file gives an empty cache; nothing is written until
         the first :meth:`put`.  A line that fails to decode or fails its
         checksum is skipped and counted in ``corrupt_entries``; if any
@@ -251,13 +253,16 @@ class ResultCache:
                 corrupt += 1
 
         cache = cls(maxsize=maxsize or 1024)
+        entries = cache._entries
         for key, value, _ in records:
-            cache.put(key, value)
+            entries[key] = value
+            entries.move_to_end(key)
+        while len(entries) > cache.maxsize:
+            entries.popitem(last=False)
         # Every line replayed into an entry of its own, none evicted.
         cache._compact = (
             header == cache.maxsize and not corrupt and len(cache) == len(records)
         )
-        cache._evictions = 0
         cache._journal_path = path
         if corrupt:
             cache.corrupt_entries = corrupt

@@ -1,6 +1,6 @@
 """The structured error taxonomy for the batch runtime.
 
-Every failure inside the service layer is mapped to one of six **kinds**
+Every failure inside the service layer is mapped to one of five **kinds**
 so that callers (and downstream tooling reading batch reports) can react
 mechanically instead of string-matching messages:
 
@@ -11,7 +11,6 @@ parse       a job line was not valid JSON
 validation  a decoded record or CLI option violated an invariant
 budget      a per-job budget ladder was exhausted (see ``budget.py``)
 worker_crash a pool worker or executor died mid-flight (transient)
-cache_corrupt the result cache file on disk was damaged
 internal    any other exception escaping a job (the former blanket
             ``except Exception`` in the runner)
 ========== ===========================================================
@@ -41,12 +40,11 @@ KINDS: Tuple[str, ...] = (
     "validation",
     "budget",
     "worker_crash",
-    "cache_corrupt",
     "internal",
 )
 
 #: Kinds that are transient by nature — retrying them can succeed.
-TRANSIENT_KINDS = frozenset({"worker_crash", "cache_corrupt"})
+TRANSIENT_KINDS = frozenset({"worker_crash"})
 
 
 class JobError(Exception):
@@ -125,12 +123,6 @@ class ValidationError(JobError, ValueError):
     """A well-formed but invalid request, option, or invariant breach."""
 
     default_kind = "validation"
-
-
-class CacheCorruptError(JobError):
-    """The result cache file on disk was damaged."""
-
-    default_kind = "cache_corrupt"
 
 
 def classify(exc: BaseException) -> str:

@@ -7,9 +7,10 @@ Two renderings of the observability layer's raw material:
   instant ``"i"`` events) — load the file at ``chrome://tracing`` or
   https://ui.perfetto.dev to see the per-job → per-chunk → per-engine
   tree on a timeline, with worker processes on their own ``pid`` lanes;
+  :func:`spans_from_chrome_trace` reads such a file back into spans;
 - :func:`render_report` pretty-prints a run for humans — top spans by
-  self-time, latency quantiles, and the retry/cache tallies —
-  behind ``python -m repro metrics-report``.
+  self-time, job latency quantiles, and the counters — behind
+  ``python -m repro metrics-report``.
 
 :func:`validate_chrome_trace` is the schema check the CI smoke step (and
 the tests) run against emitted trace files.
@@ -89,36 +90,50 @@ def validate_chrome_trace(document: dict) -> int:
     return len(events)
 
 
+def spans_from_chrome_trace(document: dict) -> List[dict]:
+    """The span dicts behind a Chrome trace document: the inverse of
+    :func:`chrome_trace` on its complete (``"X"``) events.
+
+    Instant events are not re-attached to their spans, and an event
+    whose ``ts`` or ``dur`` is not a number is skipped.
+    """
+    spans: List[dict] = []
+    for event in document.get("traceEvents", []):
+        ts, dur = event.get("ts", 0), event.get("dur", 0)
+        if event.get("ph") != "X" or not all(
+            isinstance(value, (int, float)) for value in (ts, dur)
+        ):
+            continue
+        args = event.get("args")
+        attrs = dict(args) if isinstance(args, dict) else {}
+        span = {
+            "id": attrs.pop("span_id", None),
+            "parent": attrs.pop("parent_id", None),
+            "name": event.get("name"),
+            "ts": ts / 1e6,
+            "dur": dur / 1e6,
+            "pid": event.get("pid", 0),
+            "tid": event.get("tid", 0),
+            "attrs": attrs,
+            "events": [],
+        }
+        if attrs.pop("error", False):
+            span["error"] = True
+        spans.append(span)
+    return spans
+
+
 def validate_metrics(document) -> dict:
     """The metrics snapshot in *document* — a :meth:`Metrics.snapshot`
     dict or a batch report embedding one under ``"metrics"``.  Raises
-    ``ValueError`` when it lacks the snapshot's shape, which
+    ``ValueError`` unless it carries a ``counters`` object, which
     :func:`render_report` relies on."""
     if isinstance(document, dict) and "metrics" in document:
         document = document["metrics"]
     if not isinstance(document, dict):
         raise ValueError("metrics document must be a JSON object")
-    if not isinstance(document.get("counters", {}), dict):
-        raise ValueError("metrics 'counters' must be an object")
-    for section, required, optional in (
-        ("timers", ("count", "seconds"), ("min", "max")),
-        ("histograms", (), ("p50", "p95", "p99")),
-    ):
-        entries = document.get(section, {})
-        if not isinstance(entries, dict):
-            raise ValueError(f"metrics {section!r} must be an object")
-        for name, entry in entries.items():
-            if not (
-                isinstance(entry, dict)
-                and all(isinstance(entry.get(f), (int, float)) for f in required)
-                and all(
-                    isinstance(entry.get(f, 0), (int, float)) for f in optional
-                )
-            ):
-                raise ValueError(
-                    f"metrics {section}[{name!r}] is not an object with "
-                    f"numeric {', '.join(required + optional)}"
-                )
+    if not isinstance(document.get("counters"), dict):
+        raise ValueError("metrics document must carry a 'counters' object")
     return document
 
 
@@ -166,19 +181,52 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:.2f} ms"
 
 
+def nearest_rank(ordered: Sequence[float], percent: int) -> float:
+    """The *percent*-th percentile (``0 < percent <= 100``) of the
+    sorted, non-empty *ordered* by the nearest-rank rule: its
+    ``ceil(percent/100 * n)``-th value."""
+    rank = -(-percent * len(ordered) // 100)
+    return ordered[rank - 1]
+
+
+def _job_latencies(results) -> Dict[str, List[float]]:
+    """The ``seconds`` of a batch report's computed jobs, by row.
+
+    Only ``ok`` entries that were not cache hits count (a hit costs no
+    work).  There is one row per job kind, and measure jobs also land in
+    a ``measure.<engine>`` row for the engine that produced the value.
+    """
+    rows: Dict[str, List[float]] = {}
+    for entry in results if isinstance(results, list) else ():
+        if not (
+            isinstance(entry, dict)
+            and entry.get("ok") is True
+            and not entry.get("cached")
+            and isinstance(entry.get("seconds"), (int, float))
+        ):
+            continue
+        names = [str(entry.get("kind"))]
+        value = entry.get("value")
+        if entry.get("kind") == "measure" and isinstance(value, dict):
+            names.append(f"measure.{value.get('method')}")
+        for name in names:
+            rows.setdefault(name, []).append(entry["seconds"])
+    return rows
+
+
 def render_report(
     metrics: Optional[dict] = None,
     spans: Optional[Sequence[dict]] = None,
     top: int = 15,
 ) -> str:
-    """The human-readable run report (top spans, quantiles, tallies).
+    """The human-readable run report (top spans, latencies, counters).
 
-    *metrics* is a :meth:`Metrics.snapshot` dict (or a batch report that
-    embeds one under ``"metrics"``); *spans* are drained span dicts or a
-    Chrome trace document's source spans.  Either may be omitted.
+    *metrics* is a batch report (its ``results`` give the latency table,
+    the snapshot under ``"metrics"`` the counters) or a bare
+    :meth:`Metrics.snapshot` dict (counters only); *spans* are drained
+    span dicts or those :func:`spans_from_chrome_trace` reads back.
+    Either may be omitted.
     """
-    if metrics is not None and "metrics" in metrics:
-        metrics = metrics["metrics"]
     sections: List[str] = []
 
     if spans:
@@ -197,48 +245,36 @@ def render_report(
         sections.append("\n".join(lines))
 
     if metrics:
-        timers = metrics.get("timers", {})
-        hists = metrics.get("histograms", {})
-        if timers:
-            width = max(len(name) for name in timers)
-            lines = ["Timers"]
+        latencies = _job_latencies(metrics.get("results"))
+        if latencies:
+            width = max(len(name) for name in latencies)
+            lines = ["Job latency (computed jobs; cache hits excluded)"]
             lines.append(
-                f"  {'timer'.ljust(width)}  {'count':>6}  {'total':>12}  "
+                f"  {'job'.ljust(width)}  {'count':>6}  {'total':>12}  "
                 f"{'min':>10}  {'max':>10}  {'p50':>10}  {'p95':>10}  "
                 f"{'p99':>10}"
             )
-            for name in sorted(timers):
-                stats = timers[name]
-                hist = hists.get(name, {})
+            for name in sorted(latencies):
+                ordered = sorted(latencies[name])
                 lines.append(
-                    f"  {name.ljust(width)}  {stats['count']:>6}  "
-                    f"{_ms(stats['seconds']):>12}  "
-                    f"{_ms(stats.get('min', 0.0)):>10}  "
-                    f"{_ms(stats.get('max', 0.0)):>10}  "
-                    f"{_ms(hist.get('p50', 0.0)):>10}  "
-                    f"{_ms(hist.get('p95', 0.0)):>10}  "
-                    f"{_ms(hist.get('p99', 0.0)):>10}"
+                    f"  {name.ljust(width)}  {len(ordered):>6}  "
+                    f"{_ms(sum(ordered)):>12}  "
+                    f"{_ms(ordered[0]):>10}  {_ms(ordered[-1]):>10}  "
+                    + "  ".join(
+                        f"{_ms(nearest_rank(ordered, p)):>10}"
+                        for p in (50, 95, 99)
+                    )
                 )
             sections.append("\n".join(lines))
 
+        if "metrics" in metrics:
+            metrics = metrics["metrics"]
         counters = metrics.get("counters", {})
         if counters:
             tallies = ["Counters"]
             for key in sorted(counters):
                 tallies.append(f"  {key} = {counters[key]}")
             sections.append("\n".join(tallies))
-
-        resilience = []
-        for label, key in (
-            ("retries", "retries"),
-            ("cache hits", "runner.cache_hits"),
-            ("pool rebuilds", "pool.rebuilds"),
-        ):
-            value = metrics.get("counters", {}).get(key, 0)
-            if value:
-                resilience.append(f"  {label}: {value}")
-        if resilience:
-            sections.append("\n".join(["Resilience"] + resilience))
 
     if not sections:
         return "nothing to report (no metrics, no spans)\n"

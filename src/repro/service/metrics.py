@@ -1,11 +1,11 @@
-"""A lightweight counters/timers/histograms registry for the service layer.
+"""A lightweight counters registry for the service layer.
 
 This module deliberately imports **nothing** from the rest of ``repro``
-(only the standalone :mod:`repro.service.hist`) so that low-level engines
-(the chase loop, the symbolic sweep, the RPQ product search) can record
-into the default registry without creating import cycles.  Hot loops
-batch their increments — one ``inc`` per run with the loop's total, never
-one per iteration — so instrumentation cost stays unmeasurable.
+so that low-level engines (the chase loop, the symbolic sweep, the RPQ
+product search) can record into the default registry without creating
+import cycles.  Hot loops batch their increments — one ``inc`` per run
+with the loop's total, never one per iteration — so instrumentation cost
+stays unmeasurable.
 
 Usage::
 
@@ -13,20 +13,13 @@ Usage::
 
     METRICS.inc("chase.steps", steps)
     METRICS.inc("runner.errors", kind="parse")      # labeled counter
-    with METRICS.timer("job.advise"):
-        ...
     METRICS.snapshot()
-    # {"counters": {"chase.steps": 12, "runner.errors{kind=parse}": 1},
-    #  "timers": {"job.advise": {"count": 1, "seconds": 0.003,
-    #                            "min": 0.003, "max": 0.003}},
-    #  "histograms": {"job.advise": {"count": 1, "sum": ..., "p50": ...,
-    #                                "p95": ..., "p99": ..., "buckets": ...}}}
+    # {"counters": {"chase.steps": 12, "runner.errors{kind=parse}": 1}}
 
-Every ``observe``/``timer`` observation feeds one fixed-bucket log2
-:class:`~repro.service.hist.Histogram`; ``snapshot()`` derives the flat
-timer stats (count, total seconds, min, max) from its exact
-``count``/``sum``/``min``/``max`` and reports the latency distribution
-(p50/p95/p99) beside them.
+The registry counts work; it keeps no durations.  How long something
+took is in the spans (:mod:`repro.service.trace`) and in each batch
+report entry's ``seconds``, from which ``metrics-report`` derives its
+latency table.
 
 Cross-process completeness: worker processes record into their own
 process-local ``METRICS``; the pool piggybacks each worker's snapshot
@@ -38,11 +31,7 @@ with a process pool.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Union
-
-from repro.service.hist import Histogram
+from typing import Dict, Union
 
 
 def label_key(name: str, labels: Dict[str, object]) -> str:
@@ -58,12 +47,11 @@ def label_key(name: str, labels: Dict[str, object]) -> str:
 
 
 class Metrics:
-    """A named registry of counters, timers, and latency histograms."""
+    """A named registry of (optionally labeled) counters."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._hists: Dict[str, Histogram] = {}
 
     def inc(self, name: str, amount: int = 1, **labels) -> None:
         """Add *amount* to counter *name* (created at zero on first use).
@@ -81,73 +69,27 @@ class Metrics:
         with self._lock:
             return self._counters.get(key, 0)
 
-    def observe(self, name: str, seconds: float) -> None:
-        """Record one timed observation for timer *name* in its log2
-        latency histogram (the source of every timer statistic)."""
-        with self._lock:
-            hist = self._hists.get(name)
-            if hist is None:
-                hist = self._hists[name] = Histogram()
-            hist.observe(seconds)
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Context manager recording the wall-clock time of its block."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
-
     def snapshot(self) -> dict:
-        """A plain-dict copy of every counter/timer/histogram (JSON-safe)."""
+        """A plain-dict copy of every counter (JSON-safe)."""
         with self._lock:
-            return {
-                "counters": dict(sorted(self._counters.items())),
-                "timers": {
-                    name: {
-                        "count": hist.count,
-                        "seconds": hist.sum,
-                        "min": hist.min,
-                        "max": hist.max,
-                    }
-                    for name, hist in sorted(self._hists.items())
-                },
-                "histograms": {
-                    name: self._hists[name].to_dict()
-                    for name in sorted(self._hists)
-                },
-            }
+            return {"counters": dict(sorted(self._counters.items()))}
 
     def merge(self, other: Union["Metrics", dict]) -> None:
         """Fold *other* — a registry or a :meth:`snapshot` dict — into
         this registry.
 
-        Counters add; histograms — and with them the timer stats —
-        merge bucket-wise (the layout is fixed).  This is how metrics
-        recorded in worker *processes* become part of the parent's
-        snapshot.
+        Counters add.  This is how metrics recorded in worker
+        *processes* become part of the parent's snapshot.
         """
         snap = other.snapshot() if isinstance(other, Metrics) else other
-        counters = snap.get("counters", {})
-        hists = snap.get("histograms", {})
         with self._lock:
-            for name, value in counters.items():
+            for name, value in snap.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + value
-            for name, payload in hists.items():
-                incoming = Histogram.from_dict(payload)
-                hist = self._hists.get(name)
-                if hist is None:
-                    self._hists[name] = incoming
-                else:
-                    hist.merge(incoming)
 
     def reset(self) -> None:
-        """Zero every counter, timer, and histogram (tests and fresh
-        batch runs)."""
+        """Zero every counter (tests and fresh batch runs)."""
         with self._lock:
             self._counters.clear()
-            self._hists.clear()
 
 
 #: The process-wide default registry; the engines record into this one.

@@ -204,14 +204,13 @@ class BatchRunner:
         raise TypeError(f"unsupported job: {job!r}")
 
     def _execute_advise(self, job: AdviseJob) -> dict:
-        with self.metrics.timer("job.advise"):
-            report = advise(
-                job.design,
-                measure_witness=job.measure,
-                method=job.method,
-                samples=job.samples,
-                seed=job.seed,
-            )
+        report = advise(
+            job.design,
+            measure_witness=job.measure,
+            method=job.method,
+            samples=job.samples,
+            seed=job.seed,
+        )
         return report_payload(report)
 
     def _plan(self, job: Job) -> Optional[Plan]:
@@ -225,10 +224,9 @@ class BatchRunner:
     def _execute_measure(self, job: MeasureJob, plan: Plan) -> dict:
         from repro.engine import PLANNER
 
-        with self.metrics.timer("job.measure"):
-            value, engine = PLANNER.execute(
-                job.problem, plan, budget=self.budget, pool=self.shard_pool
-            )
+        value, engine = PLANNER.execute(
+            job.problem, plan, budget=self.budget, pool=self.shard_pool
+        )
         payload = ric_payload(value)
         payload["method"] = engine
         payload["position"] = str(job.problem.position_obj())
@@ -238,19 +236,18 @@ class BatchRunner:
         from repro.graph.graphdb import GraphDB
 
         graph = GraphDB.from_edges(job.edges)
-        with self.metrics.timer("job.rpq"):
-            if job.source is not None:
-                nodes = rpq_reachable(graph, job.query, job.source)
-                return {
-                    "source": job.source,
-                    "reachable": sorted(nodes, key=repr),
-                    "count": len(nodes),
-                }
-            pairs = rpq_eval(graph, job.query)
+        if job.source is not None:
+            nodes = rpq_reachable(graph, job.query, job.source)
             return {
-                "pairs": [list(pair) for pair in sorted(pairs, key=repr)],
-                "count": len(pairs),
+                "source": job.source,
+                "reachable": sorted(nodes, key=repr),
+                "count": len(nodes),
             }
+        pairs = rpq_eval(graph, job.query)
+        return {
+            "pairs": [list(pair) for pair in sorted(pairs, key=repr)],
+            "count": len(pairs),
+        }
 
     # ------------------------------------------------------------------
     # batch execution (cache + fan-out)

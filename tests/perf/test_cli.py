@@ -67,7 +67,7 @@ class TestBatchOutputPaths:
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
         code = main(["batch", str(jobs),
-                     "--metrics-out", str(blocker / "m.json")])
+                     "--out", str(blocker / "report.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err.lower()
 

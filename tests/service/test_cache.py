@@ -126,6 +126,19 @@ class TestJournal:
         assert list(replayed._entries.items()) == list(cache._entries.items())
         assert replayed.stats()["evictions"] == 0
 
+    def test_load_fills_the_cache_without_put(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.jsonl")
+        fill(path, "save", 8, [(f"k{i}", {"v": i}) for i in range(5)])
+        puts = []
+        monkeypatch.setattr(
+            ResultCache, "put", lambda self, key, value: puts.append(key)
+        )
+        loaded = ResultCache.load(path)
+        assert puts == []
+        assert [loaded.get(f"k{i}") for i in range(5)] == [
+            {"v": i} for i in range(5)
+        ]
+
     def test_append_then_load_round_trips(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         cache = ResultCache.load(path, maxsize=8)
@@ -303,9 +316,7 @@ class TestRerun:
         cached = [entry["cached"] for entry in rerun["results"]]
         assert cached == [True, True, False, False]
         # Finished jobs were not executed again: only a2/m2 ran.
-        timers = rerun["metrics"]["timers"]
-        assert timers["job.advise"]["count"] == 1
-        assert timers["job.measure"]["count"] == 1
+        assert rerun["metrics"]["counters"]["runner.cache_hits"] == 2
         assert without_timing(rerun) == without_timing(full)
 
     def test_failed_jobs_are_not_journaled(self, tmp_path, monkeypatch):
@@ -327,9 +338,7 @@ class TestRerun:
 class TestCorruptCacheCLI:
     """The counters a quarantine records at load reach the batch report."""
 
-    def test_quarantine_counters_reach_report_and_metrics_out(
-        self, tmp_path
-    ):
+    def test_quarantine_counters_reach_the_report(self, tmp_path):
         from repro.__main__ import main
 
         jobs = tmp_path / "jobs.jsonl"
@@ -338,7 +347,7 @@ class TestCorruptCacheCLI:
             encoding="utf-8",
         )
         path = str(tmp_path / "cache.jsonl")
-        out, metrics = tmp_path / "report.json", tmp_path / "metrics.json"
+        out = tmp_path / "report.json"
         batch = ["batch", str(jobs), "--workers", "1", "--cache", path]
         assert main(batch + ["--out", str(out)]) == 0
         # One line's value no longer matches its checksum.
@@ -347,19 +356,13 @@ class TestCorruptCacheCLI:
         assert lines[1] != file_lines(path)[1]
         Path(path).write_text("".join(lines), encoding="utf-8")
 
-        code = main(
-            batch + ["--out", str(out), "--metrics-out", str(metrics)]
-        )
-        assert code == 0
+        assert main(batch + ["--out", str(out)]) == 0
         assert os.path.exists(path + ".corrupt")
         report = json.loads(out.read_text(encoding="utf-8"))
         assert [e["cached"] for e in report["results"]].count(False) == 1
-        for counters in (
-            report["metrics"]["counters"],
-            json.loads(metrics.read_text(encoding="utf-8"))["counters"],
-        ):
-            assert counters["cache.recoveries"] == 1
-            assert counters["cache.corrupt_entries"] == 1
+        counters = report["metrics"]["counters"]
+        assert counters["cache.recoveries"] == 1
+        assert counters["cache.corrupt_entries"] == 1
 
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.service.budget import Budget, BudgetExceeded
 from repro.service.errors import (
     KINDS,
-    CacheCorruptError,
     JobError,
     ValidationError,
     classify,
@@ -25,13 +24,12 @@ def _raise_and_wrap(exc):
 
 
 class TestTaxonomy:
-    def test_the_six_kinds(self):
+    def test_the_five_kinds(self):
         assert KINDS == (
             "parse",
             "validation",
             "budget",
             "worker_crash",
-            "cache_corrupt",
             "internal",
         )
 
@@ -41,7 +39,6 @@ class TestTaxonomy:
 
     def test_subclass_default_kinds(self):
         assert ValidationError("x").kind == "validation"
-        assert CacheCorruptError("x").kind == "cache_corrupt"
         assert JobError("x").kind == "internal"
 
     def test_only_transient_kinds_are_retryable(self):
@@ -51,7 +48,6 @@ class TestTaxonomy:
             "validation": False,
             "budget": False,
             "worker_crash": True,
-            "cache_corrupt": True,
             "internal": False,
         }
 
@@ -103,10 +99,6 @@ class TestJsonShapes:
         self.assert_envelope(payload, "worker_crash", True)
         assert payload["error"] == "BrokenProcessPool"
         assert "Traceback" in payload["traceback"]
-
-    def test_cache_corrupt_shape(self):
-        payload = CacheCorruptError("cache file mangled").to_dict()
-        self.assert_envelope(payload, "cache_corrupt", True)
 
     def test_internal_shape_captures_traceback(self):
         payload = _raise_and_wrap(RuntimeError("surprise")).to_dict()

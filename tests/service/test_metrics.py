@@ -19,49 +19,12 @@ class TestRegistry:
         assert metrics.get("x") == 5
         assert metrics.get("never") == 0
 
-    def test_timer_records_count_and_seconds(self):
-        metrics = Metrics()
-        with metrics.timer("t"):
-            pass
-        with metrics.timer("t"):
-            pass
-        snap = metrics.snapshot()["timers"]["t"]
-        assert snap["count"] == 2
-        assert snap["seconds"] >= 0
-
     def test_snapshot_and_reset(self):
         metrics = Metrics()
         metrics.inc("a", 2)
         assert metrics.snapshot()["counters"] == {"a": 2}
         metrics.reset()
-        assert metrics.snapshot() == {
-            "counters": {},
-            "timers": {},
-            "histograms": {},
-        }
-
-    def test_timer_tracks_min_and_max(self):
-        # A single outlier must be visible in the snapshot, not averaged
-        # away into the sum.
-        metrics = Metrics()
-        metrics.observe("t", 0.002)
-        metrics.observe("t", 10.0)
-        metrics.observe("t", 0.003)
-        snap = metrics.snapshot()["timers"]["t"]
-        assert snap["count"] == 3
-        assert snap["min"] == 0.002
-        assert snap["max"] == 10.0
-        assert abs(snap["seconds"] - 10.005) < 1e-9
-
-    def test_observe_feeds_histogram(self):
-        metrics = Metrics()
-        for value in (0.001, 0.001, 0.5):
-            metrics.observe("t", value)
-        hist = metrics.snapshot()["histograms"]["t"]
-        assert hist["count"] == 3
-        assert hist["p50"] <= hist["p95"] <= hist["p99"]
-        assert hist["min"] == 0.001 and hist["max"] == 0.5
-        assert sum(c for _, c in hist["buckets"]) == 3
+        assert metrics.snapshot() == {"counters": {}}
 
     def test_labeled_counters(self):
         metrics = Metrics()
@@ -75,25 +38,14 @@ class TestRegistry:
         assert counters["errors{kind=parse}"] == 2
         assert counters["errors{kind=budget}"] == 2
 
-    def test_merge_combines_counters_timers_histograms(self):
+    def test_merge_combines_counters(self):
         parent, child = Metrics(), Metrics()
         parent.inc("x", 1)
-        parent.observe("t", 0.5)
         child.inc("x", 2)
         child.inc("y", 3)
-        child.observe("t", 0.001)
-        child.observe("u", 1.0)
 
         parent.merge(child.snapshot())
-        snap = parent.snapshot()
-        assert snap["counters"] == {"x": 3, "y": 3}
-        t = snap["timers"]["t"]
-        assert t["count"] == 2
-        assert t["min"] == 0.001 and t["max"] == 0.5
-        assert abs(t["seconds"] - 0.501) < 1e-9
-        assert snap["timers"]["u"]["count"] == 1
-        assert snap["histograms"]["t"]["count"] == 2
-        assert snap["histograms"]["u"]["count"] == 1
+        assert parent.snapshot() == {"counters": {"x": 3, "y": 3}}
 
     def test_merge_disjoint_labeled_counters_stay_distinct(self):
         parent, child = Metrics(), Metrics()
@@ -120,8 +72,8 @@ class TestRegistry:
 
     def test_merge_is_associative_on_snapshots(self):
         a, b, c = Metrics(), Metrics(), Metrics()
-        for m, v in ((a, 0.1), (b, 0.2), (c, 0.4)):
-            m.observe("t", v)
+        for m, v in ((a, 1), (b, 2), (c, 4)):
+            m.inc("t", v)
             m.inc("n")
         left = Metrics()
         left.merge(a)
@@ -133,7 +85,9 @@ class TestRegistry:
         bc.merge(c)
         right.merge(a)
         right.merge(bc)
-        assert left.snapshot() == right.snapshot()
+        assert left.snapshot() == right.snapshot() == {
+            "counters": {"n": 3, "t": 7}
+        }
 
 
 class TestEngineWiring:

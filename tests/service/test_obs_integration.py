@@ -44,8 +44,6 @@ class TestCrossProcessMetrics:
         counters = report["metrics"]["counters"]
         assert counters["ric.mc.samples"] == 80
         assert counters["ric.mc.chunks"] == 4
-        # Worker-side timers merge too (recorded in the chunk engine).
-        assert "histograms" in report["metrics"]
 
     def test_process_and_thread_pools_agree_on_counters(self, tmp_path):
         path = write_jobs(tmp_path, [MC_JOB])
@@ -135,14 +133,14 @@ class TestTraceTree:
 class TestObservabilityCLI:
     def test_batch_emits_trace_and_metrics_files(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.json"
+        report_path = tmp_path / "report.json"
         code = main(
             [
                 "batch",
                 write_jobs(tmp_path),
                 "--workers", "2",
                 "--trace-out", str(trace_path),
-                "--metrics-out", str(metrics_path),
+                "--out", str(report_path),
             ]
         )
         capsys.readouterr()
@@ -155,33 +153,36 @@ class TestObservabilityCLI:
         }
         assert {"batch.run", "job"} <= span_names
 
-        snapshot = json.loads(metrics_path.read_text())
+        snapshot = json.loads(report_path.read_text())["metrics"]
         assert snapshot["counters"]["ric.mc.samples"] == 80
-        assert "job.measure" in snapshot["timers"]
+        assert list(snapshot) == ["counters"]
 
     def test_metrics_report_renders_both_inputs(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.json"
+        report_path = tmp_path / "report.json"
         main(
             [
                 "batch",
                 write_jobs(tmp_path),
                 "--trace-out", str(trace_path),
-                "--metrics-out", str(metrics_path),
+                "--out", str(report_path),
             ]
         )
         capsys.readouterr()
         code = main(
             [
                 "metrics-report",
-                "--metrics", str(metrics_path),
+                "--metrics", str(report_path),
                 "--trace", str(trace_path),
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "Top spans by self time" in out
-        assert "Timers" in out
+        latency = out.split("Job latency")[1].split("\n\n")[0]
+        rows = [line.split()[:2] for line in latency.splitlines()[2:]]
+        assert rows == [["advise", "1"], ["measure", "1"],
+                        ["measure.montecarlo", "1"], ["rpq", "1"]]
         assert "ric.mc.samples" in out
 
     def test_metrics_report_requires_an_input(self, capsys):
@@ -191,7 +192,7 @@ class TestObservabilityCLI:
 
     def test_metrics_report_rejects_malformed_metrics(self, tmp_path, capsys):
         path = tmp_path / "m.json"
-        for document in (["x"], {"timers": {"job": 5}}):
+        for document in (["x"], {"timers": {"job": 5}}, {"counters": [1]}):
             path.write_text(json.dumps(document), encoding="utf-8")
             assert main(["metrics-report", "--metrics", str(path)]) == 2
             assert "error" in capsys.readouterr().err

@@ -63,7 +63,6 @@ class TestPolicyTable:
             "validation": False,
             "budget": False,
             "worker_crash": True,
-            "cache_corrupt": True,
             "internal": False,
         }
 

@@ -186,7 +186,7 @@ def batch_report(results, **header):
         "elapsed_seconds": 0.125,
         "results": results,
         "cache": {"entries": 0, "hits": 0, "hit_rate": 0.0},
-        "metrics": {"counters": {"runner.cache_hits": 0}, "timers": {}},
+        "metrics": {"counters": {"runner.cache_hits": 0}},
         "parse_errors": 0,
         **header,
     }
