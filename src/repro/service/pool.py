@@ -166,11 +166,20 @@ class WorkerPool:
         Futures already completed keep their results; only the pending
         work the caller chooses to resubmit runs on the new executor.
         Injected executors are left alone (the owner decides).
+
+        A process executor is joined before its replacement starts, so
+        the new workers are never forked, and the new executor's threads
+        never started, beside the old manager and queue-feeder threads.
+        Under an address-space limit those extra thread stacks could
+        keep the new feeder thread from starting; the futures it should
+        have fed then never resolve.  A broken executor has already
+        failed its futures and terminated its workers, so the join is
+        short.
         """
         if not self._owned:
             return
         try:
-            self._executor.shutdown(wait=False)
+            self._executor.shutdown(wait=self._use_processes)
         except Exception:  # noqa: BLE001 — a broken pool may refuse even this
             pass
         self._executor = self._new_executor()

@@ -1,6 +1,7 @@
 """Chunk retry: the pool's one retry loop, and real worker deaths."""
 
 import os
+import threading
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -221,6 +222,20 @@ class TestWorkerDeath:
         assert excinfo.value.kind == "worker_crash"
         attempts = (tmp_path / "attempts").read_text().splitlines()
         assert attempts == ["0", "0", "0"]
+
+    def test_rebuild_joins_the_broken_executor_first(self, tmp_path):
+        # The broken executor's manager and feeder threads are still
+        # cleaning up when its futures fail.  Its replacement must not
+        # start beside them: under a tight address-space limit the extra
+        # thread stacks could keep the new executor's threads from
+        # starting, and the retry then waited forever.
+        before = set(threading.enumerate())
+        with WorkerPool(workers=1, use_processes=True, retries=1) as pool:
+            with pytest.raises(JobError):
+                pool.map_retrying(always_die, [(str(tmp_path), 0)])
+            broken = set(threading.enumerate()) - before
+            pool.rebuild()
+            assert not any(thread.is_alive() for thread in broken)
 
     def test_batch_retries_bound_chunk_evaluations(self, monkeypatch):
         # --retries N bounds each chunk at N attempts through the whole
