@@ -14,7 +14,7 @@ import time
 from repro.core import PositionedInstance, ric_exact, ric_montecarlo
 from repro.dependencies import FD
 from repro.relational import Relation, RelationSchema
-from repro.service.pool import ric_montecarlo_parallel
+from repro.service.pool import WorkerPool
 
 from benchmarks.common import print_table
 
@@ -83,9 +83,8 @@ def test_e10_parallel_mc(benchmark):
         baseline = None
         for workers in (1, 2, 4):
             start = time.perf_counter()
-            est = ric_montecarlo_parallel(
-                inst, p, samples=samples, seed=seed, workers=workers
-            )
+            with WorkerPool(workers=workers) as pool:
+                est = pool.ric_montecarlo(inst, p, samples=samples, seed=seed)
             elapsed = time.perf_counter() - start
             baseline = baseline if baseline is not None else est
             rows.append(

@@ -19,7 +19,7 @@ import time
 from repro.core import PositionedInstance
 from repro.dependencies import FD
 from repro.relational import Relation, RelationSchema
-from repro.service.pool import ric_montecarlo_parallel
+from repro.service.pool import WorkerPool
 from repro.service.trace import TRACER, tracing
 
 from benchmarks.common import print_table
@@ -48,9 +48,8 @@ def test_e16_observability_overhead(benchmark):
     samples, seed, workers = 400, 11, 2
 
     def run_mc():
-        return ric_montecarlo_parallel(
-            inst, p, samples=samples, seed=seed, workers=workers
-        )
+        with WorkerPool(workers=workers) as pool:
+            return pool.ric_montecarlo(inst, p, samples=samples, seed=seed)
 
     def measure():
         run_mc()  # warm caches/threads before timing

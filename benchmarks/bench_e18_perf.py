@@ -1,24 +1,16 @@
-"""E18 — The performance observatory: calibration, profiler overhead.
+"""E18 — The performance observatory: cost-model calibration.
 
-Two claims about the ``repro.perf`` subsystem to verify:
-
-- **calibration**: fitting the cost model's per-engine
-  seconds-per-unit constants to recorded ``engine_run`` spans reduces
-  the predicted-vs-observed relative error against the uncalibrated
-  reading (one shared constant across engines);
-- **profiler overhead**: the stack sampler at its default 100 Hz adds
-  under 5% to a busy Monte-Carlo run (it only snapshots
-  ``sys._current_frames()``; the cost is the GIL handoff per wake).
+The claim about the ``repro.perf`` subsystem to verify: fitting the
+cost model's per-engine seconds-per-unit constants to recorded
+``engine_run`` spans reduces the predicted-vs-observed relative error
+against the uncalibrated reading (one shared constant across engines).
 """
 
-import time
-
-from repro.core import PositionedInstance, ric_montecarlo
+from repro.core import PositionedInstance
 from repro.dependencies import FD
 from repro.engine import PLANNER, Problem
 from repro.engine.cost import CostModel
 from repro.perf.calibrate import collect_engine_runs, fit_calibration
-from repro.perf.profiler import StackSampler
 from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget
 from repro.service.trace import tracing
@@ -38,13 +30,6 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
 def problem_for(n_rows: int, **kwargs) -> Problem:
     inst = instance_with_rows(n_rows)
     return Problem.from_instance(inst, inst.position("R", 0, "C"), **kwargs)
-
-
-def _time_once(fn) -> float:
-    """Wall-clock seconds of one call of *fn*."""
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 def test_e18_calibration(benchmark):
@@ -107,60 +92,3 @@ def test_e18_calibration(benchmark):
     estimate = model.estimate(problem_for(3, method="exact"), "exact")
     assert estimate.seconds is not None and estimate.seconds > 0
 
-
-def test_e18_profiler_overhead(benchmark):
-    """The default-rate sampler must add <5% to a busy Monte-Carlo run."""
-    prob = problem_for(4, method="montecarlo", samples=800)
-    inst, p = prob.resolved_instance(), prob.position_obj()
-
-    def kernel():
-        ric_montecarlo(inst, p, samples=800, seed=0)
-
-    def trial():
-        # Alternate plain/profiled rounds so machine drift (thermal,
-        # noisy neighbours) cancels instead of masquerading as sampler
-        # overhead, and compare the *minima*: the min is the
-        # least-contended observation of each configuration, and the
-        # profiled minimum still carries the sampler's full cost.
-        plain_samples, profiled_samples = [], []
-        total = 0
-        for _ in range(5):
-            plain_samples.append(_time_once(kernel))
-            with StackSampler() as sampler:
-                profiled_samples.append(_time_once(kernel))
-            total += sampler.samples
-        plain = min(plain_samples)
-        profiled = min(profiled_samples)
-        return plain, profiled, (profiled - plain) / plain * 100.0, total
-
-    def run():
-        kernel()  # warm-up (imports, caches)
-        # Best of three trials: the claim is the sampler's *inherent*
-        # cost (the GIL handoff per wake), and a single trial window can
-        # land on a stretch where every handoff crosses loaded cores.
-        # The least-contaminated trial is the honest estimate.
-        best = None
-        for _ in range(3):
-            plain, profiled, overhead, total = trial()
-            if best is None or overhead < best[2]:
-                best = (plain, profiled, overhead, total)
-            if best[2] < 5.0:
-                break
-        plain, profiled, overhead, total = best
-        return [
-            (
-                "mc 800 samples",
-                f"{plain * 1e3:.1f} ms",
-                f"{profiled * 1e3:.1f} ms",
-                f"{overhead:+.2f}%",
-                total,
-            )
-        ], overhead
-
-    rows, overhead = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "E18c: profiler overhead (default 100 Hz sampling)",
-        ["workload", "unprofiled", "profiled", "overhead", "samples"],
-        rows,
-    )
-    assert overhead < 5.0, rows

@@ -9,7 +9,6 @@ Usage::
     python -m repro batch jobs.jsonl --workers 4 --cache cache.jsonl
     python -m repro batch jobs.jsonl --processes --retries 3
     python -m repro batch jobs.jsonl --trace-out t.json --out report.json
-    python -m repro batch jobs.jsonl --profile --profile-out profile.folded
     python -m repro metrics-report --metrics report.json --trace t.json
     python -m repro perf calibrate --trace t.json --out cost_calibration.json
 
@@ -29,11 +28,10 @@ a span tree (Chrome/Perfetto format), and ``--processes`` shards
 Monte-Carlo sampling over worker processes (their counters and spans
 are merged back);
 ``--retries N`` gives each such chunk at most N attempts when its worker
-dies.
-``--profile`` attaches the stdlib stack
-sampler for the whole batch (``--profile-out`` writes flamegraph-ready
-collapsed stacks).  ``metrics-report`` pretty-prints those artifacts,
-and ``perf calibrate`` fits the cost model to a recorded trace (see
+dies.  The report's counters and the kernels' spans carry the work a
+measurement cost: worlds, oracle calls, pruning checks and prune hits.
+``metrics-report`` pretty-prints those artifacts, and ``perf
+calibrate`` fits the cost model to a recorded trace (see
 :mod:`repro.perf`).
 """
 
@@ -146,19 +144,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="enable span tracing and write a Chrome trace-event JSON "
         "file here (open at chrome://tracing or ui.perfetto.dev)",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the sampling profiler for the whole batch and "
-        "print the hottest frames (per active span with --trace-out) "
-        "to stderr",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="write flamegraph-ready collapsed stacks here "
-        "(implies --profile; feed to flamegraph.pl / speedscope)",
-    )
     return parser
 
 
@@ -253,8 +238,6 @@ def batch_main(argv: List[str]) -> int:
     if tracing:
         TRACER.reset()
         TRACER.enable()
-    profiling = args.profile or bool(args.profile_out)
-    sampler = None
     try:
         validate_batch_options(
             workers=args.workers,
@@ -268,14 +251,9 @@ def batch_main(argv: List[str]) -> int:
         for option, value in (
             ("--out", args.out),
             ("--trace-out", args.trace_out),
-            ("--profile-out", args.profile_out),
             ("--cache", args.cache),
         ):
             check_output_path(option, value)
-        if profiling:
-            from repro.perf.profiler import StackSampler
-
-            sampler = StackSampler().start()
         # The report counts this batch only, the cache load included: a
         # quarantined cache file records its recovery at load.
         METRICS.reset()
@@ -297,8 +275,6 @@ def batch_main(argv: List[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if sampler is not None:
-            sampler.stop()
         if tracing:
             TRACER.disable()
 
@@ -308,16 +284,12 @@ def batch_main(argv: List[str]) -> int:
         except OSError as exc:
             print(f"warning: cache not saved: {exc}", file=sys.stderr)
 
-    try:
-        if tracing:
+    if tracing:
+        try:
             save_trace(args.trace_out, TRACER.drain())
-        if sampler is not None and args.profile_out:
-            sampler.write_collapsed(args.profile_out)
-    except OSError as exc:
-        print(f"warning: observability output not saved: {exc}",
-              file=sys.stderr)
-    if sampler is not None:
-        print(sampler.summary(), file=sys.stderr, end="")
+        except OSError as exc:
+            print(f"warning: observability output not saved: {exc}",
+                  file=sys.stderr)
 
     text = format_report(report)
     if args.out:

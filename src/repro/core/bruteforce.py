@@ -13,6 +13,7 @@ from functools import partial
 from itertools import product
 from typing import Optional
 
+from repro.core.measure import bruteforce_fits
 from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import sweep
 from repro.core.worlds import World, check_deadline
@@ -52,19 +53,16 @@ def inf_k_bruteforce(
     instance: PositionedInstance,
     p: Position,
     k: int,
-    max_worlds: Optional[int] = 5_000_000,
     deadline: Optional[float] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` by literal enumeration.
 
-    *max_worlds* bounds ``2^(n−1) · k^(e+1)`` oracle calls (roughly); it
-    exists to keep accidental large runs from hanging.  The sweep itself
-    (its guard, consistency check and deadline) is
-    :func:`repro.core.symbolic.sweep`.
+    Refuses an instance past :func:`repro.core.measure.bruteforce_fits`,
+    so an accidental large run cannot hang.  The sweep itself (its
+    consistency check and deadline) is :func:`repro.core.symbolic.sweep`.
     """
     n = len(instance.positions)
-    rough_cost = (2 ** (n - 1)) * (k ** min(n, 1 + n - 1))
-    if max_worlds is not None and rough_cost > max_worlds * k:
+    if not bruteforce_fits(n, k):
         raise ValueError(
             f"brute force over {n} positions at k={k} is out of budget; "
             "use the symbolic engine"

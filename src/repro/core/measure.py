@@ -9,9 +9,11 @@ a positioned instance over its lowered XFD tables, so its worlds get the
 same oracle, pruning and FD chase as relational ones.
 
 The method names per operation, the ``"auto"`` ladders the planner
-walks, and the exact sweeps' size guard are defined here, next to the
-table they index.  Each kernel module is imported when its method first
-runs, so callers that need only these constants load no kernel.
+walks, and the kernels' size guards are defined here, next to the table
+they index: the kernels refuse by them and the planner's cost model
+skips by them, so a plan never picks a stage its kernel would refuse.
+Each kernel module is imported when its method first runs, so callers
+that need only these constants load no kernel.
 """
 
 from __future__ import annotations
@@ -23,9 +25,30 @@ if TYPE_CHECKING:
     from repro.core.montecarlo import MCEstimate
     from repro.core.positions import Position, PositionedInstance
 
-#: The exact sweeps' default guard: more than ``EXACT_MAX_POSITIONS + 1``
+#: The exact sweeps' guard: more than ``EXACT_MAX_POSITIONS + 1``
 #: positions (``2^EXACT_MAX_POSITIONS`` revealed sets) is refused.
 EXACT_MAX_POSITIONS = 18
+
+#: Brute force's ceiling: at most ``BRUTEFORCE_MAX_WORLDS · k``
+#: enumerations (see :func:`bruteforce_fits`).
+BRUTEFORCE_MAX_WORLDS = 5_000_000
+
+
+def exact_fits(n: int) -> bool:
+    """Does an exact sweep over *n* positions pass the size guard?"""
+    return n <= EXACT_MAX_POSITIONS + 1
+
+
+def bruteforce_fits(n: int, k: int) -> bool:
+    """Does brute force over *n* positions at *k* pass its guards?
+
+    It sweeps ``2^(n−1)`` revealed sets and enumerates up to ``k^n``
+    completions in each, a rough ``2^(n−1) · k^n`` oracle calls.
+    """
+    return exact_fits(n) and 2 ** max(0, n - 1) * k**n <= (
+        BRUTEFORCE_MAX_WORLDS * max(k, 1)
+    )
+
 
 #: ``"auto"`` preference ladders per operation: exactness first, the
 #: scalable estimator (or the enumeration ground truth) as fallback.

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.positions import Position, PositionedInstance
-from repro.core.symbolic import require_consistent, world_limit_ratio
+from repro.core.symbolic import WorkCounts, require_consistent, world_limit_ratio
 from repro.core.worlds import World, check_deadline
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
@@ -106,7 +106,7 @@ def ric_mc_chunk(
     others = [q for q in instance.positions if q != p]
     total = 0.0
     total_sq = 0.0
-    chased = 0
+    counts = WorkCounts()
     with TRACER.span("mc.chunk", start=start, count=count, seed=seed) as span:
         for j in range(start, start + count):
             check_deadline(deadline)
@@ -114,13 +114,12 @@ def ric_mc_chunk(
             revealed = frozenset(q for q in others if rng.random() < 0.5)
             world = World(instance, p, revealed)
             ratio = float(world_limit_ratio(world, deadline))
-            chased += world.chased
+            counts.add(world)
             total += ratio
             total_sq += ratio * ratio
-        span.set(chased=chased)
+        counts.record(span)
     METRICS.inc("ric.mc.samples", count)
     METRICS.inc("ric.mc.chunks")
-    METRICS.inc("ric.worlds.chased", chased)
     return MCChunk(total=total, total_sq=total_sq, samples=count)
 
 

@@ -36,7 +36,8 @@ Otherwise it searches the fresh class first:
 
 The kernels refuse an instance that violates its own ``Σ``
 (:func:`require_consistent`): on one, some worlds have no satisfying
-class at all.
+class at all.  They sum the work each world counted with
+:class:`WorkCounts`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
-from repro.core.measure import EXACT_MAX_POSITIONS
+from repro.core.measure import exact_fits
 from repro.core.patterns import max_fresh, pattern_counts
 from repro.core.positions import Position, PositionedInstance
 from repro.core.worlds import FRESH, World, check_deadline
@@ -68,6 +69,42 @@ def falling_factorial(n: int, b: int) -> int:
         if result == 0:
             return 0
     return max(result, 0) if n >= b else 0
+
+
+class WorkCounts:
+    """The work tallies of the worlds a kernel visited, summed.
+
+    :meth:`add` folds in one world; :meth:`record` writes the sums to the
+    kernel's span and to the registry (``ric.worlds.chased``,
+    ``ric.oracle.calls``, ``ric.prune.calls``, ``ric.prune.hits``), so
+    they are counted with tracing on or off.
+    """
+
+    __slots__ = ("worlds", "chased", "oracle_calls", "prune_calls", "prune_hits")
+
+    def __init__(self) -> None:
+        self.worlds = self.chased = self.oracle_calls = 0
+        self.prune_calls = self.prune_hits = 0
+
+    def add(self, world: World) -> None:
+        self.worlds += 1
+        self.chased += world.chased
+        self.oracle_calls += world.oracle_calls
+        self.prune_calls += world.prune_calls
+        self.prune_hits += world.prune_hits
+
+    def record(self, span) -> None:
+        span.set(
+            worlds=self.worlds,
+            chased=self.chased,
+            oracle_calls=self.oracle_calls,
+            prune_calls=self.prune_calls,
+            prune_hits=self.prune_hits,
+        )
+        METRICS.inc("ric.worlds.chased", self.chased)
+        METRICS.inc("ric.oracle.calls", self.oracle_calls)
+        METRICS.inc("ric.prune.calls", self.prune_calls)
+        METRICS.inc("ric.prune.hits", self.prune_hits)
 
 
 def require_consistent(instance: PositionedInstance) -> None:
@@ -162,7 +199,6 @@ def sweep(
     per_world: Callable[..., Any],
     zero: Any,
     engine: str,
-    max_positions: int = EXACT_MAX_POSITIONS,
     deadline: Optional[float] = None,
 ) -> Any:
     """The exact average of ``per_world(world, deadline=deadline)`` over
@@ -171,52 +207,46 @@ def sweep(
     Starts the sum from *zero* (``Fraction(0)`` or ``0.0``) and visits the
     revealed sets in :func:`revealed_subsets` order, so the result is the
     same bit for bit whichever kernel calls it.  The sweep is over
-    ``2^(n−1)`` revealed sets; *max_positions* guards the exponent (use
-    the Monte-Carlo engine beyond it).  *deadline* is checked per world
-    here and inside one by *per_world*.
+    ``2^(n−1)`` revealed sets; :func:`repro.core.measure.exact_fits`
+    guards the exponent (use the Monte-Carlo engine beyond it).
+    *deadline* is checked per world here and inside one by *per_world*.
     """
     n = len(instance.positions)
-    if n > max_positions + 1:
+    if not exact_fits(n):
         raise ValueError(
             f"{n} positions exceed the exact-sweep budget; "
             "use ric_montecarlo instead"
         )
     require_consistent(instance)
     total = zero
-    count = chased = 0
+    counts = WorkCounts()
     with TRACER.span("ric.sweep", engine=engine, positions=n) as span:
         for revealed in revealed_subsets(instance, p):
             check_deadline(deadline)
             world = World(instance, p, revealed)
             total += per_world(world, deadline=deadline)
-            chased += world.chased
-            count += 1
-        span.set(worlds=count, chased=chased)
+            counts.add(world)
+        counts.record(span)
     METRICS.inc("ric.sweeps")
-    METRICS.inc("ric.sweep.worlds", count)
-    METRICS.inc("ric.worlds.chased", chased)
-    return total / count
+    METRICS.inc("ric.sweep.worlds", counts.worlds)
+    return total / counts.worlds
 
 
 def inf_k_symbolic(
     instance: PositionedInstance,
     p: Position,
     k: int,
-    max_positions: int = EXACT_MAX_POSITIONS,
     deadline: Optional[float] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` in bits (averaged over all revealed sets)."""
     per_world = partial(world_entropy_k, k=k)
-    return sweep(instance, p, per_world, 0.0, "entropy_k", max_positions, deadline)
+    return sweep(instance, p, per_world, 0.0, "entropy_k", deadline)
 
 
 def ric_exact(
     instance: PositionedInstance,
     p: Position,
-    max_positions: int = EXACT_MAX_POSITIONS,
     deadline: Optional[float] = None,
 ) -> Fraction:
     """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``."""
-    return sweep(
-        instance, p, world_limit_ratio, Fraction(0), "exact", max_positions, deadline
-    )
+    return sweep(instance, p, world_limit_ratio, Fraction(0), "exact", deadline)

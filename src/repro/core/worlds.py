@@ -77,6 +77,11 @@ class World:
     The erased cells, the revealed values, the satisfaction oracle and
     the pruning state are built on first use, so a world the chase
     decides (:meth:`forced_by_chase`) pays for none of them.
+
+    A world counts its own work: whether the chase decided it
+    (``chased``), its oracle calls (``oracle_calls``), its pruning
+    checks (``prune_calls``) and the checks that pruned
+    (``prune_hits``).  The kernels sum these over the worlds they visit.
     """
 
     def __init__(
@@ -92,6 +97,9 @@ class World:
         self.revealed = frozenset(revealed)
         #: Did :meth:`forced_by_chase` decide this world?
         self.chased = False
+        self.oracle_calls = 0
+        self.prune_calls = 0
+        self.prune_hits = 0
 
     @cached_property
     def erased(self) -> List[Position]:
@@ -130,6 +138,7 @@ class World:
     def satisfies(self, candidate: Any, completion: Sequence[Any]) -> bool:
         """Oracle: does ``p := candidate`` plus *completion* at the erased
         positions satisfy every constraint?"""
+        self.oracle_calls += 1
         return self._oracle([candidate] + list(completion))
 
     @cached_property
@@ -151,6 +160,9 @@ class World:
         :class:`~repro.core.pruning.PruningState`; ``False`` when no
         constraint of the instance can be pruned.
         """
-        if self._pruning is None:
-            return False
-        return self._pruning.extend(cell, value, budget)
+        self.prune_calls += 1
+        pruning = self._pruning
+        if pruning is not None and pruning.extend(cell, value, budget):
+            self.prune_hits += 1
+            return True
+        return False

@@ -9,11 +9,10 @@ deterministic by construction.  The units are abstract "world visits",
 comparable *between* engines on the same problem; the planner only ever
 compares estimates, it never interprets them as seconds.
 
-Feasibility mirrors the engines' own hard guards (the exact sweep's
-``max_positions``, brute force's ``max_worlds``) so a plan never chooses
-a stage the engine itself would refuse.  The sweep guard a plan applies
-is the budget's :attr:`~repro.service.budget.Budget.exact_max_positions`
-(default :data:`EXACT_MAX_POSITIONS`, the exact kernels' own default).
+Feasibility is the kernels' own size guards
+(:func:`~repro.core.measure.exact_fits` and
+:func:`~repro.core.measure.bruteforce_fits`), so a plan never chooses a
+stage the kernel itself would refuse.
 
 **Calibration** (optional): ``python -m repro perf calibrate`` fits one
 observed seconds-per-unit constant per engine from recorded
@@ -32,11 +31,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.measure import EXACT_MAX_POSITIONS
+from repro.core.measure import EXACT_MAX_POSITIONS, bruteforce_fits, exact_fits
 from repro.engine.problem import Problem
-
-#: Mirrors ``inf_k_bruteforce``'s default oracle-call ceiling.
-BRUTEFORCE_MAX_WORLDS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -132,20 +128,14 @@ class CostModel:
             return None
         return coefficient * units
 
-    def estimate(
-        self,
-        problem: Problem,
-        engine: str,
-        exact_max_positions: int = EXACT_MAX_POSITIONS,
-    ) -> CostEstimate:
-        """The :class:`CostEstimate` of *engine* on *problem*, with
-        *exact_max_positions* as the sweep guard."""
+    def estimate(self, problem: Problem, engine: str) -> CostEstimate:
+        """The :class:`CostEstimate` of *engine* on *problem*."""
         n = problem.num_positions
         per_world = max(1, n) * (problem.num_dependencies + 1)
 
         if engine in ("exact", "symbolic"):
             worlds = _pow2(max(0, n - 1))
-            feasible = n <= exact_max_positions + 1
+            feasible = exact_fits(n)
             units = worlds * per_world
             return CostEstimate(
                 engine=engine,
@@ -156,7 +146,7 @@ class CostModel:
                     ""
                     if feasible
                     else f"{n} positions exceed the exact-sweep "
-                    f"budget ({exact_max_positions})"
+                    f"budget ({EXACT_MAX_POSITIONS})"
                 ),
                 seconds=self.predicted_seconds(engine, units),
             )
@@ -174,17 +164,13 @@ class CostModel:
             k = problem.k or 0
             worlds = _pow2(max(0, n - 1))
             # Every world enumerates up to k^(erased+1) completions; the
-            # erased set can be all other positions, so k^n bounds it —
-            # the same rough figure inf_k_bruteforce guards on.
+            # erased set can be all other positions, so k^n bounds it.
             try:
                 completions = float(k**n)
             except OverflowError:
                 completions = float("inf")
             units = worlds * completions
-            feasible = (
-                n <= exact_max_positions + 1
-                and units <= BRUTEFORCE_MAX_WORLDS * max(k, 1)
-            )
+            feasible = bruteforce_fits(n, k)
             return CostEstimate(
                 engine=engine,
                 worlds=worlds,

@@ -192,11 +192,7 @@ class Planner:
         ):
             for name in ladder(problem.op, problem.method):
                 with TRACER.span("cost_estimate", engine=name):
-                    estimate = self.cost_model.estimate(
-                        problem,
-                        name,
-                        exact_max_positions=budget.exact_max_positions,
-                    )
+                    estimate = self.cost_model.estimate(problem, name)
                 steps.append(
                     PlanStep(
                         engine=name,

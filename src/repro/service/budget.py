@@ -1,16 +1,16 @@
-"""Per-job budgets: wall-clock and size limits, and the typed error a
-job fails with when they are exhausted.
+"""Per-job budgets: the wall-clock limit, and the typed error a job
+fails with when it is exhausted.
 
 The exact ``RIC`` sweep is ``Θ(2^(n−1))`` in the number of positions, so
-an unguarded service would hang on the first oversized request.  A
-:class:`Budget` bounds each job two ways:
+an unguarded service would hang on the first oversized request.  A job
+is bounded two ways:
 
-- **size** — instances with more than ``exact_max_positions`` positions
-  never enter the exact sweep (the planner's cost model marks the stage
-  infeasible and the plan skips it);
-- **time** — each plan stage gets the remaining wall-clock allowance as
-  a deadline that its kernel checks once per world or sample and at
-  every pattern-search node.  A stage past it stops, so no work is left
+- **size** — instances past the exact sweep's guard
+  (:func:`repro.core.measure.exact_fits`) never enter it (the planner's
+  cost model marks the stage infeasible and the plan skips it);
+- **time** — under a :class:`Budget`, each plan stage gets the
+  remaining wall-clock allowance as a deadline that its kernel checks
+  once per world or sample and at every pattern-search node.  A stage past it stops, so no work is left
   running, and the next stage gets what is left.  When the chain is
   exhausted the job fails with a structured :class:`BudgetExceeded`
   carrying the stage history — never a hang, never a bare
@@ -27,33 +27,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.measure import EXACT_MAX_POSITIONS
-from repro.service.validate import check_positive_int, check_timeout
+from repro.service.validate import check_timeout
 
 
 @dataclass(frozen=True)
 class Budget:
     """Resource limits applied to a single job.
 
-    ``wall_seconds=None`` disables the clock (size limits still apply);
-    ``exact_max_positions`` is the exact sweep guard every plan applies,
-    and so the exact→Monte-Carlo degradation threshold (default: the
-    exact kernels' own guard, ``measure.EXACT_MAX_POSITIONS``).
+    ``wall_seconds=None`` disables the clock (the kernels' size guards
+    still apply).
     """
 
     wall_seconds: Optional[float] = None
-    exact_max_positions: int = EXACT_MAX_POSITIONS
 
     def __post_init__(self):
         # Shared bounds validation (raises ValidationError, a ValueError).
         check_timeout("wall_seconds", self.wall_seconds)
-        check_positive_int("exact_max_positions", self.exact_max_positions)
 
     def to_dict(self) -> dict:
-        return {
-            "wall_seconds": self.wall_seconds,
-            "exact_max_positions": self.exact_max_positions,
-        }
+        return {"wall_seconds": self.wall_seconds}
 
 
 class BudgetExceeded(RuntimeError):

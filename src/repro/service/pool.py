@@ -2,12 +2,12 @@
 
 Two parallelism axes, both ``concurrent.futures``-backed:
 
-- **within a job** — :func:`ric_montecarlo_parallel` splits the sample
-  range ``[0, samples)`` into near-equal contiguous chunks, evaluates
-  each via :func:`repro.core.montecarlo.ric_mc_chunk`, and merges the
-  sufficient statistics.  Because the sampler is counter-based (sample
-  ``j`` is seeded by ``(seed, j)``), the merged estimate is **bit-equal**
-  to the serial one for any worker count;
+- **within a job** — :meth:`WorkerPool.ric_montecarlo` splits the
+  sample range ``[0, samples)`` into near-equal contiguous chunks,
+  evaluates each via :func:`repro.core.montecarlo.ric_mc_chunk`, and
+  merges the sufficient statistics.  Because the sampler is
+  counter-based (sample ``j`` is seeded by ``(seed, j)``), the merged
+  estimate is **bit-equal** to the serial one for any worker count;
 - **across jobs** — the batch runner submits independent jobs to
   :attr:`WorkerPool.executor`.
 
@@ -290,19 +290,3 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-
-def ric_montecarlo_parallel(
-    instance: PositionedInstance,
-    p: Position,
-    samples: int = 200,
-    seed: int = 0,
-    workers: int = 4,
-    use_processes: bool = False,
-) -> MCEstimate:
-    """One-shot convenience wrapper around :meth:`WorkerPool.ric_montecarlo`.
-
-    With a fixed *seed* the result is identical for every *workers* value
-    (including the serial ``ric_montecarlo(instance, p, samples, seed=seed)``).
-    """
-    with WorkerPool(workers=workers, use_processes=use_processes) as pool:
-        return pool.ric_montecarlo(instance, p, samples=samples, seed=seed)

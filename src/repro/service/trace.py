@@ -156,10 +156,6 @@ class Tracer:
         self._finished: List[Span] = []
         self._adopted: List[dict] = []
         self._tids: Dict[int, int] = {}
-        # thread ident -> that thread's live nesting stack (the same
-        # list object _stack() owns), so the profiler can read each
-        # thread's innermost open span from outside the thread.
-        self._stacks: Dict[int, List[Span]] = {}
         self.max_spans = max_spans
         #: Spans discarded because ``max_spans`` was reached.
         self.dropped = 0
@@ -219,28 +215,8 @@ class Tracer:
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
-            stack = []
-            self._local.stack = stack
-            with self._lock:
-                self._stacks[threading.get_ident()] = stack
+            stack = self._local.stack = []
         return stack
-
-    def active_span_names(self) -> Dict[int, str]:
-        """Thread ident -> the name of that thread's innermost open span.
-
-        The cross-thread view the stack sampler joins profiles against;
-        threads with no open span are omitted.  Reads are a snapshot —
-        racing with span open/close can only ever miss or over-report
-        one boundary sample, never corrupt state (appends and pops on
-        the per-thread lists are atomic under the GIL).
-        """
-        with self._lock:
-            stacks = list(self._stacks.items())
-        active: Dict[int, str] = {}
-        for ident, stack in stacks:
-            if stack:
-                active[ident] = stack[-1].name
-        return active
 
     def _next_id_locked(self) -> str:
         self._counter += 1

@@ -1,0 +1,128 @@
+"""The kernels count their own work: worlds, chase decisions, oracle
+calls, pruning checks and prune hits, on the ``ric.sweep`` / ``mc.chunk``
+spans and in the registry.
+
+The expected figures are the ones an outside count reports (wrapping
+``World.satisfies`` and ``World.certainly_violated`` and counting their
+calls and true results) on the same problems.
+"""
+
+import json
+
+import pytest
+
+from repro.__main__ import main
+from repro.core import PositionedInstance
+from repro.core.montecarlo import ric_montecarlo
+from repro.core.symbolic import ric_exact
+from repro.dependencies import FD, MVD
+from repro.dependencies.jd import JD
+from repro.relational import Relation, RelationSchema
+from repro.service.metrics import METRICS
+from repro.service.trace import TRACER, tracing
+from repro.workloads.relational_gen import random_instance
+
+W2_ROWS = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
+
+COUNTERS = ("ric.worlds.chased", "ric.oracle.calls", "ric.prune.calls",
+            "ric.prune.hits")
+
+
+def w2(dependency) -> PositionedInstance:
+    schema = RelationSchema("R", ("A", "B", "C"))
+    return PositionedInstance.from_relation(
+        Relation(schema, W2_ROWS), [dependency]
+    )
+
+
+def w1() -> PositionedInstance:
+    deps = [FD("B", "C"), FD("A", "B")]
+    relation = random_instance("ABCD", fds=deps, n_rows=4, domain=3, seed=1)
+    return PositionedInstance.from_relation(relation, deps)
+
+
+def traced_sweep(instance, p):
+    """``(value, ric.sweep span attributes, registry counters)``."""
+    METRICS.reset()
+    with tracing():
+        value = ric_exact(instance, p)
+    (span,) = [s for s in TRACER.drain() if s["name"] == "ric.sweep"]
+    return value, span["attrs"], METRICS.snapshot()["counters"]
+
+
+@pytest.mark.parametrize(
+    "dependency", [MVD("B", "A"), JD("AB", "BC")], ids=["mvd", "jd"]
+)
+def test_w2_sweep_counts_its_search(dependency):
+    instance = w2(dependency)
+    value, attrs, counters = traced_sweep(instance, instance.positions[0])
+    assert str(value) == "10049/12288"
+    expected = {"worlds": 2048, "chased": 0, "oracle_calls": 2851,
+                "prune_calls": 97288, "prune_hits": 53158}
+    assert {k: attrs[k] for k in expected} == expected
+    assert counters["ric.sweep.worlds"] == 2048
+    assert [counters[name] for name in COUNTERS] == [0, 2851, 97288, 53158]
+
+
+def test_w1_sweep_is_decided_by_the_chase():
+    instance = w1()
+    value, attrs, counters = traced_sweep(instance, instance.positions[2])
+    assert str(value) == "7/8"
+    expected = {"worlds": 2048, "chased": 2048, "oracle_calls": 0,
+                "prune_calls": 0, "prune_hits": 0}
+    assert {k: attrs[k] for k in expected} == expected
+    assert [counters[name] for name in COUNTERS] == [2048, 0, 0, 0]
+
+
+def test_counts_do_not_need_the_tracer():
+    instance = w2(MVD("B", "A"))
+    METRICS.reset()
+    ric_exact(instance, instance.positions[0])
+    assert [METRICS.get(name) for name in COUNTERS] == [0, 2851, 97288, 53158]
+
+
+def test_mc_chunk_span_carries_the_counts():
+    instance = w2(MVD("B", "A"))
+    METRICS.reset()
+    with tracing():
+        ric_montecarlo(instance, instance.positions[0], samples=30, seed=3)
+    (span,) = [s for s in TRACER.drain() if s["name"] == "mc.chunk"]
+    counters = METRICS.snapshot()["counters"]
+    assert span["attrs"]["worlds"] == 30
+    assert counters["ric.oracle.calls"] > 0
+    assert counters["ric.prune.hits"] > 0
+    for name, attr in zip(COUNTERS, ("chased", "oracle_calls",
+                                     "prune_calls", "prune_hits")):
+        assert counters[name] == span["attrs"][attr]
+
+
+MC_JOB = {
+    "kind": "measure",
+    "design": "R(A,B,C); B->>A",
+    "rows": [list(row) for row in W2_ROWS],
+    "position": [0, "A"],
+    "method": "montecarlo",
+    "samples": 30,
+    "seed": 3,
+}
+
+
+def batch_counters(tmp_path, *flags):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(json.dumps(MC_JOB) + "\n", encoding="utf-8")
+    out = tmp_path / f"report{len(flags)}.json"
+    assert main(["batch", str(jobs), "--workers", "2", "--out", str(out),
+                 *flags]) == 0
+    counters = json.loads(out.read_text(encoding="utf-8"))["metrics"][
+        "counters"]
+    return [counters.get(name) for name in COUNTERS]
+
+
+def test_batch_counts_the_same_over_threads_and_processes(tmp_path):
+    instance = w2(MVD("B", "A"))
+    METRICS.reset()
+    ric_montecarlo(instance, instance.positions[0], samples=30, seed=3)
+    serial = [METRICS.get(name) for name in COUNTERS]
+    assert serial[1] > 0 and serial[2] > 0
+    assert batch_counters(tmp_path) == serial
+    assert batch_counters(tmp_path, "--processes") == serial

@@ -32,10 +32,14 @@ def problem(n_rows=2, **kwargs):
     return Problem.from_instance(inst, inst.position("R", 0, "C"), **kwargs)
 
 
+#: Rows past the exact sweep's guard: 7 rows x 3 attributes = 21 positions.
+OVERSIZED = 7
+
+
 class TestPlanDeterminism:
     def test_plan_is_a_pure_function_of_problem_and_budget(self):
-        prob = problem(3)
-        budget = Budget(exact_max_positions=4)
+        prob = problem(OVERSIZED)
+        budget = Budget(wall_seconds=5)
         assert PLANNER.plan(prob, budget) == PLANNER.plan(prob, budget)
         # A fresh planner instance agrees too: no hidden state.
         assert Planner().plan(prob, budget) == PLANNER.plan(prob, budget)
@@ -49,11 +53,14 @@ class TestPlanDeterminism:
         assert not any(k.startswith("ric.") for k in snapshot)
 
     def test_budget_changes_the_plan(self):
+        # The budget's clock is part of the plan; the size guard is the
+        # kernels' own, so the chosen engine depends on the problem.
         prob = problem(3)  # 9 positions
-        roomy = PLANNER.plan(prob, Budget(exact_max_positions=18))
-        tight = PLANNER.plan(prob, Budget(exact_max_positions=4))
-        assert roomy.chosen == "exact"
-        assert tight.chosen == "montecarlo"
+        timed = PLANNER.plan(prob, Budget(wall_seconds=5))
+        untimed = PLANNER.plan(prob, Budget())
+        assert timed != untimed and timed.wall_seconds == 5
+        assert timed.chosen == untimed.chosen == "exact"
+        assert PLANNER.plan(problem(OVERSIZED), Budget()).chosen == "montecarlo"
 
 
 class TestFallbackChain:
@@ -71,7 +78,7 @@ class TestFallbackChain:
         assert plan.fallbacks == ()
 
     def test_oversized_exact_is_skipped_with_a_reason(self):
-        plan = PLANNER.plan(problem(3), Budget(exact_max_positions=4))
+        plan = PLANNER.plan(problem(OVERSIZED))
         step = plan.steps[0]
         assert (step.engine, step.action) == ("exact", "skip:size")
         assert "positions" in step.estimate.reason
@@ -80,8 +87,8 @@ class TestFallbackChain:
     def test_exhausted_chain_raises_the_structured_error(self):
         # Same stage history the old degradation ladder produced; the
         # sample count is worth seconds of work against a 50 ms budget.
-        prob = problem(6, samples=200_000)
-        budget = Budget(wall_seconds=0.05, exact_max_positions=4)
+        prob = problem(OVERSIZED, samples=200_000)
+        budget = Budget(wall_seconds=0.05)
         with pytest.raises(BudgetExceeded) as excinfo:
             PLANNER.plan_and_run(prob, budget=budget)
         assert excinfo.value.stages == [
@@ -90,7 +97,7 @@ class TestFallbackChain:
         ]
 
     def test_explain_names_every_stage(self):
-        text = PLANNER.plan(problem(3), Budget(exact_max_positions=4)).explain()
+        text = PLANNER.plan(problem(OVERSIZED)).explain()
         assert "skip exact" in text
         assert "chosen montecarlo" in text
         assert "exceed the exact-sweep budget" in text
@@ -208,7 +215,7 @@ class TestInstrumentation:
 
     def test_counters_cover_plans_runs_and_degradations(self):
         METRICS.reset()
-        plan_and_run(problem(3), budget=Budget(exact_max_positions=4))
+        plan_and_run(problem(OVERSIZED, samples=20))
         counters = METRICS.snapshot()["counters"]
         assert counters["planner.plans"] == 1
         assert counters["engine.runs{engine=montecarlo}"] == 1

@@ -1,5 +1,4 @@
-"""``python -m repro perf calibrate`` and the batch CLI's profiling/output
-paths."""
+"""``python -m repro perf calibrate`` and the batch CLI's output paths."""
 
 import json
 import os
@@ -46,12 +45,12 @@ class TestBatchOutputPaths:
         jobs = tmp_path / "jobs.jsonl"
         jobs.write_text(JOB, encoding="utf-8")
         trace = tmp_path / "deep" / "nested" / "trace.json"
-        profile = tmp_path / "prof" / "stacks.collapsed"
+        report = tmp_path / "out" / "report.json"
         code = main(["batch", str(jobs),
                      "--trace-out", str(trace),
-                     "--profile-out", str(profile)])
+                     "--out", str(report)])
         assert code == 0
-        assert trace.exists() and profile.exists()
+        assert trace.exists() and report.exists()
 
     def test_directory_as_output_path_exits_two(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.jsonl"
@@ -93,17 +92,10 @@ class TestBatchOutputPaths:
             locked.chmod(0o700)
         assert code == 2
 
-    def test_profile_flag_prints_summary(self, tmp_path, capsys):
-        jobs = tmp_path / "jobs.jsonl"
-        jobs.write_text(JOB * 3, encoding="utf-8")
-        code = main(["batch", str(jobs), "--profile"])
-        assert code == 0
-        assert "Profile:" in capsys.readouterr().err
-
 
 def test_cli_import_loads_no_perf_module():
-    # The profiler and the calibrator load only under --profile and
-    # "perf calibrate", so every other CLI run skips their imports.
+    # The calibrator loads only under "perf calibrate", so every other
+    # CLI run skips its import.
     code = (
         "import sys, repro.__main__; "
         "print(sorted(m for m in sys.modules if m.startswith('repro.perf')))"

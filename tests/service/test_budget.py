@@ -44,10 +44,8 @@ class TestLadder:
         assert value == Fraction(7, 8)
 
     def test_oversized_instance_degrades_to_montecarlo(self):
-        # 9 positions > 4-position allowance
-        value, method = measure(
-            3, Budget(exact_max_positions=4), samples=60, seed=2
-        )
+        # 7 rows x 3 attributes = 21 positions, past the exact guard
+        value, method = measure(7, Budget(), samples=60, seed=2)
         assert method == "montecarlo"
         assert isinstance(value, MCEstimate)
         assert value.samples == 60
@@ -60,9 +58,9 @@ class TestLadder:
         assert isinstance(value, MCEstimate)
 
     def test_degraded_estimate_is_deterministic(self):
-        budget = Budget(exact_max_positions=4)
-        first, _ = measure(3, budget, samples=50, seed=9)
-        second, _ = measure(3, budget, samples=50, seed=9)
+        budget = Budget()
+        first, _ = measure(7, budget, samples=50, seed=9)
+        second, _ = measure(7, budget, samples=50, seed=9)
         assert first == second
 
 
@@ -71,9 +69,9 @@ class TestTimeout:
         # A sample count worth seconds of work under a 50 ms clock: the
         # Monte-Carlo stage cannot finish, so the ladder exhausts (exact
         # is skipped by size).
-        budget = Budget(wall_seconds=0.05, exact_max_positions=4)
+        budget = Budget(wall_seconds=0.05)
         with pytest.raises(BudgetExceeded) as excinfo:
-            measure(6, budget, samples=200_000)
+            measure(7, budget, samples=200_000)
         err = excinfo.value
         assert ("exact", "skipped:size") in err.stages
         assert ("montecarlo", "timeout") in err.stages
@@ -89,8 +87,6 @@ class TestTimeout:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             Budget(wall_seconds=0)
-        with pytest.raises(ValueError):
-            Budget(exact_max_positions=0)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.core import PositionedInstance, ric_montecarlo
 from repro.core.montecarlo import merge_mc_chunks, ric_mc_chunk
 from repro.dependencies import FD, MVD
 from repro.relational import Relation, RelationSchema
-from repro.service.pool import WorkerPool, chunk_ranges, ric_montecarlo_parallel
+from repro.service.pool import WorkerPool, chunk_ranges
 
 
 def bench_instance(n_rows: int = 4) -> PositionedInstance:
@@ -50,12 +50,8 @@ class TestChunkedDeterminism:
         p = inst.position("R", 0, "C")
         serial = ric_montecarlo(inst, p, samples=80, seed=3)
         for workers in (1, 2, 4, 8):
-            assert (
-                ric_montecarlo_parallel(
-                    inst, p, samples=80, seed=3, workers=workers
-                )
-                == serial
-            )
+            with WorkerPool(workers=workers) as pool:
+                assert pool.ric_montecarlo(inst, p, samples=80, seed=3) == serial
 
     def test_pools_equal_serial_once_the_instance_is_compiled(self):
         """The serial run compiles the instance's checks, closures that
@@ -69,13 +65,8 @@ class TestChunkedDeterminism:
         p = inst.positions[0]
         serial = ric_montecarlo(inst, p, samples=24, seed=3)
         for use_processes in (True, False):
-            assert (
-                ric_montecarlo_parallel(
-                    inst, p, samples=24, seed=3, workers=2,
-                    use_processes=use_processes,
-                )
-                == serial
-            )
+            with WorkerPool(workers=2, use_processes=use_processes) as pool:
+                assert pool.ric_montecarlo(inst, p, samples=24, seed=3) == serial
 
     def test_different_seeds_differ(self):
         inst = bench_instance()

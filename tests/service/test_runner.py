@@ -110,7 +110,7 @@ class TestBatchRunner:
     def test_budget_exceeded_is_structured_in_results(self):
         runner = BatchRunner(
             pool=WorkerPool(workers=2),
-            budget=Budget(wall_seconds=0.05, exact_max_positions=4),
+            budget=Budget(wall_seconds=0.05),
             metrics=Metrics(),
         )
         try:
@@ -120,7 +120,7 @@ class TestBatchRunner:
                         design="R(A,B,C); B->C",
                         rows=tuple(
                             (i, 2, 3) if i < 2 else (i, 20 + i, 30 + i)
-                            for i in range(6)
+                            for i in range(7)
                         ),
                         position=(0, "C"),
                         method="auto",

@@ -114,7 +114,9 @@ class TestThreadSafety:
     def test_concurrent_threads_keep_independent_stacks(self):
         tracer = Tracer()
         tracer.enable()
-        barrier = threading.Barrier(4)
+        # A thread that fails to start breaks the barrier for the others
+        # after the timeout, so the test fails instead of hanging.
+        barrier = threading.Barrier(4, timeout=30)
 
         def worker(tag):
             barrier.wait()
@@ -203,22 +205,6 @@ class TestAdoption:
         parent.enable()
         assert parent.adopt([], dropped=7) == []
         assert parent.dropped == 7
-
-
-class TestActiveSpanNames:
-    def test_reports_innermost_open_span_per_thread(self):
-        import threading
-
-        tracer = Tracer()
-        tracer.enable()
-        ident = threading.get_ident()
-        assert ident not in tracer.active_span_names()
-        with tracer.span("outer"):
-            assert tracer.active_span_names()[ident] == "outer"
-            with tracer.span("inner"):
-                assert tracer.active_span_names()[ident] == "inner"
-            assert tracer.active_span_names()[ident] == "outer"
-        assert ident not in tracer.active_span_names()
 
 
 class TestGlobalHelpers:

@@ -74,9 +74,7 @@ class TestSharedWiring:
     def test_budget_invariants(self):
         with pytest.raises(ValidationError):
             Budget(wall_seconds=-1)
-        with pytest.raises(ValidationError):
-            Budget(exact_max_positions=0)
-        Budget(wall_seconds=None, exact_max_positions=10)  # valid
+        Budget(wall_seconds=None)  # valid
 
     def test_worker_pool_bounds(self):
         with pytest.raises(ValidationError):
