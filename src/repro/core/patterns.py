@@ -55,12 +55,18 @@ def deficit_walker(
     than ``high`` (see :mod:`repro.core.pruning`), or whose cells left
     cannot reach ``low``.
 
+    Every leaf reached counts in ``world.leaves``.  When the instance's
+    pruning state decides leaves (every dependency an FD, an MVD or a
+    two-component JD over its whole schema; DESIGN §2.1, the leaf lemma),
+    a leaf the pruned walk reaches satisfies ``Σ`` and is counted without
+    the oracle; otherwise the oracle decides it.
+
     ``prune=False`` disables the pruning state — kept only for the
-    ablation benchmark (``bench_a01``), with *floor* 0; results must be
-    identical either way.  *deadline* is checked at every node, not only
-    at leaves: pruning cuts most subtrees before they reach one.
-    *max_leaves* bounds the leaves reached over all walks (raises
-    :class:`PatternBudgetExceeded` beyond it).
+    ablation benchmark (``bench_a01``), with *floor* 0 and the oracle at
+    every leaf; results must be identical either way.  *deadline* is
+    checked at every node, not only at leaves: pruning cuts most subtrees
+    before they reach one.  *max_leaves* bounds the leaves reached over
+    all walks (raises :class:`PatternBudgetExceeded` beyond it).
     """
     fixed_labels: List[Any] = list(world.fixed_values)
     if candidate is FRESH:
@@ -69,11 +75,12 @@ def deficit_walker(
     unknowns = [Unknown(i) for i in range(erased)]
     assignment: List[Any] = list(unknowns)
     fresh = [FreshValue(b) for b in range(erased)]
-    leaves = 0
+    first_leaf = world.leaves
 
     # Cell 0 of the world is p, cell i + 1 is erased[i]; each check assigns
     # one, and cuts when the cells after it must spend more than its budget.
     violated = world.certainly_violated
+    decided = prune and world.instance.pruning_decides_leaves
     floor = 0
     # The root's bound is the floor: the least budget it passes (0 mostly).
     if prune and violated(0, candidate, 0):
@@ -89,18 +96,16 @@ def deficit_walker(
         def recurse(i: int, blocks: int, spent: int) -> None:
             # Invariant: spent + (erased - i) >= low, so every leaf reached
             # lies in [low, high].
-            nonlocal leaves
             if deadline is not None:  # spare the call on every node
                 check_deadline(deadline)
             if i == erased:
-                if max_leaves is not None:
-                    leaves += 1
-                    if leaves > max_leaves:
-                        raise PatternBudgetExceeded(
-                            f"more than {max_leaves} patterns for world "
-                            f"(erased={erased})"
-                        )
-                if world.satisfies(candidate, assignment):
+                world.leaves += 1
+                if max_leaves is not None and world.leaves - first_leaf > max_leaves:
+                    raise PatternBudgetExceeded(
+                        f"more than {max_leaves} patterns for world "
+                        f"(erased={erased})"
+                    )
+                if decided or world.satisfies(candidate, assignment):
                     found[spent] = found.get(spent, 0) + 1
                 return
             # New fresh block: free, if the cells after it can still

@@ -93,6 +93,10 @@ class PositionedInstance:
         values, *constraints* per table name, and *cells*, each position's
         ``(table, row, column)`` cells in position order."""
         self._schemas, self._rows, self._cells = list(schemas), rows, cells
+        self._columns = {
+            pos: frozenset((r, c) for r, _i, c in pos_cells)
+            for pos, pos_cells in cells.items()
+        }
         self._constraints: Dict[str, List[Dependency]] = {
             name: list(deps) for name, deps in constraints.items()
         }
@@ -153,6 +157,12 @@ class PositionedInstance:
         if pos not in self._cells:
             raise KeyError(f"no such position: {pos}")
         return pos
+
+    def columns_of(self, pos: Position) -> FrozenSet[Tuple[int, int]]:
+        """The ``(table index, column index)`` pairs of *pos*'s cells: one
+        for a relational position, one per lowered table column for an
+        XML slot (none when no XFD reads it)."""
+        return self._columns[pos]
 
     def value_at(self, pos: Position) -> Any:
         """The instance's original value at *pos*."""
@@ -233,6 +243,13 @@ class PositionedInstance:
         an FD, so the pattern search decides."""
         chase = self._compile().chase
         return None if chase is None else chase.forced(p, revealed)
+
+    @property
+    def pruning_decides_leaves(self) -> bool:
+        """Does a complete assignment the pruning state passes satisfy
+        every dependency, so the pattern search needs no oracle at its
+        leaves?  See :class:`~repro.core.pruning.PruningPlan`."""
+        return self._compile().plan.decides_leaves
 
     def make_oracle(self, variable_positions: Sequence[Position]):
         """A fast satisfaction oracle over a fixed set of variable positions.

@@ -78,6 +78,12 @@ class PruningPlan:
     *variables* lists the ``(table, row, column)`` cells of each variable
     (a relational variable has one).  Every
     :class:`PruningState` of the instance shares the plan, on any thread.
+
+    ``decides_leaves`` holds when every dependency is an FD, an MVD, or a
+    JD over its whole table with at most two components: their checks
+    are exact once no cell is unknown, so a complete assignment that
+    :meth:`PruningState.extend` passes satisfies every dependency
+    (DESIGN §2.1, the leaf lemma).
     """
 
     def __init__(self, schemas, rows, constraints, values: Iterable[Any] = (), variables=()):
@@ -97,6 +103,9 @@ class PruningPlan:
                     self.tables[r].first[c] &= ~(1 << i)
                 seen.add((r, c))
         self.codes = codes
+        self.decides_leaves = all(
+            _exact_when_known(dep, s) for s in schemas for dep in constraints.get(s.name, ())
+        )
         self.checks = [
             tuple(ch for dep in constraints.get(s.name, ()) for ch in _compile(dep, s))
             for s in schemas
@@ -272,6 +281,15 @@ class _Table:
         for k in cols:
             mask &= eq[k][row[k]] | unknown[k]
         return mask
+
+
+def _exact_when_known(dep: Any, schema: Any) -> bool:
+    """Do *dep*'s checks decide it when every cell is known?  Those of a
+    JD with three or more components, or over part of the schema, only
+    prune (through the MVDs it implies)."""
+    if isinstance(dep, JD):
+        return len(dep.components) <= 2 and dep.attributes == schema.attrset
+    return isinstance(dep, (FD, MVD))
 
 
 @lru_cache(maxsize=256)

@@ -76,15 +76,16 @@ class WorkCounts:
 
     :meth:`add` folds in one world; :meth:`record` writes the sums to the
     kernel's span and to the registry (``ric.worlds.chased``,
-    ``ric.oracle.calls``, ``ric.prune.calls``, ``ric.prune.hits``), so
-    they are counted with tracing on or off.
+    ``ric.oracle.calls``, ``ric.prune.calls``, ``ric.prune.hits``,
+    ``ric.pattern.leaves``), so they are counted with tracing on or off.
     """
 
-    __slots__ = ("worlds", "chased", "oracle_calls", "prune_calls", "prune_hits")
+    __slots__ = ("worlds", "chased", "oracle_calls", "prune_calls", "prune_hits",
+                 "leaves")
 
     def __init__(self) -> None:
         self.worlds = self.chased = self.oracle_calls = 0
-        self.prune_calls = self.prune_hits = 0
+        self.prune_calls = self.prune_hits = self.leaves = 0
 
     def add(self, world: World) -> None:
         self.worlds += 1
@@ -92,6 +93,7 @@ class WorkCounts:
         self.oracle_calls += world.oracle_calls
         self.prune_calls += world.prune_calls
         self.prune_hits += world.prune_hits
+        self.leaves += world.leaves
 
     def record(self, span) -> None:
         span.set(
@@ -100,11 +102,13 @@ class WorkCounts:
             oracle_calls=self.oracle_calls,
             prune_calls=self.prune_calls,
             prune_hits=self.prune_hits,
+            leaves=self.leaves,
         )
         METRICS.inc("ric.worlds.chased", self.chased)
         METRICS.inc("ric.oracle.calls", self.oracle_calls)
         METRICS.inc("ric.prune.calls", self.prune_calls)
         METRICS.inc("ric.prune.hits", self.prune_hits)
+        METRICS.inc("ric.pattern.leaves", self.leaves)
 
 
 def require_consistent(instance: PositionedInstance) -> None:

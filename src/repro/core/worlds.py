@@ -80,8 +80,10 @@ class World:
 
     A world counts its own work: whether the chase decided it
     (``chased``), its oracle calls (``oracle_calls``), its pruning
-    checks (``prune_calls``) and the checks that pruned
-    (``prune_hits``).  The kernels sum these over the worlds they visit.
+    checks (``prune_calls``), the checks that pruned (``prune_hits``)
+    and the pattern leaves its searches reached (``leaves``, counted by
+    :func:`repro.core.patterns.deficit_walker`).  The kernels sum these
+    over the worlds they visit.
     """
 
     def __init__(
@@ -100,12 +102,24 @@ class World:
         self.oracle_calls = 0
         self.prune_calls = 0
         self.prune_hits = 0
+        self.leaves = 0
 
     @cached_property
     def erased(self) -> List[Position]:
-        """The positions neither revealed nor ``p``, in instance order."""
+        """The positions neither revealed nor ``p``: those with a cell in
+        one of ``p``'s table columns first, then the rest, each in
+        instance order.  The pattern search assigns them in this order;
+        the patterns it finds do not depend on it, but ``p``'s column
+        prunes soonest (DESIGN §2.1)."""
         hidden = self.revealed | {self.p}
-        return [q for q in self.instance.positions if q not in hidden]
+        columns_of = self.instance.columns_of
+        columns = columns_of(self.p)
+        shared: List[Position] = []
+        rest: List[Position] = []
+        for q in self.instance.positions:
+            if q not in hidden:
+                (rest if columns.isdisjoint(columns_of(q)) else shared).append(q)
+        return shared + rest
 
     @cached_property
     def fixed_values(self) -> Tuple[Any, ...]:

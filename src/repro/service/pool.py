@@ -17,7 +17,8 @@ correct everywhere; pass ``use_processes=True`` for CPU-bound sharding on
 multi-core machines (jobs and instances are picklable by construction).
 
 Chunk execution survives a dead worker: when a worker process dies
-(``BrokenProcessPool``) or the executor was shut down,
+(``BrokenProcessPool``), the executor was shut down, or a process
+executor lost the manager thread that resolves its futures,
 :meth:`WorkerPool.map_retrying` rebuilds the executor and resubmits only
 the chunks that failed, at once, up to ``retries`` attempts per chunk.
 Because chunk results are order-merged sufficient statistics, a
@@ -35,7 +36,7 @@ metrics report and trace tree are complete under process sharding.
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.service.errors import from_exception
@@ -50,6 +51,11 @@ from repro.service.validate import (
 if TYPE_CHECKING:
     from repro.core.montecarlo import MCChunk, MCEstimate
     from repro.core.positions import Position, PositionedInstance
+
+
+#: Seconds between the checks :meth:`WorkerPool.map_retrying` makes, while
+#: it waits, that an owned process executor can still resolve its futures.
+POLL_S = 0.5
 
 
 def chunk_ranges(samples: int, chunks: int) -> List[Tuple[int, int]]:
@@ -178,6 +184,11 @@ class WorkerPool:
         """
         if not self._owned:
             return
+        if self._lost():
+            # No manager thread is left to stop the workers: they would
+            # wait for work forever, and interpreter exit joins them.
+            for process in list((getattr(self._executor, "_processes", None) or {}).values()):
+                process.terminate()
         try:
             self._executor.shutdown(wait=self._use_processes)
         except Exception:  # noqa: BLE001 — a broken pool may refuse even this
@@ -188,8 +199,9 @@ class WorkerPool:
     def map_retrying(self, fn: Callable, items: Sequence) -> list:
         """Order-preserving map that reruns the items a dead worker lost.
 
-        A transient failure (``worker_crash``: a worker process died, or
-        the executor was shut down) resubmits only the failed items, at
+        A transient failure (``worker_crash``: a worker process died, the
+        executor was shut down, or it lost its manager thread with items
+        pending, see :meth:`_wait`) resubmits only the failed items, at
         once, rebuilding the executor if it broke; completed results are
         never recomputed.  Each item gets at most ``retries`` attempts,
         after which its :class:`~repro.service.errors.JobError` is
@@ -204,9 +216,16 @@ class WorkerPool:
             futures = [
                 (index, self._submit(fn, items[index])) for index in pending
             ]
+            lost = self._wait([future for _index, future in futures])
+            if lost:
+                self.rebuild()
             failed: List[int] = []
             for index, future in futures:
                 try:
+                    if future in lost:
+                        raise BrokenExecutor(
+                            "the executor lost its manager thread with work pending"
+                        )
                     results[index] = future.result()
                 except DeadlineExceeded:
                     raise  # the budget is spent: a retry cannot finish
@@ -221,6 +240,28 @@ class WorkerPool:
             TRACER.event("retry", attempt=attempt, failed=len(failed))
             pending = failed
         return results
+
+    def _wait(self, futures) -> set:
+        """Wait until every future resolves, and return those that never
+        will: the ones still pending once an owned process executor has
+        lost its manager thread (a thread the executor starts internally
+        can die, for example when a thread it starts in turn cannot get
+        its stack).  Checked every :data:`POLL_S` seconds."""
+        pending = set(futures)
+        while pending:
+            pending = wait(pending, timeout=POLL_S).not_done
+            if pending and self._lost():
+                # A dead manager thread resolved what it could first.
+                return wait(pending, timeout=0).not_done
+        return set()
+
+    def _lost(self) -> bool:
+        """Has the owned process executor's manager thread, which resolves
+        its futures, died?  (Thread and injected executors never count.)"""
+        if not (self._owned and self._use_processes):
+            return False
+        thread = getattr(self._executor, "_executor_manager_thread", None)
+        return thread is not None and not thread.is_alive()
 
     def _submit(self, fn, item):
         """Submit, rebuilding the executor once if it is broken or shut

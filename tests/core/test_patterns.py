@@ -7,15 +7,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.bruteforce import inf_k_bruteforce
+from repro.core.measure import bruteforce_fits
 from repro.core.patterns import deficit_walker, max_fresh, pattern_counts
 from repro.core.positions import PositionedInstance
-from repro.core.symbolic import revealed_subsets, ric_exact, world_limit_ratio
+from repro.core.symbolic import (
+    inf_k_symbolic, revealed_subsets, ric_exact, world_limit_ratio,
+)
 from repro.core.worlds import FRESH, FreshValue, World
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
 from repro.relational.relation import DatabaseInstance, Relation
 from repro.relational.schema import RelationSchema
+from repro.service.metrics import METRICS
 from repro.workloads.relational_gen import random_instance
 from repro.workloads.xml_gen import dblp_dtd, dblp_xfds, tiny_dblp_document
 from repro.xml.dtd import DTD, ElementDecl
@@ -144,11 +149,10 @@ class TestMaxDeficitCap:
         assert walk(0, 0) == {}
         assert max_fresh(world, FRESH) == (world.num_erased - 1, 1)
 
-    def test_cap_zero_is_one_oracle_call(self):
+    def test_cap_zero_is_one_leaf(self):
         world = world_for([(1, 2), (3, 4)], [FD("A", "B")], (0, "A"), [])
-        calls = counting(world)
         assert max_fresh(world, FRESH, max_deficit=0) == (world.num_erased, 1)
-        assert calls[0] == 1
+        assert world.leaves == 1
 
 
 ABC = RelationSchema("R", ("A", "B", "C"))
@@ -232,24 +236,24 @@ class TestPruningKeepsResults:
                 assert pruned == max_fresh(world, candidate, prune=False)
 
 
-def test_jd_searches_like_its_mvd(monkeypatch):
+def test_jd_searches_like_its_mvd():
     """A two-component JD prunes exactly as its MVD does."""
     rows = [(1, 1, 1), (2, 1, 1), (3, 2, 5)]
-    calls = []
-    oracle = World.satisfies
-
-    def satisfies(self, *args):
-        calls[-1] += 1
-        return oracle(self, *args)
-
-    monkeypatch.setattr(World, "satisfies", satisfies)
-    results = []
+    searches = []
     for dep in (MVD("B", "A"), JD("AB", "BC")):
         inst = PositionedInstance.from_relation(Relation(ABC, rows), [dep])
-        calls.append(0)
-        results.append(ric_exact(inst, inst.positions[0]))
-    assert results[0] == results[1]
-    assert calls[0] == calls[1]
+        searches.append(exact_with_counts(inst, inst.positions[0]))
+    assert searches[0] == searches[1]
+    assert searches[0][1] > 0
+
+
+def exact_with_counts(inst, p):
+    """``(ric_exact, pattern leaves, pruning checks)``, as the sweep
+    counts them into the registry."""
+    names = ("ric.pattern.leaves", "ric.prune.calls")
+    before = [METRICS.get(name) for name in names]
+    value = ric_exact(inst, p)
+    return (value, *(METRICS.get(name) - b for name, b in zip(names, before)))
 
 
 def relational(rows, *deps):
@@ -571,34 +575,57 @@ class TestPrunedPatternCounts:
                 assert pattern_counts(world, candidate) == expected
 
 
+def brute_force_cases():
+    """``(name, k)`` for every small instance and ``k`` in 2–4 that brute
+    force accepts: its guard passes and every value lies in ``[1, k]``,
+    the domain it enumerates.  The cyclic JD is not pruned, so its
+    symbolic sweep takes ~30 s per ``k``: the default profile skips it
+    and ``HYPOTHESIS_PROFILE=ci`` runs it."""
+    slow = pytest.mark.skipif(
+        os.environ.get("HYPOTHESIS_PROFILE", "default") == "default",
+        reason="~30 s per k; runs under HYPOTHESIS_PROFILE=ci",
+    )
+    for name, make in SMALL_INSTANCES.items():
+        inst = make()
+        for k in (2, 3, 4):
+            if bruteforce_fits(len(inst), k) and all(
+                isinstance(v, int) and 1 <= v <= k for v in inst.active_domain()
+            ):
+                yield pytest.param(name, k, marks=[slow] if name == "jd3" else [])
+
+
+class TestSymbolicInfKEqualsBruteForce:
+    """Symbolic ``INF_k`` counts patterns, and with the pruning state
+    deciding leaves it asks no oracle; brute force enumerates every
+    completion and asks the oracle of each, so it checks the leaf
+    verdict independently."""
+
+    @pytest.mark.parametrize("name,k", list(brute_force_cases()))
+    def test_equal_on_small_instances(self, name, k):
+        inst = SMALL_INSTANCES[name]()
+        p = inst.positions[0]
+        assert inf_k_symbolic(inst, p, k) == pytest.approx(
+            inf_k_bruteforce(inst, p, k), abs=1e-9
+        )
+
+
 class TestSavedWork:
     """The chase and the fresh-first order skip every class that cannot
-    change ``r(X)``; these oracle-call ceilings fail if a change walks
-    them again."""
+    change ``r(X)``; these leaf ceilings fail if a change walks them
+    again."""
 
-    def exact_with_calls(self, monkeypatch, inst, p):
-        calls = [0]
-        oracle = World.satisfies
-
-        def satisfies(self, *args):
-            calls[0] += 1
-            return oracle(self, *args)
-
-        monkeypatch.setattr(World, "satisfies", satisfies)
-        return ric_exact(inst, p), calls[0]
-
-    def test_w1_fd(self, monkeypatch):
-        # FD-only: the chase decides every world, with no oracle call.
+    def test_w1_fd(self):
+        # FD-only: the chase decides every world, with no pattern search.
         deps = [FD("B", "C"), FD("A", "B")]
         relation = random_instance("ABCD", fds=deps, n_rows=4, domain=3, seed=1)
         inst = PositionedInstance.from_relation(relation, deps)
-        value, calls = self.exact_with_calls(monkeypatch, inst, inst.positions[2])
+        value, leaves, _prune_calls = exact_with_counts(inst, inst.positions[2])
         assert value == Fraction(7, 8)
-        assert calls == 0
+        assert leaves == 0
 
-    def test_w2_mvd(self, monkeypatch):
+    def test_w2_mvd(self):
         rows = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
         inst = PositionedInstance.from_relation(Relation(ABC, rows), [MVD("B", "A")])
-        value, calls = self.exact_with_calls(monkeypatch, inst, inst.positions[0])
+        value, leaves, _prune_calls = exact_with_counts(inst, inst.positions[0])
         assert value == Fraction(10049, 12288)
-        assert calls <= 2851
+        assert leaves <= 2851

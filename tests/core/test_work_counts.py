@@ -1,10 +1,12 @@
 """The kernels count their own work: worlds, chase decisions, oracle
-calls, pruning checks and prune hits, on the ``ric.sweep`` / ``mc.chunk``
-spans and in the registry.
+calls, pruning checks, prune hits and pattern leaves, on the
+``ric.sweep`` / ``mc.chunk`` spans and in the registry.
 
 The expected figures are the ones an outside count reports (wrapping
 ``World.satisfies`` and ``World.certainly_violated`` and counting their
-calls and true results) on the same problems.
+calls and true results) on the same problems.  On W2 the pruning state
+decides every leaf, so the search makes no oracle call (DESIGN §2.1,
+the leaf lemma), and it assigns ``p``'s column first.
 """
 
 import json
@@ -25,7 +27,8 @@ from repro.workloads.relational_gen import random_instance
 W2_ROWS = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
 
 COUNTERS = ("ric.worlds.chased", "ric.oracle.calls", "ric.prune.calls",
-            "ric.prune.hits")
+            "ric.prune.hits", "ric.pattern.leaves")
+ATTRS = ("chased", "oracle_calls", "prune_calls", "prune_hits", "leaves")
 
 
 def w2(dependency) -> PositionedInstance:
@@ -57,11 +60,11 @@ def test_w2_sweep_counts_its_search(dependency):
     instance = w2(dependency)
     value, attrs, counters = traced_sweep(instance, instance.positions[0])
     assert str(value) == "10049/12288"
-    expected = {"worlds": 2048, "chased": 0, "oracle_calls": 2851,
-                "prune_calls": 97288, "prune_hits": 53158}
+    expected = {"worlds": 2048, "chased": 0, "oracle_calls": 0,
+                "prune_calls": 81954, "prune_hits": 45862, "leaves": 2851}
     assert {k: attrs[k] for k in expected} == expected
     assert counters["ric.sweep.worlds"] == 2048
-    assert [counters[name] for name in COUNTERS] == [0, 2851, 97288, 53158]
+    assert [counters[name] for name in COUNTERS] == [0, 0, 81954, 45862, 2851]
 
 
 def test_w1_sweep_is_decided_by_the_chase():
@@ -69,16 +72,16 @@ def test_w1_sweep_is_decided_by_the_chase():
     value, attrs, counters = traced_sweep(instance, instance.positions[2])
     assert str(value) == "7/8"
     expected = {"worlds": 2048, "chased": 2048, "oracle_calls": 0,
-                "prune_calls": 0, "prune_hits": 0}
+                "prune_calls": 0, "prune_hits": 0, "leaves": 0}
     assert {k: attrs[k] for k in expected} == expected
-    assert [counters[name] for name in COUNTERS] == [2048, 0, 0, 0]
+    assert [counters[name] for name in COUNTERS] == [2048, 0, 0, 0, 0]
 
 
 def test_counts_do_not_need_the_tracer():
     instance = w2(MVD("B", "A"))
     METRICS.reset()
     ric_exact(instance, instance.positions[0])
-    assert [METRICS.get(name) for name in COUNTERS] == [0, 2851, 97288, 53158]
+    assert [METRICS.get(name) for name in COUNTERS] == [0, 0, 81954, 45862, 2851]
 
 
 def test_mc_chunk_span_carries_the_counts():
@@ -89,10 +92,9 @@ def test_mc_chunk_span_carries_the_counts():
     (span,) = [s for s in TRACER.drain() if s["name"] == "mc.chunk"]
     counters = METRICS.snapshot()["counters"]
     assert span["attrs"]["worlds"] == 30
-    assert counters["ric.oracle.calls"] > 0
+    assert counters["ric.pattern.leaves"] > 0
     assert counters["ric.prune.hits"] > 0
-    for name, attr in zip(COUNTERS, ("chased", "oracle_calls",
-                                     "prune_calls", "prune_hits")):
+    for name, attr in zip(COUNTERS, ATTRS):
         assert counters[name] == span["attrs"][attr]
 
 
@@ -123,6 +125,6 @@ def test_batch_counts_the_same_over_threads_and_processes(tmp_path):
     METRICS.reset()
     ric_montecarlo(instance, instance.positions[0], samples=30, seed=3)
     serial = [METRICS.get(name) for name in COUNTERS]
-    assert serial[1] > 0 and serial[2] > 0
+    assert serial[4] > 0 and serial[2] > 0
     assert batch_counters(tmp_path) == serial
     assert batch_counters(tmp_path, "--processes") == serial

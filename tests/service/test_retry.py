@@ -2,7 +2,7 @@
 
 import os
 import threading
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
 
 import pytest
 
@@ -198,6 +198,88 @@ class TestPoolRetryWiring:
             assert pool.map_retrying(lambda x: -x, [1, 2]) == [-1, -2]
         finally:
             pool.shutdown()
+
+
+def run_bounded(call, seconds=20):
+    """Run *call* on a daemon thread; fail, instead of hanging, if it has
+    not returned after *seconds*.  Returns what it returned or raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:  # noqa: BLE001 — handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still waiting after {seconds} s"
+    return outcome
+
+
+class LostExecutor(Executor):
+    """A process executor whose manager thread has died: it accepts work
+    and never resolves it."""
+
+    def __init__(self):
+        self._executor_manager_thread = threading.Thread(target=lambda: None)
+        self._executor_manager_thread.start()
+        self._executor_manager_thread.join()
+        self.submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        return Future()
+
+    def shutdown(self, wait=True, **kwargs):
+        pass
+
+
+class StubbedPool(WorkerPool):
+    """An owned process pool whose executors come from *executors*."""
+
+    def __init__(self, executors, **kwargs):
+        self._executors = iter(executors)
+        super().__init__(use_processes=True, **kwargs)
+
+    def _new_executor(self):
+        return next(self._executors)
+
+
+class TestLostManagerThread:
+    """A process executor whose futures never resolve, because its manager
+    thread died, costs a ``worker_crash`` retry, not a hang."""
+
+    def test_lost_items_are_retried_on_a_new_executor(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "POLL_S", 0.01)
+        lost = LostExecutor()
+        working = ThreadPoolExecutor(max_workers=2)
+        rebuilds = METRICS.get("pool.rebuilds")
+        pool = StubbedPool([lost, working], workers=2, retries=2)
+        try:
+            outcome = run_bounded(lambda: pool.map_retrying(lambda x: x * x, [1, 2, 3]))
+        finally:
+            working.shutdown()
+        assert outcome == {"value": [1, 4, 9]}
+        assert lost.submitted == 3
+        assert METRICS.get("pool.rebuilds") - rebuilds == 1
+
+    def test_always_lost_stops_after_retries(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "POLL_S", 0.01)
+        executors = [LostExecutor() for _ in range(4)]
+        pool = StubbedPool(executors, workers=1, retries=3)
+        outcome = run_bounded(lambda: pool.map_retrying(abs, [-1]))
+        error = outcome["error"]
+        assert isinstance(error, JobError) and error.kind == "worker_crash"
+        assert [e.submitted for e in executors] == [1, 1, 1, 0]
+
+    def test_a_live_manager_thread_is_waited_for(self):
+        # A real process executor: its manager thread lives while the
+        # work runs, so nothing is lost.
+        with WorkerPool(workers=1, use_processes=True, retries=1) as pool:
+            outcome = run_bounded(lambda: pool.map_retrying(abs, [-3, 4]))
+        assert outcome == {"value": [3, 4]}
 
 
 class TestWorkerDeath:
