@@ -12,9 +12,9 @@ rows.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Any, Callable, List
 
+from repro.core.pruning import _getter
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
@@ -80,42 +80,57 @@ def _compile_mvd(mvd: MVD, schema: RelationSchema) -> Check:
 
 
 def _compile_jd(jd: JD, schema: RelationSchema) -> Check:
-    comp_idx = [
-        tuple(schema.index(a) for a in sorted(comp & schema.attrset))
-        for comp in jd.components
-    ]
-    # Column order of the reassembled tuple: schema order; for each column
-    # remember one component that carries it plus, for join compatibility,
-    # all (component, position) pairs per attribute.
-    attr_sources = {}
-    for ci, comp in enumerate(jd.components):
-        for pos, a in enumerate(sorted(comp & schema.attrset)):
-            attr_sources.setdefault(a, []).append((ci, pos))
-    n_cols = schema.arity
-    col_source = [attr_sources[a][0] for a in schema.attributes]
-    shared = {a: srcs for a, srcs in attr_sources.items() if len(srcs) > 1}
+    # Join the components in order.  Each one after the first is looked
+    # up by its attributes that earlier components carry (``key``) and
+    # fills in the rest (``new``).  Every attribute must be carried.
+    first, *others = [sorted(comp & schema.attrset) for comp in jd.components]
+    carried = set(first)
+    rest = []
+    for attrs in others:
+        key = tuple(schema.index(a) for a in attrs if a in carried)
+        new = tuple(schema.index(a) for a in attrs if a not in carried)
+        rest.append((_getter(key), new))
+        carried.update(attrs)
+    for a in schema.attributes:
+        if a not in carried:
+            raise KeyError(a)
+    first = tuple(schema.index(a) for a in first)
+    last = len(rest) - 1
 
     def check(rows) -> bool:
-        row_set = {tuple(row) for row in rows}
-        projections = [
-            {tuple(row[i] for i in idx) for row in row_set} for idx in comp_idx
-        ]
-        for combo in product(*projections):
-            compatible = True
-            for srcs in shared.values():
-                (c0, p0) = srcs[0]
-                v = combo[c0][p0]
-                for c, p in srcs[1:]:
-                    if combo[c][p] != v:
-                        compatible = False
-                        break
-                if not compatible:
-                    break
-            if not compatible:
-                continue
-            joined = tuple(combo[c][p] for c, p in col_source)
-            if joined not in row_set:
+        # Equal values get equal small-int codes, so hashing is cheap.
+        codes: dict = {}
+        coded = {tuple([codes.setdefault(v, len(codes)) for v in row]) for row in rows}
+        if len(coded) < 2:  # the join of one row's projections is the row
+            return True
+        indexes = []
+        for key_of, _new in rest:
+            index: dict = {}
+            for row in coded:
+                index.setdefault(key_of(row), []).append(row)
+            indexes.append(index)
+        joined = [None] * schema.arity
+
+        def complete(j: int) -> bool:
+            """Is every join tuple extending the components before
+            ``rest[j]`` (in *joined*) a row?"""
+            key_of, new = rest[j]
+            for row in indexes[j].get(key_of(joined), ()):
+                for i in new:
+                    joined[i] = row[i]
+                if j == last:
+                    if tuple(joined) not in coded:
+                        return False
+                elif not complete(j + 1):
+                    return False
+            return True
+
+        for row in coded:
+            for i in first:
+                joined[i] = row[i]
+            if not complete(0):
                 return False
         return True
 
     return check
+

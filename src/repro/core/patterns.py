@@ -12,17 +12,20 @@ distinct fixed values — so satisfying-completion counts are polynomials in
 
 One walker, :func:`deficit_walker`, enumerates the patterns of a class by
 their *deficit* (erased positions opening no fresh block, so ``b =
-erased − deficit``), cutting certainly violated prefixes.  Two callers:
+erased − deficit``), cutting certainly violated prefixes.  Its callers:
 
 - :func:`pattern_counts` — all satisfying patterns grouped by ``b``
   (exact finite-``k`` counts; one walk over every deficit, whose cost
   grows like an augmented Bell number of the erased-position count, so it
   is guarded).
 - :func:`max_fresh` — only the maximum ``b`` and how many patterns attain
-  it (the leading term of the polynomial; one walk per deficit from 0 up,
-  fast in the common all-fresh-satisfiable case).  Its ``max_deficit`` cap
-  lets :func:`repro.core.symbolic.world_limit_ratio` stop a fixed class's
-  search at the one deficit that can still change the world's ratio.
+  it (the leading term of the polynomial; one walk per deficit from the
+  floor up, fast in the common all-fresh-satisfiable case).
+- :func:`least_deficit` — only the least deficit, each walk stopping at
+  its first satisfying leaf.  :func:`repro.core.symbolic.world_limit_ratio`
+  decides most worlds by it and counts patterns only where a fixed class
+  ties the fresh one; the walker's ``max_deficit`` cap stops a fixed
+  class's search at the one deficit that can still change the ratio.
 """
 
 from __future__ import annotations
@@ -36,24 +39,38 @@ class PatternBudgetExceeded(RuntimeError):
     """Raised when pattern enumeration would exceed the configured budget."""
 
 
+class _FirstLeaf(Exception):
+    """Ends a walk asked for its first satisfying leaf once it has one."""
+
+
+Search = Tuple[int, Callable[..., Dict[int, int]]]
+
+
 def deficit_walker(
     world: World,
     candidate: Any,
     prune: bool = True,
     deadline: Optional[float] = None,
     max_leaves: Optional[int] = None,
-) -> Optional[Tuple[int, Callable[[int, int], Dict[int, int]]]]:
+    max_deficit: Optional[int] = None,
+) -> Optional[Search]:
     """The pattern search of one candidate class, split by deficit.
 
-    Returns ``None`` for a dead class (violated whatever the completion),
-    else ``(floor, walk)``: every satisfying pattern has a deficit of at
-    least *floor*, and ``walk(low, high)`` counts the satisfying patterns
-    whose deficit lies in ``[low, high]`` and returns ``{deficit: count}``.
-    Each walk visits the patterns in the same order: a new fresh block
-    first (free), then a reused block or a fixed label (one deficit each).
-    It cuts a prefix that is certainly violated, that must spend more
-    than ``high`` (see :mod:`repro.core.pruning`), or whose cells left
-    cannot reach ``low``.
+    Returns ``None`` for a dead class (violated whatever the completion,
+    or, given *max_deficit*, by every pattern within it), else ``(floor,
+    walk)``: every satisfying pattern has a deficit of at least *floor*
+    (at most *max_deficit*), and ``walk(low, high)`` counts the satisfying
+    patterns whose deficit lies in ``[low, high]`` and returns ``{deficit:
+    count}``; ``walk(low, high, first=True)`` stops at the first one and
+    returns ``{its deficit: 1}``, or ``{}``.  Each walk visits the patterns
+    in the same order: a new fresh block first (free), then a reused block
+    or a fixed label (one deficit each).  It cuts a prefix that is
+    certainly violated, that must spend more than ``high`` (see
+    :mod:`repro.core.pruning`), or whose cells left cannot reach ``low``.
+
+    Each walk first assigns the candidate to ``p`` again (cell 0 of the
+    world's pruning state, which every search of the world shares), so
+    the walks of several classes of one world may interleave.
 
     Every leaf reached counts in ``world.leaves``.  When the instance's
     pruning state decides leaves (every dependency an FD, an MVD or a
@@ -83,14 +100,15 @@ def deficit_walker(
     decided = prune and world.instance.pruning_decides_leaves
     floor = 0
     # The root's bound is the floor: the least budget it passes (0 mostly).
+    cap = erased if max_deficit is None else min(erased, max_deficit)
     if prune and violated(0, candidate, 0):
-        if violated(0, candidate, erased):
+        if cap == 0 or violated(0, candidate, cap):
             return None
         floor = 1
         while violated(0, candidate, floor):
             floor += 1
 
-    def walk(low: int, high: int) -> Dict[int, int]:
+    def walk(low: int, high: int, first: bool = False) -> Dict[int, int]:
         found: Dict[int, int] = {}
 
         def recurse(i: int, blocks: int, spent: int) -> None:
@@ -107,6 +125,8 @@ def deficit_walker(
                     )
                 if decided or world.satisfies(candidate, assignment):
                     found[spent] = found.get(spent, 0) + 1
+                    if first:
+                        raise _FirstLeaf
                 return
             # New fresh block: free, if the cells after it can still
             # spend up to ``low``.
@@ -123,7 +143,12 @@ def deficit_walker(
             assignment[i] = unknowns[i]
 
         if high >= floor:
-            recurse(0, 0, 0)
+            if prune:  # the root state the floor check passed
+                world.assign(0, candidate)
+            try:
+                recurse(0, 0, 0)
+            except _FirstLeaf:
+                pass
         return found
 
     return floor, walk
@@ -173,7 +198,7 @@ def max_fresh(
     single oracle call in the common well-designed case.  *prune* and
     *deadline* are as in :func:`deficit_walker`.
     """
-    search = deficit_walker(world, candidate, prune, deadline)
+    search = deficit_walker(world, candidate, prune, deadline, max_deficit=max_deficit)
     if search is None:
         return None
     floor, walk = search
@@ -183,4 +208,20 @@ def max_fresh(
         count = walk(deficit, deficit).get(deficit)
         if count:
             return erased - deficit, count
+    return None
+
+
+def least_deficit(search: Optional[Search], last: int) -> Optional[int]:
+    """The least deficit, up to *last*, of a satisfying pattern of the
+    :func:`deficit_walker` *search*, or ``None``.
+
+    Deepening as in :func:`max_fresh`, but each walk stops at its first
+    satisfying leaf: existence needs no count.
+    """
+    if search is None:
+        return None
+    floor, walk = search
+    for deficit in range(floor, last + 1):
+        if walk(deficit, deficit, first=True):
+            return deficit
     return None

@@ -159,15 +159,9 @@ class PruningState:
         """The full check: is some dependency certainly violated?"""
         return any(check.violated(table) for check, table in self.checks)
 
-    def extend(self, cell: int, value: Any, budget: Optional[int] = None) -> bool:
-        """Assign variable *cell*, every later variable unknown: is some
-        dependency now certainly violated, or, given a *budget*, must the
-        unknown cells spend more than *budget* deficit?  Every cell of the
-        variable is assigned first.  Then, given a budget, the kept MVD
-        counts are tested; then variable 0 runs the full violation check,
-        any other the delta check of each of its cells: sound, and equal
-        to the full check when the rows were not certainly violated
-        before the call; then the FD bounds."""
+    def assign(self, cell: int, value: Any) -> tuple:
+        """Assign every cell of variable *cell*, every later variable
+        unknown, and check nothing; returns the variable's cells."""
         cells = self._cells
         depth = self._depth
         while depth > cell:
@@ -189,6 +183,18 @@ class PruningState:
             eq[code] = eq.get(code, 0) | bit
             unknown[c] &= ~bit
             table.dirty |= bit
+        return entry
+
+    def extend(self, cell: int, value: Any, budget: Optional[int] = None) -> bool:
+        """Assign variable *cell*, every later variable unknown: is some
+        dependency now certainly violated, or, given a *budget*, must the
+        unknown cells spend more than *budget* deficit?  Every cell of the
+        variable is assigned first (:meth:`assign`).  Then, given a
+        budget, the kept MVD counts are tested; then variable 0 runs the
+        full violation check, any other the delta check of each of its
+        cells: sound, and equal to the full check when the rows were not
+        certainly violated before the call; then the FD bounds."""
+        entry = self.assign(cell, value)
         # An MVD's count can exceed the unknown cells, so it always runs.
         if budget is not None:
             for table, counts in self._counts:
@@ -211,7 +217,7 @@ class PruningState:
             return False
         # An FD's count never exceeds the unknown variables: a budget
         # covering them all skips it.
-        if budget < len(cells) - cell - 1:
+        if budget < len(self._cells) - cell - 1:
             for check, t in self._fds:
                 if check.bound(t, budget + 1) > budget:
                     return True

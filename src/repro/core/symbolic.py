@@ -26,13 +26,21 @@ cells that open no fresh block), so the fresh class has degree
   ``p`` in a class holding a revealed cell (DESIGN §2.1, the FD 0/1
   lemma; :mod:`repro.core.fdchase`).
 
-Otherwise it searches the fresh class first:
+Otherwise it searches the fresh class first.  Only a tie needs a
+count; every other exit needs only to know whether a class has a
+pattern, and those searches stop at their first satisfying leaf
+(DESIGN §2.1, "Counting only on a tie"):
 
 - no satisfying fresh pattern: ``r = 0``;
 - ``δ_g = 0``: no fixed class can reach the fresh degree, ``r = 1``;
 - otherwise only fixed classes with ``δ_v ≤ δ_g − 1`` matter, so their
   search is capped there: one with ``δ_v < δ_g − 1`` outranks the fresh
-  class (``r = 0``), and those with ``δ_v = δ_g − 1`` tie with it.
+  class (``r = 0``), and only those with ``δ_v = δ_g − 1`` are counted,
+  at that deficit alone;
+- no fixed class ties: the fresh class is alone at the top degree,
+  ``r = 1``;
+- some tie: the fresh class's patterns at ``δ_g`` are counted too, and
+  ``r = c_g / (c_g + Σ c_v)``.
 
 The kernels refuse an instance that violates its own ``Σ``
 (:func:`require_consistent`): on one, some worlds have no satisfying
@@ -49,7 +57,9 @@ from itertools import combinations
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.core.measure import exact_fits
-from repro.core.patterns import max_fresh, pattern_counts
+from repro.core.patterns import deficit_walker, least_deficit, pattern_counts
+# Re-exported: perfbench's ``pattern`` hook wraps it here by name.
+from repro.core.patterns import max_fresh  # noqa: F401
 from repro.core.positions import Position, PositionedInstance
 from repro.core.worlds import FRESH, World, check_deadline
 from repro.service.metrics import METRICS
@@ -174,26 +184,29 @@ def world_limit_ratio(
 
     When every dependency is an FD, the chase decides it: 0 or 1.
     Otherwise the fresh class is searched first; its deficit ``δ_g`` caps
-    the search of every fixed class at ``δ_g − 1`` (see the module
-    docstring).
+    the search of every fixed class at ``δ_g − 1``, and patterns are
+    counted only on a tie at the cap (see the module docstring).
     """
     forced = world.forced_by_chase()
     if forced is not None:
         return _ZERO if forced else _ONE
-    fresh = max_fresh(world, FRESH, deadline=deadline)
-    if fresh is None:
+    fresh = deficit_walker(world, FRESH, deadline=deadline)
+    fresh_deficit = least_deficit(fresh, world.num_erased)
+    if fresh_deficit is None:
         return _ZERO
-    fresh_blocks, fresh_mass = fresh
-    cap = world.num_erased - fresh_blocks - 1  # δ_g − 1
-    if cap < 0:
+    if fresh_deficit == 0:
         return _ONE
+    cap = fresh_deficit - 1
     fixed_mass = 0
     for v in world.fixed_values:
-        stat = max_fresh(world, v, deadline=deadline, max_deficit=cap)
-        if stat is not None:
-            if world.num_erased - stat[0] < cap:
-                return _ZERO
-            fixed_mass += stat[1]
+        search = deficit_walker(world, v, deadline=deadline, max_deficit=cap)
+        if least_deficit(search, cap - 1) is not None:
+            return _ZERO
+        if search is not None:
+            fixed_mass += search[1](cap, cap).get(cap, 0)
+    if not fixed_mass:
+        return _ONE
+    fresh_mass = fresh[1](fresh_deficit, fresh_deficit)[fresh_deficit]
     return Fraction(fresh_mass, fixed_mass + fresh_mass)
 
 

@@ -163,6 +163,14 @@ class World:
     def _pruning(self):
         return self.instance.make_pruning_state([self.p] + self.erased)
 
+    def assign(self, cell: int, value: Any) -> None:
+        """Put *value* in cell *cell* of the pruning state (numbered as in
+        :meth:`certainly_violated`), every later cell unknown, without a
+        check: a pattern search restoring a root state it checked before."""
+        pruning = self._pruning
+        if pruning is not None:
+            pruning.assign(cell, value)
+
     def certainly_violated(
         self, cell: int, value: Any, budget: Optional[int] = None
     ) -> bool:

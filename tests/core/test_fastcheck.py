@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.fastcheck import compile_check
 from repro.core.pruning import PruningPlan, PruningState
-from repro.core.worlds import Unknown
+from repro.core.worlds import FRESH, FreshValue, Unknown
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
@@ -36,6 +36,14 @@ DEPS = [
     JD("AB", "BC", "CA"),
 ]
 
+#: JDs whose join has a component sharing no attribute with the ones
+#: before it, or adding none.
+JOINS = [JD("A", "BC"), JD("AB", "B", "BC"), JD("BC", "AB", "CA")]
+
+#: Cell values a world's oracle sees: revealed values, fresh blocks, the
+#: fresh candidate; and an unknown cell.
+VALUES = st.sampled_from([1, 2, FreshValue(0), FreshValue(1), FRESH, Unknown(0)])
+
 
 class TestCompiledAgreesWithReference:
     @settings(max_examples=40, deadline=None)
@@ -45,6 +53,16 @@ class TestCompiledAgreesWithReference:
         mutable = [list(r) for r in relation.sorted_rows()]
         check = compile_check(dep, SCHEMA)
         assert check(mutable) == dep.is_satisfied_by(relation)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=5),
+           st.data(), st.sampled_from(DEPS + JOINS))
+    def test_agreement_on_duplicate_rows_and_sentinels(self, rows, data, dep):
+        # A world's row array may repeat a row, and holds fresh sentinels.
+        repeats = data.draw(st.lists(st.sampled_from(rows), max_size=3))
+        mutable = [list(r) for r in rows + repeats]
+        check = compile_check(dep, SCHEMA)
+        assert check(mutable) == dep.is_satisfied_by(Relation(SCHEMA, rows))
 
     def test_check_sees_mutations(self):
         mutable = [[1, 2, 3], [1, 9, 3]]

@@ -1,6 +1,7 @@
 """Tests for the equality-pattern enumeration."""
 
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro.core.bruteforce import inf_k_bruteforce
 from repro.core.measure import bruteforce_fits
-from repro.core.patterns import deficit_walker, max_fresh, pattern_counts
+from repro.core.patterns import (
+    deficit_walker, least_deficit, max_fresh, pattern_counts,
+)
 from repro.core.positions import PositionedInstance
 from repro.core.symbolic import (
     inf_k_symbolic, revealed_subsets, ric_exact, world_limit_ratio,
@@ -148,6 +151,22 @@ class TestMaxDeficitCap:
         assert floor == 1
         assert walk(0, 0) == {}
         assert max_fresh(world, FRESH) == (world.num_erased - 1, 1)
+
+    def test_root_floor_stops_at_the_cap(self):
+        # The root passes no budget below 1, so a cap of 0 ends the
+        # search after its first check.
+        world = forced_fresh_world()
+        assert deficit_walker(world, FRESH, max_deficit=0) is None
+        assert world.prune_calls == 1
+        assert deficit_walker(world, FRESH, max_deficit=1)[0] == 1
+
+    def test_first_leaf_is_the_least_deficit(self):
+        world = forced_fresh_world()
+        search = deficit_walker(world, FRESH)
+        assert search[1](1, 1, first=True) == {1: 1}
+        assert least_deficit(search, world.num_erased) == 1
+        assert least_deficit(search, 0) is None
+        assert least_deficit(None, world.num_erased) is None
 
     def test_cap_zero_is_one_leaf(self):
         world = world_for([(1, 2), (3, 4)], [FD("A", "B")], (0, "A"), [])
@@ -351,6 +370,107 @@ class TestFreshFirstRatio:
         for world in every_world(SMALL_INSTANCES[name]()):
             assert world_limit_ratio(world) == uncapped_ratio(world)
             assert world.chased == (name in CHASED)
+
+
+W2_ROWS = [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]
+
+
+def w2_worlds(dep):
+    """Every world of ``p = R[0].A`` on W2 under *dep*."""
+    inst = relational(W2_ROWS, dep)
+    p = inst.positions[0]
+    return [World(inst, p, revealed) for revealed in revealed_subsets(inst, p)]
+
+
+def exit_of(world):
+    """Which exit of ``world_limit_ratio`` decides *world*, found from
+    every class searched to completion."""
+    fresh = max_fresh(world, FRESH)
+    if fresh is None:
+        return "dead"
+    fresh_deficit = world.num_erased - fresh[0]
+    if fresh_deficit == 0:
+        return "fresh at 0"
+    deficits = [
+        world.num_erased - stat[0]
+        for stat in (max_fresh(world, v) for v in world.fixed_values)
+        if stat is not None
+    ]
+    if any(d < fresh_deficit - 1 for d in deficits):
+        return "below the cap"
+    if fresh_deficit - 1 in deficits:
+        return "tie"
+    return "no tie"
+
+
+class TestExitsOfTheLimitRatio:
+    """``world_limit_ratio`` decides most worlds by whether a class has a
+    pattern and counts only on a tie; every exit must equal the uncapped
+    ratio, and W2 reaches each of them."""
+
+    def test_every_exit_equals_the_uncapped_ratio(self):
+        exits = Counter()
+        tied = set()
+        for world in w2_worlds(MVD("B", "A")):
+            ratio = world_limit_ratio(world)
+            assert ratio == uncapped_ratio(world)
+            exit = exit_of(world)
+            exits[exit] += 1
+            if exit == "tie":
+                tied.add(ratio)
+            else:
+                assert ratio == (exit in ("fresh at 0", "no tie"))
+        assert set(exits) == {"dead", "fresh at 0", "below the cap", "no tie", "tie"}
+        assert tied == {Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)}
+
+
+def kept_counts_are_exact(world):
+    """Does each kept MVD count of *world*'s pruning state equal its count
+    from scratch on the live rows?"""
+    return all(
+        count.total == count.check.bound(table, float("inf"))
+        for table, counts in world._pruning._counts
+        for count in counts
+    )
+
+
+class TestInterleavedWalkers:
+    """Each walk assigns its candidate to ``p`` again, so the walkers of
+    two classes of one world may interleave."""
+
+    @pytest.mark.parametrize(
+        "dependency", [MVD("B", "A"), JD("AB", "BC")], ids=["mvd", "jd"]
+    )
+    def test_counts_equal_a_freshly_built_walker(self, dependency):
+        stopped = 0
+        worlds = [
+            w for w in w2_worlds(dependency)[::5]
+            if w.fixed_values and w.num_erased <= 8
+        ]
+        for world in worlds:
+            search = deficit_walker(world, FRESH)
+            if search is None:
+                continue
+            floor, walk = search
+            levels = range(floor, min(floor + 1, world.num_erased) + 1)
+            before = [walk(d, d) for d in levels]
+            for v in world.fixed_values:
+                fixed = deficit_walker(world, v)
+                if fixed is not None and fixed[1](fixed[0], world.num_erased, first=True):
+                    # The walk stopped at a leaf: its last check recounted.
+                    stopped += 1
+                    assert kept_counts_are_exact(world)
+                before.append(walk(floor, floor, first=True))
+            after = [walk(d, d) for d in levels] + [
+                walk(floor, floor, first=True) for _v in world.fixed_values
+            ]
+            rebuilt = World(world.instance, world.p, world.revealed)
+            _floor, fresh_walk = deficit_walker(rebuilt, FRESH)
+            expected = [fresh_walk(d, d) for d in levels] + [
+                fresh_walk(floor, floor, first=True) for _v in world.fixed_values
+            ]
+            assert before == after == expected
+        assert stopped > 50
 
 
 ABCD = RelationSchema("R", ("A", "B", "C", "D"))
@@ -566,11 +686,11 @@ def brute_force_cases():
     """``(name, k)`` for every small instance and ``k`` in 2–4 that brute
     force accepts: its guard passes and every value lies in ``[1, k]``,
     the domain it enumerates.  The cyclic JD is not pruned, so its
-    symbolic sweep takes ~30 s per ``k``: the default profile skips it
+    symbolic sweep takes ~12 s per ``k``: the default profile skips it
     and ``HYPOTHESIS_PROFILE=ci`` runs it."""
     slow = pytest.mark.skipif(
         os.environ.get("HYPOTHESIS_PROFILE", "default") == "default",
-        reason="~30 s per k; runs under HYPOTHESIS_PROFILE=ci",
+        reason="~12 s per k; runs under HYPOTHESIS_PROFILE=ci",
     )
     for name, make in SMALL_INSTANCES.items():
         inst = make()
@@ -615,4 +735,4 @@ class TestSavedWork:
         inst = PositionedInstance.from_relation(Relation(ABC, rows), [MVD("B", "A")])
         value, leaves, _prune_calls = exact_with_counts(inst, inst.positions[0])
         assert value == Fraction(10049, 12288)
-        assert leaves <= 2851
+        assert leaves <= 2617

@@ -61,10 +61,10 @@ def test_w2_sweep_counts_its_search(dependency):
     value, attrs, counters = traced_sweep(instance, instance.positions[0])
     assert str(value) == "10049/12288"
     expected = {"worlds": 2048, "chased": 0, "oracle_calls": 0,
-                "prune_calls": 81954, "prune_hits": 45862, "leaves": 2851}
+                "prune_calls": 54311, "prune_hits": 27558, "leaves": 2617}
     assert {k: attrs[k] for k in expected} == expected
     assert counters["ric.sweep.worlds"] == 2048
-    assert [counters[name] for name in COUNTERS] == [0, 0, 81954, 45862, 2851]
+    assert [counters[name] for name in COUNTERS] == [0, 0, 54311, 27558, 2617]
 
 
 def test_w1_sweep_is_decided_by_the_chase():
@@ -81,7 +81,7 @@ def test_counts_do_not_need_the_tracer():
     instance = w2(MVD("B", "A"))
     METRICS.reset()
     ric_exact(instance, instance.positions[0])
-    assert [METRICS.get(name) for name in COUNTERS] == [0, 0, 81954, 45862, 2851]
+    assert [METRICS.get(name) for name in COUNTERS] == [0, 0, 54311, 27558, 2617]
 
 
 def test_mc_chunk_span_carries_the_counts():
