@@ -1,7 +1,8 @@
-"""E17 — The cost-based planner: overhead, crossover, result caching.
+"""E17 — The planner: overhead, crossover, result caching.
 
-The planner (PR 4) replaces hand-coded engine dispatch with a pure
-cost-model decision.  Three claims to verify:
+The planner replaces hand-coded engine dispatch with a pure decision
+from the IR shape and the kernels' size guards.  Three claims to
+verify:
 
 - **overhead**: planning is a fixed small cost — under 5% of even the
   *cheapest* engine run on the E10 workload (it touches only the IR
@@ -95,11 +96,10 @@ def test_e17_crossover(benchmark):
         for n_rows in (2, 4, 6, 7, 8):
             prob = problem_for(n_rows, method="auto")
             plan = PLANNER.plan(prob, Budget())
-            exact_est = plan.steps[0].estimate
             rows.append(
                 (
                     prob.num_positions,
-                    f"{exact_est.worlds:g}",
+                    plan.steps[0].worlds,
                     plan.chosen,
                     ",".join(plan.fallbacks) or "-",
                 )

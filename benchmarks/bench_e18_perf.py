@@ -1,15 +1,15 @@
-"""E18 — The performance observatory: cost-model calibration.
+"""E18 — The performance observatory: cost calibration.
 
-The claim about the ``repro.perf`` subsystem to verify: fitting the
-cost model's per-engine seconds-per-unit constants to recorded
-``engine_run`` spans reduces the predicted-vs-observed relative error
-against the uncalibrated reading (one shared constant across engines).
+The claim about the ``repro.perf`` subsystem to verify: fitting one
+seconds-per-count constant per engine (a run's count is the worlds,
+oracle calls, pruning checks and leaves its kernel spans record) to
+recorded ``engine_run`` spans reduces the predicted-vs-observed relative
+error against one constant shared across engines.
 """
 
 from repro.core import PositionedInstance
 from repro.dependencies import FD
 from repro.engine import PLANNER, Problem
-from repro.engine.cost import CostModel
 from repro.perf.calibrate import collect_engine_runs, fit_calibration
 from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget
@@ -61,7 +61,7 @@ def test_e18_calibration(benchmark):
     rows = [
         (
             name,
-            f"{entry['seconds_per_unit']:.3e}",
+            f"{entry['seconds_per_count']:.3e}",
             entry["runs"],
             f"{entry['rel_error'] * 100:.1f}%",
         )
@@ -77,18 +77,14 @@ def test_e18_calibration(benchmark):
         )
     )
     print_table(
-        "E18b: cost-model calibration (seconds per abstract unit)",
-        ["engine", "sec/unit", "runs", "rel error"],
+        "E18b: cost calibration (seconds per kernel count)",
+        ["engine", "sec/count", "runs", "rel error"],
         rows,
     )
     assert error["after"] <= error["before"] + 1e-12, error
-    # The calibrated model predicts wall seconds on its estimates.
-    model = CostModel(
-        calibration={
-            name: entry["seconds_per_unit"]
-            for name, entry in calibration["engines"].items()
-        }
-    )
-    estimate = model.estimate(problem_for(3, method="exact"), "exact")
-    assert estimate.seconds is not None and estimate.seconds > 0
+    # Every run of the workload has a counted kernel span beneath it.
+    assert {name: e["runs"] for name, e in calibration["engines"].items()} == {
+        "exact": 3,
+        "montecarlo": 3,
+    }
 

@@ -15,10 +15,10 @@ Usage::
 The default mode (spelled ``advise`` or bare) prints the
 :class:`repro.advisor.DesignReport` summary for each design argument.
 ``--no-measure`` skips the witness measurement; ``--method`` pins the
-witness engine (``auto`` lets the cost-based planner choose between the
+witness engine (``auto`` lets the planner choose between the
 exponential exact sweep and the deterministic sampled estimator);
-``--explain-plan`` prints the planner's decision — chosen engine,
-per-engine cost estimates, and the fallback chain.
+``--explain-plan`` prints the planner's decision — chosen engine, the
+worlds each stage would visit, and the fallback chain.
 
 ``batch`` executes a JSONL job file (one job object per line — see
 :mod:`repro.service.jobs`) through the worker pool and the
@@ -31,8 +31,8 @@ are merged back);
 dies.  The report's counters and the kernels' spans carry the work a
 measurement cost: worlds, oracle calls, pruning checks and prune hits.
 ``metrics-report`` pretty-prints those artifacts, and ``perf
-calibrate`` fits the cost model to a recorded trace (see
-:mod:`repro.perf`).
+calibrate`` fits each engine's seconds per kernel count to a recorded
+trace (see :mod:`repro.perf`).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain-plan",
         action="store_true",
         help="print the planner's decision for each witness measurement: "
-        "chosen engine, per-engine cost estimates, fallback chain",
+        "chosen engine, the worlds each stage visits, fallback chain",
     )
     return parser
 

@@ -32,6 +32,7 @@ from repro.normalforms.threenf import threenf_synthesize
 from repro.relational.attributes import AttrSet, fmt_attrs
 from repro.relational.parser import parse_design
 from repro.relational.schema import RelationSchema
+from repro.service.budget import Budget
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,7 @@ def advise(
     method: str = "exact",
     samples: int = 200,
     seed: int = 0,
+    budget: Optional[Budget] = None,
 ) -> DesignReport:
     """Diagnose a design given as notation text or (schema, deps) pair.
 
@@ -121,9 +123,11 @@ def advise(
     engine: ``"exact"`` (exponential sweep, exact
     :class:`~fractions.Fraction`), ``"montecarlo"`` (the scalable
     deterministic estimator under ``(samples, seed)``), or ``"auto"``
-    (the planner chooses by cost).  The chosen
+    (the planner chooses by the size guards).  The chosen
     :class:`~repro.engine.planner.Plan` is attached to the report as
-    ``witness_plan``.
+    ``witness_plan``.  The witness measurement runs under *budget*
+    (a :class:`~repro.service.budget.Budget`; none by default), so a
+    batch job's ``--timeout`` bounds it.
     """
     if isinstance(design, str):
         schema, deps = parse_design(design)
@@ -154,7 +158,7 @@ def advise(
             problem = Problem.from_instance(
                 inst, pos, method=method, samples=samples, seed=seed
             )
-            result = plan_and_run(problem)
+            result = plan_and_run(problem, budget=budget)
             witness_ric = result.value
             witness_plan = result.plan
             witness_pos = str(pos)

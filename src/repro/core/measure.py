@@ -9,9 +9,10 @@ a positioned instance over its lowered XFD tables, so its worlds get the
 same oracle, pruning and FD chase as relational ones.
 
 The method names per operation, the ``"auto"`` ladders the planner
-walks, and the kernels' size guards are defined here, next to the table
-they index: the kernels refuse by them and the planner's cost model
-skips by them, so a plan never picks a stage its kernel would refuse.
+walks, the kernels' size guards and the worlds each method visits are
+defined here, next to the table they index: the kernels refuse by the
+guards and the planner skips by them (:func:`refusal`), so a plan never
+picks a stage its kernel would refuse.
 Each kernel module is imported when its method first runs, so callers
 that need only these constants load no kernel.
 """
@@ -48,6 +49,29 @@ def bruteforce_fits(n: int, k: int) -> bool:
     return exact_fits(n) and 2 ** max(0, n - 1) * k**n <= (
         BRUTEFORCE_MAX_WORLDS * max(k, 1)
     )
+
+
+def worlds_visited(method: str, n: int, samples: int) -> int:
+    """The worlds *method* visits over *n* positions: ``samples`` when
+    it samples, else every one of the ``2^(n−1)`` revealed sets."""
+    return samples if method == "montecarlo" else 2 ** max(0, n - 1)
+
+
+def refusal(method: str, n: int, k: Optional[int]) -> str:
+    """Why *method*'s size guard refuses *n* positions (at *k*), or
+    ``""`` when its kernel accepts them."""
+    if method in ("exact", "symbolic") and not exact_fits(n):
+        return (
+            f"{n} positions exceed the exact-sweep budget "
+            f"({EXACT_MAX_POSITIONS})"
+        )
+    if method == "bruteforce" and not bruteforce_fits(n, k or 0):
+        try:
+            enumerations = float(2 ** max(0, n - 1) * (k or 0) ** n)
+        except OverflowError:
+            enumerations = float("inf")
+        return f"~{enumerations:.0f} enumerations exceed the brute-force budget"
+    return ""
 
 
 #: ``"auto"`` preference ladders per operation: exactness first, the

@@ -1,9 +1,8 @@
 """The plan/executor layer over the RIC engines.
 
-One place where cost estimation, engine choice, degradation, and
-instrumentation live — callers build a
-:class:`~repro.engine.problem.Problem`, call :func:`plan_and_run`, and
-render the :class:`~repro.engine.planner.Plan`:
+One place where engine choice, degradation, and instrumentation live —
+callers build a :class:`~repro.engine.problem.Problem`, call
+:func:`plan_and_run`, and render the :class:`~repro.engine.planner.Plan`:
 
 >>> from repro.engine import Problem, plan_and_run
 >>> from repro.core import PositionedInstance
@@ -21,8 +20,6 @@ Modules:
 
 - :mod:`repro.engine.problem` — the canonical, hashable problem IR and
   its content address (:meth:`Problem.canonical_key`);
-- :mod:`repro.engine.cost` — the cost model (world counts / sweep sizes
-  per engine, pure functions of the IR);
 - :mod:`repro.engine.planner` — the planner/executor with budget
   fallback; it runs each stage through the method table of
   :mod:`repro.core.measure` (``exact``, ``montecarlo``, ``symbolic``,
@@ -36,8 +33,6 @@ from repro._lazy import lazy_exports
 #: Each public name and the submodule that defines it (imported on first
 #: access, so ``import repro.engine.problem`` loads no planner).
 _EXPORTS = {
-    "CostEstimate": "cost",
-    "CostModel": "cost",
     "ExecutionResult": "planner",
     "PLANNER": "planner",
     "Plan": "planner",

@@ -2,16 +2,16 @@
 instrumentation live.
 
 ``plan(problem, budget)`` is a **deterministic pure function** of the
-problem IR and the budget limits: it costs every candidate engine
-through the :class:`~repro.engine.cost.CostModel`, pins the requested
-method (or walks the operation's ``"auto"`` ladder from
-:mod:`repro.core.measure`), and emits an explainable :class:`Plan` — the
-chosen engine, every estimate, and the fallback chain.  No engine runs
-during planning.
+problem IR and the budget limits: it pins the requested method (or walks
+the operation's ``"auto"`` ladder from :mod:`repro.core.measure`), skips
+every stage whose kernel's size guard would refuse the problem, and
+emits an explainable :class:`Plan` — the chosen engine, the worlds each
+stage would visit, and the fallback chain.  No engine runs during
+planning.
 
 ``execute`` then walks the plan under the budget's wall clock, running
 each stage through the method table of :mod:`repro.core.measure`: a
-stage whose estimate was infeasible is skipped (recorded as a
+stage the size guards refused is skipped (recorded as a
 degradation), a stage runs with the remaining allowance as a deadline
 its kernel checks and stops when it passes it (recorded as a timeout),
 and when the chain is exhausted the structured
@@ -22,8 +22,8 @@ Results are not cached here: the batch runner's content-addressed
 :class:`~repro.service.cache.ResultCache`, keyed by
 :meth:`Problem.canonical_key`, is the one result cache.
 
-Instrumentation: ``plan`` and per-engine ``cost_estimate`` spans during
-planning, one ``engine_run`` span per attempted stage, and counters
+Instrumentation: a ``plan`` span during planning, one ``engine_run``
+span per attempted stage (carrying its ``worlds``), and counters
 ``planner.plans`` / ``engine.runs{engine=…}`` in the shared registry
 (reset per batch by ``run_batch``).
 """
@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from time import monotonic, perf_counter
 from typing import Any, Optional, Tuple
 
-from repro.core.measure import inf_k, ladder, ric
+from repro.core.measure import inf_k, ladder, refusal, ric, worlds_visited
 from repro.core.worlds import DeadlineExceeded
-from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.problem import Problem
 from repro.service.budget import Budget, BudgetExceeded
 from repro.service.metrics import METRICS
@@ -49,14 +48,8 @@ class PlanStep:
 
     engine: str
     action: str  # "run" | "skip:size"
-    estimate: CostEstimate
-
-    def to_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "action": self.action,
-            "estimate": self.estimate.to_dict(),
-        }
+    worlds: int  # the worlds its method visits
+    reason: str  # why the size guard refused it ("" for a run step)
 
 
 @dataclass(frozen=True)
@@ -90,17 +83,6 @@ class Plan:
             for step in self.steps
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "op": self.op,
-            "method": self.method,
-            "chosen": self.chosen,
-            "fallbacks": list(self.fallbacks),
-            "wall_seconds": self.wall_seconds,
-            "steps": [step.to_dict() for step in self.steps],
-        }
-
     def explain(self) -> str:
         """A human-readable rendering (the ``--explain-plan`` output)."""
         lines = [
@@ -108,20 +90,13 @@ class Plan:
             f"wall_seconds={self.wall_seconds}"
         ]
         for index, step in enumerate(self.steps, start=1):
-            est = step.estimate
-            cost = (
-                f"worlds={est.worlds:g} units={est.units:g}"
-                if est.units != float("inf")
-                else "units=inf"
-            )
-            if est.seconds is not None:
-                cost += f" ~{est.seconds:.3g}s"
+            cost = f"worlds={step.worlds}"
             if step.action == "run":
                 role = "chosen" if step.engine == self.chosen else "fallback"
                 lines.append(f"  {index}. {role} {step.engine}  [{cost}]")
             else:
                 lines.append(
-                    f"  {index}. skip {step.engine}  [{cost}] — {est.reason}"
+                    f"  {index}. skip {step.engine}  [{cost}] — {step.reason}"
                 )
         if self.chosen is None:
             lines.append("  no feasible engine: execution would fail fast")
@@ -154,23 +129,11 @@ def _run_engine(problem: Problem, engine: str, pool, deadline):
 
 
 class Planner:
-    """Cost-based engine selection with budget-driven fallback.
+    """Engine selection by size guard, with budget-driven fallback.
 
-    One planner instance is stateless apart from its cost model; the
-    module-level :data:`PLANNER` is the default every caller shares.
+    A planner is stateless; the module-level :data:`PLANNER` is the
+    default every caller shares.
     """
-
-    def __init__(self, cost_model: Optional[CostModel] = None):
-        self.cost_model = cost_model or CostModel()
-
-    def load_calibration(self, path: str) -> None:
-        """Swap in a cost model calibrated from ``cost_calibration.json``
-        (written by ``python -m repro perf calibrate``).
-
-        Estimates then carry predicted wall seconds; engine *selection*
-        is unchanged, so plans stay deterministic and bit-identical.
-        """
-        self.cost_model = CostModel.with_calibration(path)
 
     # ------------------------------------------------------------------
     # planning (pure)
@@ -179,25 +142,26 @@ class Planner:
     def plan(
         self, problem: Problem, budget: Optional[Budget] = None
     ) -> Plan:
-        """Cost every chain engine and fix the fallback chain.
+        """Size-check every chain engine and fix the fallback chain.
 
         Deterministic: the same ``(problem, budget)`` pair always yields
         an identical plan — no clocks, no randomness, no engine runs.
         """
         budget = budget or Budget()
         key = problem.canonical_key()
+        n = problem.num_positions
         steps = []
         with TRACER.span(
             "plan", key=key[:16], op=problem.op, method=problem.method
         ):
             for name in ladder(problem.op, problem.method):
-                with TRACER.span("cost_estimate", engine=name):
-                    estimate = self.cost_model.estimate(problem, name)
+                reason = refusal(name, n, problem.k)
                 steps.append(
                     PlanStep(
                         engine=name,
-                        action="run" if estimate.feasible else "skip:size",
-                        estimate=estimate,
+                        action="skip:size" if reason else "run",
+                        worlds=worlds_visited(name, n, problem.samples),
+                        reason=reason,
                     )
                 )
         chosen = next(
@@ -250,19 +214,16 @@ class Planner:
                 )
                 continue
             try:
-                # The span carries the stage's unit estimate (and the
-                # calibrated prediction, when one is loaded) next to its
-                # measured duration — the (units, seconds) pairs
-                # ``repro perf calibrate`` replays to fit the model.
+                # ``repro perf calibrate`` fits each engine's seconds per
+                # count from this span's duration and the counts on the
+                # kernel spans beneath it.
                 with TRACER.span(
                     "engine_run",
                     engine=step.engine,
                     op=problem.op,
                     key=plan.key[:16],
-                    units=step.estimate.units,
+                    worlds=step.worlds,
                 ) as span:
-                    if step.estimate.seconds is not None:
-                        span.set(predicted_seconds=step.estimate.seconds)
                     value = _run_engine(
                         problem, step.engine, pool, stage_deadline()
                     )

@@ -1,7 +1,7 @@
 """The canonical problem IR: one hashable value describing a computation.
 
-A :class:`Problem` is everything the planner needs to choose, cost, and
-run an engine: the schema and constraints, the instance rows, the target
+A :class:`Problem` is everything the planner needs to choose and run an
+engine: the schema and constraints, the instance rows, the target
 position, the operation (``"ric"`` — the limit measure — or ``"inf_k"``
 — the finite-``k`` entropy), the requested method, and the
 engine-relevant parameters (``samples``/``seed`` for sampled engines,
@@ -238,7 +238,7 @@ class Problem:
         return self.resolved_instance().position(relation, row, attribute)
 
     # ------------------------------------------------------------------
-    # shape (pure functions of the IR — the cost model's inputs)
+    # shape (pure functions of the IR — the planner's inputs)
     # ------------------------------------------------------------------
 
     @property
@@ -248,10 +248,6 @@ class Problem:
             len(rows) * (len(rows[0]) if rows else 0)
             for _, _, rows in self.relations
         )
-
-    @property
-    def num_dependencies(self) -> int:
-        return sum(len(deps) for _, deps, _ in self.relations)
 
     @property
     def samples_if_sampled(self) -> Optional[int]:

@@ -1,38 +1,34 @@
-"""Observed-cost calibration: fit the CostModel to real engine latencies.
+"""Observed-cost calibration: seconds per unit of kernel work.
 
-The planner's :class:`~repro.engine.cost.CostModel` predicts abstract
-"work units" — pure functions of the problem IR, comparable between
-engines but never interpreted as seconds.  Every executed plan stage
-records an ``engine_run`` span carrying the engine name, the stage's
-estimated ``units``, and the measured duration; this module replays
-those spans from a trace file (``--trace-out`` of a batch run, or the
-raw drained spans) and fits one **seconds-per-unit** constant per engine
-by least squares on the *relative* residual::
+A plan says how many worlds each stage would visit, and the kernels
+count what they did: every ``ric.sweep`` / ``mc.chunk`` span carries its
+``worlds``, ``oracle_calls``, ``prune_calls`` and ``leaves``.  This
+module replays a trace (``--trace-out`` of a batch run, or the raw
+drained spans), sums those four counts over the kernel spans beneath
+each ``engine_run`` span, and fits one **seconds-per-count** constant
+per engine by least squares on the *relative* residual::
 
-    minimize over c:  sum_i ((c * units_i - seconds_i) / seconds_i)^2
-    =>  c = sum(x_i) / sum(x_i^2)   with   x_i = units_i / seconds_i
+    minimize over c:  sum_i ((c * count_i - seconds_i) / seconds_i)^2
+    =>  c = sum(x_i) / sum(x_i^2)   with   x_i = count_i / seconds_i
 
 Relative residuals weight a 2x miss on a microsecond run the same as a
-2x miss on a minute run — exactly how a planner consumes predictions.
+2x miss on a minute run.
 
-The *before* error is what the uncalibrated model implies: a single
-shared seconds-per-unit constant across every engine (its units are
-only claimed comparable, so the best single constant is the fairest
-reading).  The *after* error uses the per-engine fit.  Per-engine fits
-minimize the same objective over a superset of parameterizations, so
-the after error never exceeds the before error on the fitted data.
+The *before* error fits one constant shared by every engine; the
+*after* error uses the per-engine fit.  Per-engine fits minimize the
+same objective over a superset of parameterizations, so the after error
+never exceeds the before error on the fitted data.
 
 The result is written as ``cost_calibration.json``::
 
-    {"schema": "repro-cost-calibration", "schema_version": 1,
+    {"schema": "repro-cost-calibration", "schema_version": 2,
      "env": {...},
-     "engines": {"montecarlo": {"seconds_per_unit": 2.1e-07,
+     "engines": {"montecarlo": {"seconds_per_count": 2.1e-05,
                                 "runs": 14, "rel_error": 0.06}, ...},
-     "error": {"before": 0.81, "after": 0.07, "runs": 31}}
+     "error": {"before": 0.81, "after": 0.57, "runs": 31}}
 
-which :func:`repro.engine.cost.load_calibration` reads back and any
-:class:`~repro.engine.cost.CostModel`/planner optionally loads — the
-estimates then carry predicted wall seconds alongside the unit counts.
+a record of the machine's speed per engine; nothing in the library
+loads it.
 """
 
 from __future__ import annotations
@@ -47,7 +43,13 @@ from repro.service.export import spans_from_chrome_trace
 
 #: The calibration file's family marker and version.
 SCHEMA_NAME = "repro-cost-calibration"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: The spans on which the kernels record their counts.
+KERNEL_SPANS = ("ric.sweep", "mc.chunk")
+
+#: The counts whose sum is a run's work.
+COUNTS = ("worlds", "oracle_calls", "prune_calls", "leaves")
 
 
 def _git_commit() -> Optional[str]:
@@ -79,45 +81,53 @@ def env_fingerprint() -> dict:
     }
 
 
+def _kernel_count(span: dict) -> int:
+    """The summed :data:`COUNTS` of one kernel span (0 for any other)."""
+    if span.get("name") not in KERNEL_SPANS:
+        return 0
+    values = (span.get("attrs", {}).get(name) for name in COUNTS)
+    return sum(v for v in values if isinstance(v, int))
+
+
 def collect_engine_runs(trace) -> List[dict]:
     """``engine_run`` observations from a trace document or span list.
 
     *trace* is either a Chrome Trace Event document (the ``--trace-out``
-    file) or a sequence of drained span dicts.  Only spans that carry
-    both a positive ``units`` attribute and a positive duration are
-    usable — older traces (recorded before the planner attached unit
-    estimates) yield an empty list, which callers turn into exit code 2.
+    file) or a sequence of drained span dicts.  A run's count is the sum
+    of :data:`COUNTS` over the kernel spans beneath it, found by walking
+    parent ids: the explicit ones of ``pool.chunk`` spans and the ones
+    :meth:`~repro.service.trace.Tracer.adopt` remaps for worker
+    processes included.  A run that failed (a timed-out stage), took no
+    time or has no counted kernel span beneath it is skipped; a trace
+    with none left yields an empty list, which callers turn into exit
+    code 2.
     """
-    if isinstance(trace, dict):
-        spans = spans_from_chrome_trace(trace)
-    else:
-        spans = list(trace)
-    runs = []
+    spans = spans_from_chrome_trace(trace) if isinstance(trace, dict) else trace
+    parents = {span.get("id"): span.get("parent") for span in spans}
+    runs = [s for s in spans if s.get("name") == "engine_run" and s.get("id")]
+    counts = dict.fromkeys((run["id"] for run in runs), 0)
     for span in spans:
-        if span.get("name") != "engine_run":
-            continue
-        attrs = span.get("attrs")
-        if not isinstance(attrs, dict):
-            continue
-        engine = attrs.get("engine")
-        units = attrs.get("units")
-        seconds = span.get("dur", 0.0)
-        if not engine or not isinstance(units, (int, float)):
-            continue
-        if units <= 0 or seconds <= 0 or units == float("inf"):
-            continue
-        runs.append(
-            {"engine": str(engine), "units": float(units),
-             "seconds": float(seconds)}
-        )
-    return runs
+        count, node, seen = _kernel_count(span), span.get("parent"), set()
+        while count and node is not None and node not in seen:
+            if node in counts:
+                counts[node] += count
+                break
+            seen.add(node)  # a malformed trace may hold a cycle
+            node = parents.get(node)
+    return [
+        {"engine": str(run["attrs"]["engine"]), "count": counts[run["id"]],
+         "seconds": float(run["dur"])}
+        for run in runs
+        if run.get("attrs", {}).get("engine") and not run.get("error")
+        and counts[run["id"]] > 0 and run.get("dur", 0) > 0
+    ]
 
 
 def _fit_constant(runs: Sequence[dict]) -> Optional[float]:
-    """The least-squares seconds-per-unit constant (relative residual)."""
+    """The least-squares seconds-per-count constant (relative residual)."""
     num = den = 0.0
     for run in runs:
-        x = run["units"] / run["seconds"]
+        x = run["count"] / run["seconds"]
         num += x
         den += x * x
     if den == 0.0:
@@ -143,7 +153,7 @@ def relative_error(
         coefficient = coefficients.get(run["engine"])
         if coefficient is None:
             continue
-        residual = (coefficient * run["units"] - run["seconds"]) / run["seconds"]
+        residual = (coefficient * run["count"] - run["seconds"]) / run["seconds"]
         total += residual * residual
         count += 1
     if count == 0:
@@ -155,9 +165,10 @@ def fit_calibration(runs: Sequence[dict]) -> dict:
     """Fit per-engine constants and the before/after error summary."""
     if not runs:
         raise ValueError(
-            "no usable engine_run observations (the trace must come from "
-            "a run whose planner records unit estimates on engine_run "
-            "spans — re-record with --trace-out on the current version)"
+            "no usable engine_run observations (the trace must hold "
+            "engine_run spans with counted ric.sweep or mc.chunk spans "
+            "beneath them — re-record with --trace-out on the current "
+            "version)"
         )
     by_engine: Dict[str, List[dict]] = {}
     for run in runs:
@@ -171,7 +182,7 @@ def fit_calibration(runs: Sequence[dict]) -> dict:
             continue
         per_engine[engine] = coefficient
         engines[engine] = {
-            "seconds_per_unit": coefficient,
+            "seconds_per_count": coefficient,
             "runs": len(engine_runs),
             "rel_error": relative_error(engine_runs, {engine: coefficient}),
         }
@@ -222,12 +233,12 @@ def calibrate(
 
 def render_calibration(calibration: dict) -> str:
     """The human rendering of a calibration result."""
-    lines = ["Cost-model calibration (seconds per abstract unit)"]
+    lines = ["Cost calibration (seconds per kernel count)"]
     engines = calibration.get("engines", {})
     if engines:
         width = max(len(name) for name in engines)
         lines.append(
-            f"  {'engine'.ljust(width)}  {'sec/unit':>12}  {'runs':>5}  "
+            f"  {'engine'.ljust(width)}  {'sec/count':>12}  {'runs':>5}  "
             f"{'rel err':>8}"
         )
         for name in sorted(engines):
@@ -235,7 +246,7 @@ def render_calibration(calibration: dict) -> str:
             rel = entry.get("rel_error")
             lines.append(
                 f"  {name.ljust(width)}  "
-                f"{entry['seconds_per_unit']:>12.3e}  "
+                f"{entry['seconds_per_count']:>12.3e}  "
                 f"{entry['runs']:>5}  "
                 f"{(f'{rel * 100:.1f}%' if rel is not None else '-'):>8}"
             )
@@ -244,7 +255,7 @@ def render_calibration(calibration: dict) -> str:
     if before is not None and after is not None:
         lines.append(
             f"  predicted-vs-observed relative error: "
-            f"{before * 100:.1f}% (uncalibrated, one shared constant) -> "
+            f"{before * 100:.1f}% (one shared constant) -> "
             f"{after * 100:.1f}% (per-engine) over {error.get('runs', 0)} "
             "runs"
         )

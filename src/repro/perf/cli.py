@@ -1,10 +1,11 @@
-"""``python -m repro perf calibrate`` — fit the cost model to a trace.
+"""``python -m repro perf calibrate`` — fit engine costs to a trace.
 
 ``perf calibrate --trace trace.json [--out cost_calibration.json]`` fits
-the cost model's per-engine seconds-per-unit constants to observed
-``engine_run`` spans and reports predicted-vs-observed relative error
-before/after.  Exit 0 on success, 2 for bad input (missing file, not a
-trace, no usable ``engine_run`` spans).
+one seconds-per-count constant per engine to the observed ``engine_run``
+spans and the kernel counts beneath them, and reports the
+predicted-vs-observed relative error before/after.  Exit 0 on success,
+2 for bad input (missing file, not a trace, no usable ``engine_run``
+spans).
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ def build_perf_parser() -> argparse.ArgumentParser:
     """The ``perf`` subcommand parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro perf",
-        description="Cost-model calibration over batch trace artifacts.",
+        description="Cost calibration over batch trace artifacts.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     cal = sub.add_parser(
         "calibrate",
-        help="fit CostModel constants to observed engine_run latencies",
+        help="fit seconds per kernel count to observed engine_run "
+        "latencies",
     )
     cal.add_argument(
         "--trace", required=True, metavar="PATH",
@@ -33,8 +35,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
     )
     cal.add_argument(
         "--out", metavar="PATH",
-        help="write the calibration JSON here (loadable by the planner "
-        "via repro.engine.cost.load_calibration)",
+        help="write the calibration JSON here",
     )
     return parser
 

@@ -6,8 +6,8 @@ an unguarded service would hang on the first oversized request.  A job
 is bounded two ways:
 
 - **size** — instances past the exact sweep's guard
-  (:func:`repro.core.measure.exact_fits`) never enter it (the planner's
-  cost model marks the stage infeasible and the plan skips it);
+  (:func:`repro.core.measure.exact_fits`) never enter it (the plan
+  skips the stage with the guard's reason);
 - **time** — under a :class:`Budget`, each plan stage gets the
   remaining wall-clock allowance as a deadline that its kernel checks
   once per world or sample and at every pattern-search node.  A stage past it stops, so no work is left

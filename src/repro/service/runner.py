@@ -210,6 +210,7 @@ class BatchRunner:
             method=job.method,
             samples=job.samples,
             seed=job.seed,
+            budget=self.budget,
         )
         return report_payload(report)
 
@@ -343,7 +344,6 @@ class BatchRunner:
             return self._entry(
                 job, key, ok=True, value=value, seconds=seconds, cached=False
             )
-        self.metrics.inc("runner.job_errors")
         return self._entry(
             job, key, ok=False, error=error, seconds=seconds, cached=False
         )

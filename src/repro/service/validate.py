@@ -58,7 +58,7 @@ def add_engine_options(parser) -> None:
         default="exact",
         help="witness RIC engine: exact exponential sweep, the scalable "
         "deterministic Monte-Carlo estimator, or auto (the planner "
-        "chooses by cost; default exact)",
+        "chooses by the size guards; default exact)",
     )
     parser.add_argument(
         "--samples",

@@ -3,8 +3,9 @@ kernel directly or branches on a method name.
 
 The method → kernel table is :mod:`repro.core.measure`; the planner
 chooses a method and runs it through that table.  Only the kernels
-themselves, that table, the cost model (one formula per engine) and the
-pool's Monte-Carlo sharding may name a kernel or a method in code.  Any
+themselves, that table (with the size guards and world counts per
+method) and the pool's Monte-Carlo sharding may name a kernel or a
+method in code.  Any
 other direct kernel call or method-literal branch anywhere under
 ``src/repro`` is a second dispatcher — this test greps for them.
 """
@@ -22,7 +23,6 @@ ALLOWED = {
     "core/montecarlo.py",
     "core/symbolic.py",
     "core/measure.py",
-    "engine/cost.py",
     "service/pool.py",
 }
 

@@ -81,7 +81,8 @@ class TestFallbackChain:
         plan = PLANNER.plan(problem(OVERSIZED))
         step = plan.steps[0]
         assert (step.engine, step.action) == ("exact", "skip:size")
-        assert "positions" in step.estimate.reason
+        assert "positions" in step.reason
+        assert step.worlds == 2 ** (3 * OVERSIZED - 1)
         assert plan.uses("montecarlo") and not plan.uses("exact")
 
     def test_exhausted_chain_raises_the_structured_error(self):
@@ -101,6 +102,8 @@ class TestFallbackChain:
         assert "skip exact" in text
         assert "chosen montecarlo" in text
         assert "exceed the exact-sweep budget" in text
+        assert f"worlds={2 ** (3 * OVERSIZED - 1)}" in text
+        assert "units" not in text
 
 
 class TestExecution:
@@ -207,10 +210,10 @@ class TestInstrumentation:
         spans = TRACER.drain()
         names = [s["name"] for s in spans]
         assert "plan" in names
-        assert names.count("cost_estimate") == 2  # exact + montecarlo
         assert "engine_run" in names
         run = next(s for s in spans if s["name"] == "engine_run")
         assert run["attrs"]["engine"] == "exact"
+        assert run["attrs"]["worlds"] == 2 ** (6 - 1)  # 2 rows x 3 columns
         assert run["attrs"]["ok"] is True
 
     def test_counters_cover_plans_runs_and_degradations(self):

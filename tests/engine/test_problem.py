@@ -100,7 +100,6 @@ class TestConstruction:
     def test_shape_properties(self):
         prob = problem()
         assert prob.num_positions == 6
-        assert prob.num_dependencies == 1
         assert prob.samples_if_sampled == 200
         assert problem(method="exact").samples_if_sampled is None
 

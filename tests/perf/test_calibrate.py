@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-from repro.engine import Problem
-from repro.engine.cost import CostModel, load_calibration
 from repro.engine.planner import Planner
 from repro.perf.calibrate import (
     calibrate,
@@ -14,59 +12,156 @@ from repro.perf.calibrate import (
     relative_error,
     render_calibration,
 )
-from repro.service.budget import Budget
+from repro.service.budget import Budget, BudgetExceeded
+from repro.service.runner import run_batch
 from repro.service.trace import TRACER, tracing
 
+#: W2 under an MVD: its worlds make oracle-free pruned searches.
+W2_MVD = (
+    '{"kind": "measure", "design": "R(A,B,C); B->>A",'
+    ' "rows": [[1,1,1],[2,1,2],[1,1,2],[2,1,1]], "position": [0, "A"],'
+    ' "method": "montecarlo", "samples": 60, "seed": %d}'
+)
 
-def span(engine, units, dur_s, name="engine_run"):
-    return {"name": name, "dur": dur_s, "attrs": {"engine": engine,
-                                                  "units": units}}
+
+def run_span(span_id, engine, dur_s, parent=None, **attrs):
+    return {"id": span_id, "parent": parent, "name": "engine_run",
+            "dur": dur_s, "attrs": {"engine": engine, **attrs}}
+
+
+def kernel_span(span_id, parent, name="ric.sweep", **counts):
+    return {"id": span_id, "parent": parent, "name": name, "dur": 0.0,
+            "attrs": counts}
+
+
+def timed_run(span_id, engine, count, dur_s):
+    """An engine_run span with one ric.sweep span of *count* worlds."""
+    return [run_span(span_id, engine, dur_s),
+            kernel_span(span_id + ".k", span_id, worlds=count)]
+
+
+def as_chrome_trace(spans):
+    return {"traceEvents": [
+        {"ph": "X", "name": s["name"], "ts": 0, "dur": s["dur"] * 1e6,
+         "args": {**s["attrs"], "span_id": s["id"],
+                  **({"parent_id": s["parent"]} if s["parent"] else {}),
+                  **({"error": True} if s.get("error") else {})}}
+        for s in spans
+    ]}
 
 
 class TestCollect:
     def test_collects_only_usable_engine_runs(self):
         spans = [
-            span("exact", 100.0, 0.01),
-            span("exact", 100.0, 0.01, name="plan"),  # wrong span
-            span("exact", 0.0, 0.01),  # zero units
-            span("exact", float("inf"), 0.01),  # unbounded estimate
-            span("exact", 100.0, 0.0),  # zero duration
-            {"name": "engine_run", "dur": 0.01, "attrs": {}},  # no engine
+            *timed_run("a", "exact", 100, 0.01),
+            *timed_run("b", "exact", 0, 0.01),  # no counted kernel span
+            *timed_run("c", "exact", 100, 0.0),  # zero duration
+            run_span("d", "exact", 0.01),  # nothing beneath it
+            {**run_span("e", "exact", 0.01), "error": True},  # failed
+            kernel_span("e.k", "e", worlds=100),
+            run_span("f", None, 0.01),  # no engine
+            kernel_span("f.k", "f", worlds=100),
+            kernel_span("g.k", None, worlds=100),  # under no engine_run
         ]
         runs = collect_engine_runs(spans)
-        assert len(runs) == 1
-        assert runs[0] == {"engine": "exact", "units": 100.0,
-                           "seconds": 0.01}
+        assert runs == [{"engine": "exact", "count": 100, "seconds": 0.01}]
+
+    def test_counts_sum_over_nested_and_rerooted_kernel_spans(self):
+        spans = [
+            # A sweep two levels below its run; chased worlds and prune
+            # hits are not part of the count.
+            run_span("e1", "exact", 0.5),
+            {"id": "x", "parent": "e1", "name": "wrapper", "dur": 0.4,
+             "attrs": {}},
+            kernel_span("s", "x", worlds=8, chased=8, oracle_calls=3,
+                        prune_calls=20, prune_hits=11, leaves=5),
+            # Sampling: a thread chunk (explicit parent id) and a chunk
+            # adopted from a worker process (re-rooted under pool.mc).
+            run_span("e2", "montecarlo", 0.2),
+            {"id": "p", "parent": "e2", "name": "pool.mc", "dur": 0.2,
+             "attrs": {}},
+            {"id": "c1", "parent": "p", "name": "pool.chunk", "dur": 0.1,
+             "attrs": {}},
+            kernel_span("k1", "c1", name="mc.chunk", worlds=30, leaves=2),
+            {"id": "c2", "parent": "p", "name": "pool.chunk", "dur": 0.1,
+             "attrs": {}},
+            kernel_span("k2", "c2", name="mc.chunk", worlds=30,
+                        prune_calls=7),
+            # A span that is not a kernel's adds nothing.
+            {"id": "o", "parent": "e2", "name": "chase.run", "dur": 0.0,
+             "attrs": {"worlds": 1000}},
+        ]
+        for trace in (spans, as_chrome_trace(spans)):
+            runs = collect_engine_runs(trace)
+            assert [(r["engine"], r["count"]) for r in runs] == [
+                ("exact", 8 + 3 + 20 + 5),
+                ("montecarlo", 30 + 2 + 30 + 7),
+            ]
+
+    def test_a_cyclic_parent_chain_ends_the_walk(self):
+        spans = [
+            *timed_run("e", "exact", 10, 0.01),
+            {"id": "u", "parent": "v", "name": "a", "dur": 0.0, "attrs": {}},
+            {"id": "v", "parent": "u", "name": "b", "dur": 0.0, "attrs": {}},
+            kernel_span("k", "u", worlds=5),
+        ]
+        assert [r["count"] for r in collect_engine_runs(spans)] == [10]
 
     def test_reads_chrome_trace_documents(self):
-        trace = {
-            "traceEvents": [
-                {"ph": "X", "name": "engine_run", "dur": 10_000,
-                 "args": {"engine": "montecarlo", "units": 500.0}},
-                {"ph": "M", "name": "process_name"},
-            ]
-        }
+        trace = as_chrome_trace(timed_run("s1", "montecarlo", 500, 0.01))
+        trace["traceEvents"].append({"ph": "M", "name": "process_name"})
         (run,) = collect_engine_runs(trace)
         assert run["seconds"] == pytest.approx(0.01)  # us -> s
+        assert run["count"] == 500
+
+    def test_a_timed_out_stage_is_skipped(self):
+        # W2's MVD sweep takes far longer than 50 ms: the exact stage
+        # times out, and only the completed run below is fitted.
+        w2 = (
+            '{"kind": "measure", "design": "R(A,B,C); B->>A",'
+            ' "rows": [[1,1,1],[2,1,2],[1,1,2],[2,1,1]],'
+            ' "position": [0, "A"], "method": "exact"}'
+        )
+        from repro.service.jobs import parse_jsonl
+        from tests.perf.workload import small_problem
+
+        (job,) = parse_jsonl(w2)
+        planner = Planner()
+        with tracing():
+            with pytest.raises(BudgetExceeded):
+                planner.plan_and_run(
+                    job.problem, budget=Budget(wall_seconds=0.05)
+                )
+            planner.plan_and_run(small_problem(2, method="exact"))
+            spans = TRACER.drain()
+        timed_out = [s for s in spans
+                     if s["name"] == "engine_run" and s.get("error")]
+        assert len(timed_out) == 1
+        (run,) = collect_engine_runs(spans)
+        assert (run["engine"], run["count"]) == ("exact", 32)  # 2^5 worlds
 
 
 class TestFit:
     def test_perfectly_linear_engine_fits_exactly(self):
-        runs = [span("exact", units, units * 2e-6)
-                for units in (100.0, 200.0, 400.0)]
-        calibration = fit_calibration(collect_engine_runs(runs))
+        spans = [span for count in (100, 200, 400)
+                 for span in timed_run(f"e{count}", "exact", count,
+                                       count * 2e-6)]
+        calibration = fit_calibration(collect_engine_runs(spans))
         entry = calibration["engines"]["exact"]
-        assert entry["seconds_per_unit"] == pytest.approx(2e-6)
+        assert entry["seconds_per_count"] == pytest.approx(2e-6)
         assert entry["rel_error"] == pytest.approx(0.0, abs=1e-9)
+        assert calibration["schema_version"] == 2
 
     def test_per_engine_error_never_exceeds_shared(self):
         # Two engines with very different true constants: one shared
-        # coefficient (the uncalibrated model's implicit claim) must be
-        # strictly worse than the per-engine fit.
-        runs = collect_engine_runs(
-            [span("exact", u, u * 1e-5) for u in (50.0, 100.0)]
-            + [span("montecarlo", u, u * 1e-7) for u in (5000.0, 9000.0)]
-        )
+        # coefficient must be strictly worse than the per-engine fit.
+        runs = [
+            {"engine": "exact", "count": c, "seconds": c * 1e-5}
+            for c in (50, 100)
+        ] + [
+            {"engine": "montecarlo", "count": c, "seconds": c * 1e-7}
+            for c in (5000, 9000)
+        ]
         calibration = fit_calibration(runs)
         error = calibration["error"]
         assert error["after"] <= error["before"]
@@ -78,98 +173,64 @@ class TestFit:
             fit_calibration([])
 
     def test_relative_error_skips_unknown_engines(self):
-        runs = collect_engine_runs([span("exact", 10.0, 1.0)])
+        runs = [{"engine": "exact", "count": 10, "seconds": 1.0}]
         assert relative_error(runs, {}) is None
 
     def test_render_mentions_engines_and_errors(self):
-        runs = collect_engine_runs(
-            [span("exact", u, u * 1e-5) for u in (50.0, 100.0)]
-        )
+        runs = [{"engine": "exact", "count": c, "seconds": c * 1e-5}
+                for c in (50, 100)]
         text = render_calibration(fit_calibration(runs))
-        assert "exact" in text and "sec/unit" in text
+        assert "exact" in text and "sec/count" in text
 
 
 class TestEndToEnd:
-    def test_calibrate_round_trips_into_the_cost_model(self, tmp_path):
-        # Record real engine_run spans through the planner...
+    def test_process_batch_counts_equal_the_report_counters(self, tmp_path):
+        # Chunks run in worker processes: their spans reach the
+        # engine_run span only through the ids adopt() remaps.
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(W2_MVD % 1 + "\n" + W2_MVD % 2 + "\n",
+                        encoding="utf-8")
+        with tracing():
+            report = run_batch(str(path), workers=2, use_processes=True)
+            spans = TRACER.drain()
+        assert report["ok"] == 2
+        counters = report["metrics"]["counters"]
+        runs = collect_engine_runs(spans)
+        assert [r["engine"] for r in runs] == ["montecarlo"] * 2
+        assert counters["ric.prune.calls"] > 0
+        assert sum(r["count"] for r in runs) == sum(
+            counters.get(name, 0)
+            for name in ("ric.mc.samples", "ric.oracle.calls",
+                         "ric.prune.calls", "ric.pattern.leaves")
+        )
+
+    def test_calibrate_fits_a_recorded_trace(self, tmp_path):
+        from repro.service.export import save_trace
         from tests.perf.workload import small_problem
 
         with tracing():
             planner = Planner()
             for n_rows in (2, 3):
+                planner.plan_and_run(small_problem(n_rows, method="exact"))
                 planner.plan_and_run(
-                    small_problem(n_rows, method="exact"), budget=Budget()
-                )
-                planner.plan_and_run(
-                    small_problem(n_rows, method="montecarlo", samples=100),
-                    budget=Budget(),
+                    small_problem(n_rows, method="montecarlo", samples=100)
                 )
             spans = TRACER.drain()
         trace_path = str(tmp_path / "trace.json")
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"traceEvents": [
-                    {"ph": "X", "name": s["name"],
-                     "dur": s["dur"] * 1e6, "args": s["attrs"]}
-                    for s in spans
-                ]},
-                handle,
-            )
+        save_trace(trace_path, spans)
         out_path = str(tmp_path / "cost_calibration.json")
         calibration = calibrate(trace_path, out_path)
         assert set(calibration["engines"]) == {"exact", "montecarlo"}
+        assert all(e["runs"] == 2 for e in calibration["engines"].values())
         assert calibration["error"]["after"] <= calibration["error"]["before"]
-
-        # ...and the written file loads into a CostModel whose
-        # estimates now carry predicted wall seconds.
-        model = CostModel.with_calibration(out_path)
-        prob = small_problem(3, method="exact")
-        estimate = model.estimate(prob, "exact")
-        assert estimate.seconds is not None and estimate.seconds > 0
-        assert "seconds" in estimate.to_dict()
-
-    def test_calibration_never_changes_engine_selection(self, tmp_path):
-        from tests.perf.workload import small_problem
-
-        calibration = {
-            "schema": "repro-cost-calibration", "schema_version": 1,
-            # Absurd constants: even a million seconds per unit must
-            # not flip the planner's choice — selection stays on units.
-            "engines": {"exact": {"seconds_per_unit": 1e6},
-                        "montecarlo": {"seconds_per_unit": 1e-12}},
-        }
-        path = str(tmp_path / "cal.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(calibration, handle)
-
-        plain, calibrated = Planner(), Planner()
-        calibrated.load_calibration(path)
-        for method in ("auto", "exact", "montecarlo"):
-            prob = small_problem(3, method=method, samples=100)
-            assert (
-                plain.plan(prob, Budget()).chosen
-                == calibrated.plan(prob, Budget()).chosen
-            )
-
-    def test_load_calibration_rejects_malformed_files(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"engines": {"exact": {"seconds_per_unit": -1.0}}},
-                      handle)
-        with pytest.raises(ValueError):
-            load_calibration(path)
-        for document in ({"not_engines": {}}, {"engines": []},
-                         {"engines": {"exact": 5}}):
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle)
-            with pytest.raises(ValueError):
-                load_calibration(path)
+        with open(out_path, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["engines"] == calibration["engines"]
 
     def test_calibrate_rejects_non_trace_input(self, tmp_path):
         path = str(tmp_path / "not_trace.json")
         bad_events = (
             {"ph": "X", "name": "engine_run", "dur": "x",
-             "args": {"engine": "exact", "units": 1.0}},
+             "args": {"engine": "exact", "span_id": "s1"}},
             {"ph": "X", "name": "engine_run", "dur": 100, "args": ["x"]},
         )
         for document in ({"tables": []}, {"traceEvents": ["x"]},
@@ -179,11 +240,12 @@ class TestEndToEnd:
             with pytest.raises(ValueError):
                 calibrate(path)
 
-    def test_calibrate_rejects_traces_without_units(self, tmp_path):
+    def test_calibrate_rejects_traces_without_kernel_counts(self, tmp_path):
         path = str(tmp_path / "old_trace.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"traceEvents": [
                 {"ph": "X", "name": "engine_run", "dur": 100,
-                 "args": {"engine": "exact"}}]}, handle)
+                 "args": {"engine": "exact", "units": 1.0,
+                          "span_id": "s1"}}]}, handle)
         with pytest.raises(ValueError):
             calibrate(path)

@@ -135,6 +135,23 @@ class TestBatchRunner:
         assert entry["error"]["error"] == "budget_exceeded"
         assert ["exact", "skipped:size"] in entry["error"]["stages"]
 
+    def test_advise_jobs_run_under_the_batch_budget(self):
+        # The design's 12-position MVD witness takes ~0.8 s to sweep;
+        # the batch budget stops it like a measure job's.
+        runner = BatchRunner(
+            pool=WorkerPool(workers=2),
+            budget=Budget(wall_seconds=0.05),
+            metrics=Metrics(),
+        )
+        try:
+            report = runner.run([AdviseJob(design="R(A,B,C); A->>B")])
+        finally:
+            runner.pool.shutdown()
+        entry = report["results"][0]
+        assert entry["ok"] is False
+        assert entry["error"]["kind"] == "budget"
+        assert entry["error"]["stages"] == [["exact", "timeout"]]
+
 
 MEASURE = (
     '"kind": "measure", "design": "T(A,B,C); B->C",'
