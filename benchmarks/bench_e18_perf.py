@@ -1,10 +1,11 @@
 """E18 — The performance observatory: cost calibration.
 
-The claim about the ``repro.perf`` subsystem to verify: fitting one
-seconds-per-count constant per engine (a run's count is the worlds,
-oracle calls, pruning checks and leaves its kernel spans record) to
-recorded ``engine_run`` spans reduces the predicted-vs-observed relative
-error against one constant shared across engines.
+The claim about the ``repro.perf`` subsystem to verify: fitting a
+seconds-per-run intercept and a seconds-per-count constant per engine (a
+run's count is the worlds, oracle calls, pruning checks and leaves its
+kernel spans record) to recorded ``engine_run`` spans reduces the
+predicted-vs-observed relative error against one constant shared across
+engines.
 """
 
 from repro.core import PositionedInstance
@@ -61,6 +62,7 @@ def test_e18_calibration(benchmark):
     rows = [
         (
             name,
+            f"{entry['seconds_per_run']:.3e}",
             f"{entry['seconds_per_count']:.3e}",
             entry["runs"],
             f"{entry['rel_error'] * 100:.1f}%",
@@ -72,13 +74,14 @@ def test_e18_calibration(benchmark):
         (
             "(all: shared -> per-engine)",
             "-",
+            "-",
             error["runs"],
             f"{error['before'] * 100:.1f}% -> {error['after'] * 100:.1f}%",
         )
     )
     print_table(
-        "E18b: cost calibration (seconds per kernel count)",
-        ["engine", "sec/count", "runs", "rel error"],
+        "E18b: cost calibration (seconds per run and per kernel count)",
+        ["engine", "sec/run", "sec/count", "runs", "rel error"],
         rows,
     )
     assert error["after"] <= error["before"] + 1e-12, error

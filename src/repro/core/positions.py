@@ -101,6 +101,15 @@ class PositionedInstance:
             name: list(deps) for name, deps in constraints.items()
         }
         self._positions = list(cells)
+        #: Is every table cell the one cell of a position?  True of a
+        #: relational instance; an XML slot owns a cell per table row it
+        #: appears in, beside constant node-id cells.  Then a column's
+        #: non-erased cells in a world are its revealed positions and
+        #: ``p``, and the pattern search keeps labels column-local
+        #: (DESIGN §2.1).
+        self.positions_are_cells = all(
+            len(pos_cells) == 1 for pos_cells in cells.values()
+        ) and len(cells) == sum(len(rel) * s.arity for rel, s in zip(rows, schemas))
         self._compiled: Optional[_Compiled] = None
 
     def __getstate__(self) -> dict:

@@ -36,7 +36,9 @@ pattern, and those searches stop at their first satisfying leaf
 - otherwise only fixed classes with ``δ_v ≤ δ_g − 1`` matter, so their
   search is capped there: one with ``δ_v < δ_g − 1`` outranks the fresh
   class (``r = 0``), and only those with ``δ_v = δ_g − 1`` are counted,
-  at that deficit alone;
+  at that deficit alone.  On a relational instance a fixed value that
+  no revealed cell of ``p``'s column holds has ``δ_v ≥ δ_g`` and is not
+  searched (DESIGN §2.1, "Column-local search");
 - no fixed class ties: the fresh class is alone at the top degree,
   ``r = 1``;
 - some tie: the fresh class's patterns at ``δ_g`` are counted too, and
@@ -87,15 +89,19 @@ class WorkCounts:
     :meth:`add` folds in one world; :meth:`record` writes the sums to the
     kernel's span and to the registry (``ric.worlds.chased``,
     ``ric.oracle.calls``, ``ric.prune.calls``, ``ric.prune.hits``,
-    ``ric.pattern.leaves``), so they are counted with tracing on or off.
+    ``ric.pattern.leaves``, ``ric.pattern.deficit``), so they are counted
+    with tracing on or off.  The fresh classes' least deficits are summed
+    (``deficit_sum``) and their maximum kept (``deficit_max``, on the span
+    only: registry counters add).
     """
 
     __slots__ = ("worlds", "chased", "oracle_calls", "prune_calls", "prune_hits",
-                 "leaves")
+                 "leaves", "deficit_sum", "deficit_max")
 
     def __init__(self) -> None:
         self.worlds = self.chased = self.oracle_calls = 0
         self.prune_calls = self.prune_hits = self.leaves = 0
+        self.deficit_sum = self.deficit_max = 0
 
     def add(self, world: World) -> None:
         self.worlds += 1
@@ -104,6 +110,9 @@ class WorkCounts:
         self.prune_calls += world.prune_calls
         self.prune_hits += world.prune_hits
         self.leaves += world.leaves
+        if world.deficit is not None:
+            self.deficit_sum += world.deficit
+            self.deficit_max = max(self.deficit_max, world.deficit)
 
     def record(self, span) -> None:
         span.set(
@@ -113,12 +122,15 @@ class WorkCounts:
             prune_calls=self.prune_calls,
             prune_hits=self.prune_hits,
             leaves=self.leaves,
+            deficit_sum=self.deficit_sum,
+            deficit_max=self.deficit_max,
         )
         METRICS.inc("ric.worlds.chased", self.chased)
         METRICS.inc("ric.oracle.calls", self.oracle_calls)
         METRICS.inc("ric.prune.calls", self.prune_calls)
         METRICS.inc("ric.prune.hits", self.prune_hits)
         METRICS.inc("ric.pattern.leaves", self.leaves)
+        METRICS.inc("ric.pattern.deficit", self.deficit_sum)
 
 
 def require_consistent(instance: PositionedInstance) -> None:
@@ -183,22 +195,26 @@ def world_limit_ratio(
     """The exact limit ``lim_k H_k(p|X) / log2 k`` for the given world.
 
     When every dependency is an FD, the chase decides it: 0 or 1.
-    Otherwise the fresh class is searched first; its deficit ``δ_g`` caps
-    the search of every fixed class at ``δ_g − 1``, and patterns are
-    counted only on a tie at the cap (see the module docstring).
+    Otherwise the fresh class is searched first, and its least deficit
+    ``δ_g`` is recorded in ``world.deficit``; it caps the search of every
+    fixed class at ``δ_g − 1``, and patterns are counted only on a tie at
+    the cap (see the module docstring).
     """
     forced = world.forced_by_chase()
     if forced is not None:
         return _ZERO if forced else _ONE
     fresh = deficit_walker(world, FRESH, deadline=deadline)
-    fresh_deficit = least_deficit(fresh, world.num_erased)
+    fresh_deficit = world.deficit = least_deficit(fresh, world.num_erased)
     if fresh_deficit is None:
         return _ZERO
     if fresh_deficit == 0:
         return _ONE
     cap = fresh_deficit - 1
+    columns = world.columns
     fixed_mass = 0
     for v in world.fixed_values:
+        if columns is not None and v not in columns[1][0]:
+            continue  # no revealed cell of p's column holds v: δ_v ≥ δ_g
         search = deficit_walker(world, v, deadline=deadline, max_deficit=cap)
         if least_deficit(search, cap - 1) is not None:
             return _ZERO

@@ -82,7 +82,10 @@ class World:
     (``chased``), its oracle calls (``oracle_calls``), its pruning
     checks (``prune_calls``), the checks that pruned (``prune_hits``)
     and the pattern leaves its searches reached (``leaves``, counted by
-    :func:`repro.core.patterns.deficit_walker`).  The kernels sum these
+    :func:`repro.core.patterns.deficit_walker`), and the fresh class's
+    least deficit (``deficit``, recorded by
+    :func:`repro.core.symbolic.world_limit_ratio`; ``None`` when it was
+    not searched or has no satisfying pattern).  The kernels sum these
     over the worlds they visit.
     """
 
@@ -103,6 +106,7 @@ class World:
         self.prune_calls = 0
         self.prune_hits = 0
         self.leaves = 0
+        self.deficit: Optional[int] = None
 
     @cached_property
     def erased(self) -> List[Position]:
@@ -127,6 +131,32 @@ class World:
         return tuple(
             sorted({self.instance.value_at(q) for q in self.revealed}, key=repr)
         )
+
+    @cached_property
+    def columns(self) -> Optional[Tuple[Tuple[int, ...], Tuple[FrozenSet[Any], ...]]]:
+        """``(column of each erased cell, values each column's revealed
+        cells hold)``, columns numbered from 0 for ``p``'s, when every
+        position is one table cell (a relational instance); ``None``
+        otherwise.  The pattern search offers a cell only its column's
+        labels at a class's least deficit (DESIGN §2.1)."""
+        instance = self.instance
+        if not instance.positions_are_cells:
+            return None
+        index = {}
+        held: List[set] = []
+
+        def column(q: Position) -> int:
+            (key,) = instance.columns_of(q)
+            if key not in index:
+                index[key] = len(held)
+                held.append(set())
+            return index[key]
+
+        column(self.p)
+        for q in self.revealed:
+            held[column(q)].add(instance.value_at(q))
+        erased = tuple(column(q) for q in self.erased)
+        return erased, tuple(frozenset(values) for values in held)
 
     @property
     def num_erased(self) -> int:
@@ -154,6 +184,24 @@ class World:
         positions satisfy every constraint?"""
         self.oracle_calls += 1
         return self._oracle([candidate] + list(completion))
+
+    def passes_full_check(self, candidate: Any, completion: Sequence[Any]) -> bool:
+        """The pruning state's verdict on a complete assignment: assign
+        ``p := candidate`` and *completion* to every erased cell, without
+        a check, then run the full check once (one pruning check): is no
+        dependency certainly violated?  Equal to :meth:`satisfies` when
+        the pruning state decides leaves (DESIGN §2.1, the leaf lemma)."""
+        self.prune_calls += 1
+        pruning = self._pruning
+        if pruning is None:
+            return True
+        pruning.assign(0, candidate)
+        for cell, value in enumerate(completion, 1):
+            pruning.assign(cell, value)
+        if pruning.violated():
+            self.prune_hits += 1
+            return False
+        return True
 
     @cached_property
     def _oracle(self):

@@ -1,31 +1,38 @@
-"""Observed-cost calibration: seconds per unit of kernel work.
+"""Observed-cost calibration: seconds per run and per unit of kernel work.
 
 A plan says how many worlds each stage would visit, and the kernels
 count what they did: every ``ric.sweep`` / ``mc.chunk`` span carries its
 ``worlds``, ``oracle_calls``, ``prune_calls`` and ``leaves``.  This
 module replays a trace (``--trace-out`` of a batch run, or the raw
 drained spans), sums those four counts over the kernel spans beneath
-each ``engine_run`` span, and fits one **seconds-per-count** constant
-per engine by least squares on the *relative* residual::
+each ``engine_run`` span, and fits per engine a **seconds-per-run**
+intercept ``a`` (what every run pays whatever it counts: planning the
+stage, building the instance's checks) and a **seconds-per-count**
+slope ``c``, by least squares on the *relative* residual::
 
-    minimize over c:  sum_i ((c * count_i - seconds_i) / seconds_i)^2
-    =>  c = sum(x_i) / sum(x_i^2)   with   x_i = count_i / seconds_i
+    minimize over a, c >= 0:  sum_i ((a + c * count_i - seconds_i) / seconds_i)^2
 
-Relative residuals weight a 2x miss on a microsecond run the same as a
-2x miss on a minute run.
+a linear least-squares problem in ``(a, c)`` with the features
+``1 / seconds_i`` and ``count_i / seconds_i`` and target 1.  When its
+solution is negative in either parameter, or an engine's runs cannot
+tell the two apart (one run, or every run the same seconds per count),
+the better of the two one-parameter fits is taken.  Relative residuals
+weight a 2x miss on a microsecond run the same as a 2x miss on a minute
+run.
 
-The *before* error fits one constant shared by every engine; the
-*after* error uses the per-engine fit.  Per-engine fits minimize the
-same objective over a superset of parameterizations, so the after error
-never exceeds the before error on the fitted data.
+The *before* error fits one seconds-per-count constant shared by every
+engine, with no intercept; the *after* error uses the per-engine fits.
+They minimize the same objective over a superset of parameterizations,
+so the after error never exceeds the before error on the fitted data.
 
 The result is written as ``cost_calibration.json``::
 
-    {"schema": "repro-cost-calibration", "schema_version": 2,
+    {"schema": "repro-cost-calibration", "schema_version": 3,
      "env": {...},
-     "engines": {"montecarlo": {"seconds_per_count": 2.1e-05,
+     "engines": {"montecarlo": {"seconds_per_run": 3.1e-04,
+                                "seconds_per_count": 2.1e-05,
                                 "runs": 14, "rel_error": 0.06}, ...},
-     "error": {"before": 0.81, "after": 0.57, "runs": 31}}
+     "error": {"before": 0.55, "after": 0.21, "runs": 31}}
 
 a record of the machine's speed per engine; nothing in the library
 loads it.
@@ -37,13 +44,13 @@ import json
 import os
 import platform
 import subprocess
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.service.export import spans_from_chrome_trace
 
 #: The calibration file's family marker and version.
 SCHEMA_NAME = "repro-cost-calibration"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: The spans on which the kernels record their counts.
 KERNEL_SPANS = ("ric.sweep", "mc.chunk")
@@ -123,8 +130,13 @@ def collect_engine_runs(trace) -> List[dict]:
     ]
 
 
+#: ``(seconds per run, seconds per count)`` of an engine.
+Coefficients = Tuple[float, float]
+
+
 def _fit_constant(runs: Sequence[dict]) -> Optional[float]:
-    """The least-squares seconds-per-count constant (relative residual)."""
+    """The least-squares seconds-per-count constant (relative residual,
+    no intercept)."""
     num = den = 0.0
     for run in runs:
         x = run["count"] / run["seconds"]
@@ -135,25 +147,49 @@ def _fit_constant(runs: Sequence[dict]) -> Optional[float]:
     return num / den
 
 
+def _fit_engine(runs: Sequence[dict]) -> Optional[Coefficients]:
+    """The least-squares ``(seconds per run, seconds per count)`` of one
+    engine's runs, both at least 0 (relative residual)."""
+    suu = suv = svv = su = sv = 0.0
+    for run in runs:
+        u, v = 1.0 / run["seconds"], run["count"] / run["seconds"]
+        suu, suv, svv, su, sv = suu + u * u, suv + u * v, svv + v * v, su + u, sv + v
+    if svv == 0.0:
+        return None
+    det = suu * svv - suv * suv
+    if det > 1e-12 * suu * svv:
+        a, c = (su * svv - sv * suv) / det, (sv * suu - su * suv) / det
+        if a >= 0.0 and c >= 0.0:
+            return a, c
+    # The optimum lies on an edge: the better one-parameter fit.
+    edges = [(0.0, sv / svv), (su / suu, 0.0)]
+    return min(edges, key=lambda ac: sum(
+        ((ac[0] + ac[1] * run["count"]) / run["seconds"] - 1.0) ** 2 for run in runs
+    ))
+
+
 def relative_error(
-    runs: Sequence[dict], coefficients: Dict[str, float]
+    runs: Sequence[dict], coefficients: Dict[str, Coefficients]
 ) -> Optional[float]:
-    """RMS ``(predicted - observed) / observed`` under *coefficients*.
+    """RMS ``(predicted - observed) / observed`` under *coefficients*
+    (engine -> ``(seconds per run, seconds per count)``).
 
     Root-mean-square of the same relative residual the fit minimizes,
     so the per-engine fit's error provably never exceeds the shared
     constant's on the fitted runs (a mean-absolute report would not
     inherit that guarantee from a least-squares fit).  Runs whose
-    engine has no coefficient are skipped; returns None when nothing
+    engine has no coefficients are skipped; returns None when nothing
     is comparable.
     """
     total = 0.0
     count = 0
     for run in runs:
-        coefficient = coefficients.get(run["engine"])
-        if coefficient is None:
+        fitted = coefficients.get(run["engine"])
+        if fitted is None:
             continue
-        residual = (coefficient * run["count"] - run["seconds"]) / run["seconds"]
+        per_run, per_count = fitted
+        predicted = per_run + per_count * run["count"]
+        residual = (predicted - run["seconds"]) / run["seconds"]
         total += residual * residual
         count += 1
     if count == 0:
@@ -162,7 +198,7 @@ def relative_error(
 
 
 def fit_calibration(runs: Sequence[dict]) -> dict:
-    """Fit per-engine constants and the before/after error summary."""
+    """Fit per-engine coefficients and the before/after error summary."""
     if not runs:
         raise ValueError(
             "no usable engine_run observations (the trace must hold "
@@ -175,21 +211,22 @@ def fit_calibration(runs: Sequence[dict]) -> dict:
         by_engine.setdefault(run["engine"], []).append(run)
 
     engines: Dict[str, dict] = {}
-    per_engine: Dict[str, float] = {}
+    per_engine: Dict[str, Coefficients] = {}
     for engine, engine_runs in sorted(by_engine.items()):
-        coefficient = _fit_constant(engine_runs)
-        if coefficient is None:
+        fitted = _fit_engine(engine_runs)
+        if fitted is None:
             continue
-        per_engine[engine] = coefficient
+        per_engine[engine] = fitted
         engines[engine] = {
-            "seconds_per_count": coefficient,
+            "seconds_per_run": fitted[0],
+            "seconds_per_count": fitted[1],
             "runs": len(engine_runs),
-            "rel_error": relative_error(engine_runs, {engine: coefficient}),
+            "rel_error": relative_error(engine_runs, {engine: fitted}),
         }
 
     shared = _fit_constant(runs)
     before = (
-        relative_error(runs, {engine: shared for engine in by_engine})
+        relative_error(runs, {engine: (0.0, shared) for engine in by_engine})
         if shared is not None
         else None
     )
@@ -233,19 +270,20 @@ def calibrate(
 
 def render_calibration(calibration: dict) -> str:
     """The human rendering of a calibration result."""
-    lines = ["Cost calibration (seconds per kernel count)"]
+    lines = ["Cost calibration (seconds per run and per kernel count)"]
     engines = calibration.get("engines", {})
     if engines:
         width = max(len(name) for name in engines)
         lines.append(
-            f"  {'engine'.ljust(width)}  {'sec/count':>12}  {'runs':>5}  "
-            f"{'rel err':>8}"
+            f"  {'engine'.ljust(width)}  {'sec/run':>12}  {'sec/count':>12}  "
+            f"{'runs':>5}  {'rel err':>8}"
         )
         for name in sorted(engines):
             entry = engines[name]
             rel = entry.get("rel_error")
             lines.append(
                 f"  {name.ljust(width)}  "
+                f"{entry['seconds_per_run']:>12.3e}  "
                 f"{entry['seconds_per_count']:>12.3e}  "
                 f"{entry['runs']:>5}  "
                 f"{(f'{rel * 100:.1f}%' if rel is not None else '-'):>8}"
@@ -256,7 +294,8 @@ def render_calibration(calibration: dict) -> str:
         lines.append(
             f"  predicted-vs-observed relative error: "
             f"{before * 100:.1f}% (one shared constant) -> "
-            f"{after * 100:.1f}% (per-engine) over {error.get('runs', 0)} "
+            f"{after * 100:.1f}% (per-engine intercept and constant) over "
+            f"{error.get('runs', 0)} "
             "runs"
         )
     return "\n".join(lines) + "\n"

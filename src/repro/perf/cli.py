@@ -1,8 +1,9 @@
 """``python -m repro perf calibrate`` — fit engine costs to a trace.
 
 ``perf calibrate --trace trace.json [--out cost_calibration.json]`` fits
-one seconds-per-count constant per engine to the observed ``engine_run``
-spans and the kernel counts beneath them, and reports the
+a seconds-per-run intercept and a seconds-per-count constant per engine
+to the observed ``engine_run`` spans and the kernel counts beneath them,
+and reports the
 predicted-vs-observed relative error before/after.  Exit 0 on success,
 2 for bad input (missing file, not a trace, no usable ``engine_run``
 spans).
@@ -26,8 +27,8 @@ def build_perf_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     cal = sub.add_parser(
         "calibrate",
-        help="fit seconds per kernel count to observed engine_run "
-        "latencies",
+        help="fit seconds per run and per kernel count to observed "
+        "engine_run latencies",
     )
     cal.add_argument(
         "--trace", required=True, metavar="PATH",

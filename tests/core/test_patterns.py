@@ -175,6 +175,9 @@ class TestMaxDeficitCap:
 
 
 ABC = RelationSchema("R", ("A", "B", "C"))
+ABCD = RelationSchema("R", ("A", "B", "C", "D"))
+#: A second relation with no constraints; its values overlap ``R``'s.
+EF = RelationSchema("S", ("E", "F"))
 
 #: Dependency sets over ``ABC``.  The mixed FD + MVD set is not FD-only,
 #: so its worlds reach the fresh-first search with its FD checks.
@@ -267,15 +270,16 @@ def relational(rows, *deps):
 
 
 def uncapped_ratio(world):
-    """The per-world limit with every class searched to completion: the
-    leading terms of all classes, then the mass of the top degree that
-    the fresh continuum (degree ``b_g + 1``) carries."""
+    """The per-world limit with every class searched to completion, with
+    every label and no cut: the leading terms of all classes, then the
+    mass of the top degree that the fresh continuum (degree ``b_g + 1``)
+    carries."""
     leading = []
     for v in world.fixed_values:
-        stat = max_fresh(world, v)
+        stat = max_fresh(world, v, prune=False)
         if stat is not None:
             leading.append(stat)
-    fresh = max_fresh(world, FRESH)
+    fresh = max_fresh(world, FRESH, prune=False)
     degree = max(
         [d for d, _c in leading] + ([fresh[0] + 1] if fresh is not None else [])
     )
@@ -424,6 +428,128 @@ class TestExitsOfTheLimitRatio:
         assert tied == {Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)}
 
 
+def full_label_least(world, candidate):
+    """``(least deficit, patterns there)`` of *candidate*'s class by the
+    unpruned walk, which offers every label at every cell, or ``None``."""
+    stat = max_fresh(world, candidate, prune=False)
+    return None if stat is None else (world.num_erased - stat[0], stat[1])
+
+
+def full_label_count(world, candidate, deficit):
+    """The satisfying patterns of *candidate*'s class at *deficit*, by the
+    unpruned walk."""
+    _floor, walk = deficit_walker(world, candidate, prune=False)
+    return walk(deficit, deficit).get(deficit, 0)
+
+
+def assert_column_local_search_is_exact(world):
+    """At a least deficit, the pruned walk offers a cell only its column's
+    labels (DESIGN §2.1, "Column-local search"): each class's least
+    deficit and count there, and each fixed class's count at the cap
+    ``κ = δ_g − 1``, must equal the full-label search's; every fixed
+    class the ratio skips must lie at or below the fresh class's degree;
+    and the ratio must equal the uncapped one."""
+    assert world.columns is not None  # a relational instance
+    erased = world.num_erased
+    fresh = full_label_least(world, FRESH)
+    for candidate in world.candidate_classes():
+        search = deficit_walker(world, candidate)
+        deficit = least_deficit(search, erased)
+        expected = full_label_least(world, candidate)
+        if expected is None:
+            assert deficit is None
+            continue
+        assert (deficit, search[1](deficit, deficit)[deficit]) == expected
+        if candidate is FRESH:
+            continue
+        if candidate not in world.columns[1][0]:  # skipped: δ_v ≥ δ_g
+            assert fresh is not None and expected[0] >= fresh[0]
+        if fresh is not None and fresh[0] >= 1:
+            cap = fresh[0] - 1
+            capped = deficit_walker(world, candidate, max_deficit=cap)
+            if least_deficit(capped, cap - 1) is None:
+                tie = capped[1](cap, cap).get(cap, 0) if capped else 0
+                assert tie == full_label_count(world, candidate, cap)
+    assert world_limit_ratio(world) == uncapped_ratio(world)
+
+
+ABCD_SIGMAS = [
+    [MVD("A", "B")],
+    [MVD("AB", "C")],
+    [MVD("", "CD")],
+    [MVD("A", "B"), FD("C", "D")],
+    [JD("ABC", "CD")],
+    # The pruning state does not decide these leaves: the oracle does.
+    [JD("AB", "BC", "CD")],
+    [JD("AB", "BC", "CD", "DA")],
+]
+
+
+@st.composite
+def mvd_jd_worlds(draw):
+    """A small instance over ``R(A,B,C,D)`` satisfying MVDs, a two- or a
+    three-component JD (or a cyclic one), sometimes beside an
+    unconstrained ``S(E,F)`` sharing its values, and one of its worlds
+    (at most six cells erased)."""
+    sigma = draw(st.sampled_from(ABCD_SIGMAS))
+    values = st.integers(1, 2)
+    rows = draw(st.sets(st.tuples(values, values, values, values), min_size=1, max_size=3))
+    relation = Relation(ABCD, rows)
+    assume(all(dep.is_satisfied_by(relation) for dep in sigma))
+    other = draw(st.sets(st.tuples(values, values), max_size=1))
+    if other:
+        inst = PositionedInstance.from_instance(
+            DatabaseInstance([relation, Relation(EF, other)]), {"R": sigma}
+        )
+    else:
+        inst = PositionedInstance.from_relation(relation, sigma)
+    p = draw(st.sampled_from(inst.positions))
+    others = [q for q in inst.positions if q != p]
+    erased = draw(st.sets(st.sampled_from(others), max_size=6))
+    return World(inst, p, frozenset(others) - erased)
+
+
+class TestColumnLocalSearch:
+    """The least-deficit walks keep labels column-local, ``world_limit_ratio``
+    skips the fixed classes ``p``'s column does not hold, and a walk at
+    deficit 0 is one check: none may change a least deficit, a count
+    the ratio reads, or the ratio."""
+
+    @pytest.mark.parametrize("name", sorted(set(SMALL_INSTANCES) - CHASED))
+    def test_equals_the_full_label_search_on_every_world(self, name):
+        for world in every_world(SMALL_INSTANCES[name]()):
+            assert_column_local_search_is_exact(world)
+
+    @RATIO_CORPUS
+    @given(mvd_jd_worlds())
+    def test_equals_the_full_label_search_on_mvds_and_jds(self, world):
+        assert_column_local_search_is_exact(world)
+
+    @RATIO_CORPUS
+    @given(worlds())
+    def test_equals_the_full_label_search_over_abc(self, world):
+        assume(world.forced_by_chase() is None)
+        assert_column_local_search_is_exact(world)
+
+    def test_xml_worlds_keep_every_label(self):
+        inst = SMALL_INSTANCES["xml-two-confs"]()
+        assert not inst.positions_are_cells
+        assert all(w.columns is None for w in every_world(inst))
+
+    def test_w5_leaves_are_decided_by_the_oracle(self):
+        # R(A,B,C,D) under the acyclic JD(AB,BC,CD): its pruning state
+        # does not decide leaves, so each walk at deficit 0 passing its
+        # one check asks the oracle once.
+        inst = PositionedInstance.from_relation(
+            Relation(ABCD, [(2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2)]),
+            [JD("AB", "BC", "CD")],
+        )
+        assert not inst.pruning_decides_leaves
+        before = METRICS.get("ric.oracle.calls")
+        assert ric_exact(inst, inst.positions[0]) == Fraction(2407, 3072)
+        assert METRICS.get("ric.oracle.calls") - before == 2090
+
+
 def kept_counts_are_exact(world):
     """Does each kept MVD count of *world*'s pruning state equal its count
     from scratch on the live rows?"""
@@ -473,15 +599,12 @@ class TestInterleavedWalkers:
         assert stopped > 50
 
 
-ABCD = RelationSchema("R", ("A", "B", "C", "D"))
 #: FDs over ``ABCD``: multi-attribute and empty left-hand sides, two-
 #: attribute right-hand sides, and chains the chase follows in either order.
 FD_CHOICES = [
     FD("A", "B"), FD("B", "C"), FD("C", "D"), FD("D", "A"), FD("AB", "C"),
     FD("CD", "B"), FD("", "D"), FD("A", "CD"),
 ]
-#: A second relation with no constraints; its values overlap ``R``'s.
-EF = RelationSchema("S", ("E", "F"))
 
 
 @st.composite

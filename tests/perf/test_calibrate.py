@@ -149,8 +149,38 @@ class TestFit:
         calibration = fit_calibration(collect_engine_runs(spans))
         entry = calibration["engines"]["exact"]
         assert entry["seconds_per_count"] == pytest.approx(2e-6)
+        assert entry["seconds_per_run"] == pytest.approx(0.0, abs=1e-12)
         assert entry["rel_error"] == pytest.approx(0.0, abs=1e-9)
-        assert calibration["schema_version"] == 2
+        assert calibration["schema_version"] == 3
+
+    def test_a_fixed_cost_per_run_is_the_intercept(self):
+        # Every run pays 0.3 ms whatever it counts: a slope alone misses
+        # the small runs by far, an intercept fits them exactly.
+        runs = [{"engine": "exact", "count": c, "seconds": 3e-4 + c * 1e-6}
+                for c in (4, 32, 256, 832)]
+        calibration = fit_calibration(runs)
+        entry = calibration["engines"]["exact"]
+        assert entry["seconds_per_run"] == pytest.approx(3e-4)
+        assert entry["seconds_per_count"] == pytest.approx(1e-6)
+        assert entry["rel_error"] == pytest.approx(0.0, abs=1e-9)
+        assert calibration["error"]["before"] > 0.5
+
+    def test_one_run_fits_a_slope_alone(self):
+        # One run cannot tell a fixed cost from a per-count one.
+        calibration = fit_calibration(
+            [{"engine": "exact", "count": 10, "seconds": 1e-3}]
+        )
+        entry = calibration["engines"]["exact"]
+        assert (entry["seconds_per_run"], entry["seconds_per_count"]) == (0.0, 1e-4)
+
+    def test_a_negative_intercept_is_clamped(self):
+        # Seconds grow faster than counts: the free fit's intercept is
+        # negative, so the slope alone is fitted.
+        runs = [{"engine": "exact", "count": c, "seconds": c * c * 1e-6}
+                for c in (10, 20, 40)]
+        entry = fit_calibration(runs)["engines"]["exact"]
+        assert entry["seconds_per_run"] == 0.0
+        assert entry["seconds_per_count"] > 0.0
 
     def test_per_engine_error_never_exceeds_shared(self):
         # Two engines with very different true constants: one shared
@@ -180,7 +210,7 @@ class TestFit:
         runs = [{"engine": "exact", "count": c, "seconds": c * 1e-5}
                 for c in (50, 100)]
         text = render_calibration(fit_calibration(runs))
-        assert "exact" in text and "sec/count" in text
+        assert "exact" in text and "sec/run" in text and "sec/count" in text
 
 
 class TestEndToEnd:
