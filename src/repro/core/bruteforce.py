@@ -16,7 +16,7 @@ from typing import Optional
 from repro.core.measure import bruteforce_fits
 from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import sweep
-from repro.core.worlds import World, check_deadline
+from repro.core.worlds import World, WorkCounts, check_deadline
 
 
 def world_entropy_k_bruteforce(
@@ -54,12 +54,13 @@ def inf_k_bruteforce(
     p: Position,
     k: int,
     deadline: Optional[float] = None,
+    counts: Optional[WorkCounts] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` by literal enumeration.
 
     Refuses an instance past :func:`repro.core.measure.bruteforce_fits`,
     so an accidental large run cannot hang.  The sweep itself (its
-    consistency check and deadline) is :func:`repro.core.symbolic.sweep`.
+    consistency check, deadline, counts) is :func:`repro.core.symbolic.sweep`.
     """
     n = len(instance.positions)
     if not bruteforce_fits(n, k):
@@ -68,4 +69,4 @@ def inf_k_bruteforce(
             "use the symbolic engine"
         )
     per_world = partial(world_entropy_k_bruteforce, k=k)
-    return sweep(instance, p, per_world, 0.0, "bruteforce", deadline=deadline)
+    return sweep(instance, p, per_world, 0.0, deadline, counts)

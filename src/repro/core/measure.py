@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 if TYPE_CHECKING:
     from repro.core.montecarlo import MCEstimate
     from repro.core.positions import Position, PositionedInstance
+    from repro.core.worlds import WorkCounts
 
 #: The exact sweeps' guard: more than ``EXACT_MAX_POSITIONS + 1``
 #: positions (``2^EXACT_MAX_POSITIONS`` revealed sets) is refused.
@@ -102,21 +103,24 @@ def inf_k(
     k: int,
     method: str = "symbolic",
     deadline: Optional[float] = None,
+    counts: Optional[WorkCounts] = None,
 ) -> float:
     """``INF_I^k(p | Σ)`` in bits.
 
     *method*: ``"symbolic"`` (exact, pattern counting) or ``"bruteforce"``
     (exact, literal enumeration; tiny instances only).  Past *deadline*
     (a :func:`time.monotonic` value) the kernel raises ``DeadlineExceeded``.
+    The kernel adds the work of the worlds it visits into *counts*, when
+    given (a :class:`~repro.core.worlds.WorkCounts`).
     """
     if method == "symbolic":
         from repro.core.symbolic import inf_k_symbolic
 
-        return inf_k_symbolic(instance, p, k, deadline=deadline)
+        return inf_k_symbolic(instance, p, k, deadline=deadline, counts=counts)
     if method == "bruteforce":
         from repro.core.bruteforce import inf_k_bruteforce
 
-        return inf_k_bruteforce(instance, p, k, deadline=deadline)
+        return inf_k_bruteforce(instance, p, k, deadline=deadline, counts=counts)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -128,6 +132,7 @@ def ric(
     seed: int = 0,
     pool=None,
     deadline: Optional[float] = None,
+    counts: Optional[WorkCounts] = None,
 ) -> Union[Fraction, MCEstimate]:
     """The relative information content ``RIC_I(p | Σ) ∈ [0, 1]``.
 
@@ -136,19 +141,21 @@ def ric(
     :class:`~repro.core.montecarlo.MCEstimate`, deterministic in
     ``(samples, seed)``, and scales to instances the exact sweep cannot
     handle.  Given a *pool* (a :class:`repro.service.pool.WorkerPool`),
-    the Monte-Carlo sample range is sharded across it; the estimate is
-    bit-identical either way.  *deadline* is as for :func:`inf_k`.
+    the Monte-Carlo sample range is sharded across it; the estimate and
+    the counts are the same either way.  *deadline* and *counts* are as
+    for :func:`inf_k`.
     """
     if method == "exact":
         from repro.core.symbolic import ric_exact
 
-        return ric_exact(instance, p, deadline=deadline)
+        return ric_exact(instance, p, deadline=deadline, counts=counts)
     if method == "montecarlo":
         from repro.core.montecarlo import ric_montecarlo
 
         estimate = ric_montecarlo if pool is None else pool.ric_montecarlo
         return estimate(
-            instance, p, samples=samples, seed=seed, deadline=deadline
+            instance, p, samples=samples, seed=seed, deadline=deadline,
+            counts=counts,
         )
     raise ValueError(f"unknown method {method!r}")
 

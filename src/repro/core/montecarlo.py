@@ -21,21 +21,21 @@ seed)`` are sound.
 
 ``ric_montecarlo`` is one chunk over ``[0, samples)`` and never touches
 the global :mod:`random` state: with no arguments it uses ``seed=0``
-(reproducible by default).
+(reproducible by default).  Each chunk also returns the work its worlds
+counted (:class:`~repro.core.worlds.WorkCounts`); the engine records
+nothing itself.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.core.positions import Position, PositionedInstance
-from repro.core.symbolic import WorkCounts, require_consistent, world_limit_ratio
-from repro.core.worlds import World, check_deadline
-from repro.service.metrics import METRICS
-from repro.service.trace import TRACER
+from repro.core.symbolic import require_consistent, world_limit_ratio
+from repro.core.worlds import World, WorkCounts, check_deadline
 
 #: Knuth-style multiplicative mixer; decorrelates consecutive sample
 #: indices before they seed the per-sample Mersenne Twister.
@@ -70,20 +70,26 @@ class MCChunk:
     """Mergeable sufficient statistics of one shard of samples.
 
     A chunk carries the running sum and sum of squares of its per-world
-    limit ratios; chunks from disjoint index ranges merge associatively,
-    so any partition of ``[0, samples)`` yields the same estimate.
+    limit ratios and its worlds' work counts; chunks from disjoint index
+    ranges merge associatively, so any partition of ``[0, samples)``
+    yields the same estimate and counts.
     """
 
     total: float
     total_sq: float
     samples: int
+    counts: WorkCounts = field(default_factory=WorkCounts)
 
     def merge(self, other: "MCChunk") -> "MCChunk":
         """Combine two disjoint shards."""
+        counts = WorkCounts()
+        counts.merge(self.counts)
+        counts.merge(other.counts)
         return MCChunk(
             total=self.total + other.total,
             total_sq=self.total_sq + other.total_sq,
             samples=self.samples + other.samples,
+            counts=counts,
         )
 
 
@@ -107,29 +113,30 @@ def ric_mc_chunk(
     total = 0.0
     total_sq = 0.0
     counts = WorkCounts()
-    with TRACER.span("mc.chunk", start=start, count=count, seed=seed) as span:
-        for j in range(start, start + count):
-            check_deadline(deadline)
-            rng = _sample_rng(seed, j)
-            revealed = frozenset(q for q in others if rng.random() < 0.5)
-            world = World(instance, p, revealed)
-            ratio = float(world_limit_ratio(world, deadline))
-            counts.add(world)
-            total += ratio
-            total_sq += ratio * ratio
-        counts.record(span)
-    METRICS.inc("ric.mc.samples", count)
-    METRICS.inc("ric.mc.chunks")
-    return MCChunk(total=total, total_sq=total_sq, samples=count)
+    for j in range(start, start + count):
+        check_deadline(deadline)
+        rng = _sample_rng(seed, j)
+        revealed = frozenset(q for q in others if rng.random() < 0.5)
+        world = World(instance, p, revealed)
+        ratio = float(world_limit_ratio(world, deadline))
+        counts.add(world)
+        total += ratio
+        total_sq += ratio * ratio
+    return MCChunk(total=total, total_sq=total_sq, samples=count, counts=counts)
 
 
-def merge_mc_chunks(chunks: Iterable[MCChunk]) -> MCEstimate:
-    """Fold disjoint chunks into the final :class:`MCEstimate`."""
+def merge_mc_chunks(
+    chunks: Iterable[MCChunk], counts: Optional[WorkCounts] = None
+) -> MCEstimate:
+    """Fold disjoint chunks into the final :class:`MCEstimate`, and their
+    work counts into *counts*, when given."""
     merged = MCChunk(0.0, 0.0, 0)
     for chunk in chunks:
         merged = merged.merge(chunk)
     if merged.samples <= 0:
         raise ValueError("need at least one sample")
+    if counts is not None:
+        counts.merge(merged.counts)
     mean = merged.total / merged.samples
     variance = max(0.0, merged.total_sq / merged.samples - mean * mean)
     stderr = math.sqrt(variance / merged.samples)
@@ -142,13 +149,16 @@ def ric_montecarlo(
     samples: int = 200,
     seed: int = 0,
     deadline: Optional[float] = None,
+    counts: Optional[WorkCounts] = None,
 ) -> MCEstimate:
     """Estimate ``RIC_I(p | Σ)`` from *samples* random revealed sets.
 
     The counter-based sampler under *seed* (see the module docstring):
-    deterministic, chunkable, never the global :mod:`random` state.
+    deterministic, chunkable, never the global :mod:`random` state.  Its
+    samples' work is added into *counts*, when given.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
     require_consistent(instance)
-    return merge_mc_chunks([ric_mc_chunk(instance, p, 0, samples, seed, deadline)])
+    chunk = ric_mc_chunk(instance, p, 0, samples, seed, deadline)
+    return merge_mc_chunks([chunk], counts)

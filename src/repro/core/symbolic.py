@@ -46,8 +46,8 @@ pattern, and those searches stop at their first satisfying leaf
 
 The kernels refuse an instance that violates its own ``Σ``
 (:func:`require_consistent`): on one, some worlds have no satisfying
-class at all.  They sum the work each world counted with
-:class:`WorkCounts`.
+class at all.  Given a :class:`~repro.core.worlds.WorkCounts`, they add
+the work each world counted into it and record nothing themselves.
 """
 
 from __future__ import annotations
@@ -63,9 +63,7 @@ from repro.core.patterns import deficit_walker, least_deficit, pattern_counts
 # Re-exported: perfbench's ``pattern`` hook wraps it here by name.
 from repro.core.patterns import max_fresh  # noqa: F401
 from repro.core.positions import Position, PositionedInstance
-from repro.core.worlds import FRESH, World, check_deadline
-from repro.service.metrics import METRICS
-from repro.service.trace import TRACER
+from repro.core.worlds import FRESH, World, WorkCounts, check_deadline
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -81,56 +79,6 @@ def falling_factorial(n: int, b: int) -> int:
         if result == 0:
             return 0
     return max(result, 0) if n >= b else 0
-
-
-class WorkCounts:
-    """The work tallies of the worlds a kernel visited, summed.
-
-    :meth:`add` folds in one world; :meth:`record` writes the sums to the
-    kernel's span and to the registry (``ric.worlds.chased``,
-    ``ric.oracle.calls``, ``ric.prune.calls``, ``ric.prune.hits``,
-    ``ric.pattern.leaves``, ``ric.pattern.deficit``), so they are counted
-    with tracing on or off.  The fresh classes' least deficits are summed
-    (``deficit_sum``) and their maximum kept (``deficit_max``, on the span
-    only: registry counters add).
-    """
-
-    __slots__ = ("worlds", "chased", "oracle_calls", "prune_calls", "prune_hits",
-                 "leaves", "deficit_sum", "deficit_max")
-
-    def __init__(self) -> None:
-        self.worlds = self.chased = self.oracle_calls = 0
-        self.prune_calls = self.prune_hits = self.leaves = 0
-        self.deficit_sum = self.deficit_max = 0
-
-    def add(self, world: World) -> None:
-        self.worlds += 1
-        self.chased += world.chased
-        self.oracle_calls += world.oracle_calls
-        self.prune_calls += world.prune_calls
-        self.prune_hits += world.prune_hits
-        self.leaves += world.leaves
-        if world.deficit is not None:
-            self.deficit_sum += world.deficit
-            self.deficit_max = max(self.deficit_max, world.deficit)
-
-    def record(self, span) -> None:
-        span.set(
-            worlds=self.worlds,
-            chased=self.chased,
-            oracle_calls=self.oracle_calls,
-            prune_calls=self.prune_calls,
-            prune_hits=self.prune_hits,
-            leaves=self.leaves,
-            deficit_sum=self.deficit_sum,
-            deficit_max=self.deficit_max,
-        )
-        METRICS.inc("ric.worlds.chased", self.chased)
-        METRICS.inc("ric.oracle.calls", self.oracle_calls)
-        METRICS.inc("ric.prune.calls", self.prune_calls)
-        METRICS.inc("ric.prune.hits", self.prune_hits)
-        METRICS.inc("ric.pattern.leaves", self.leaves)
-        METRICS.inc("ric.pattern.deficit", self.deficit_sum)
 
 
 def require_consistent(instance: PositionedInstance) -> None:
@@ -231,8 +179,8 @@ def sweep(
     p: Position,
     per_world: Callable[..., Any],
     zero: Any,
-    engine: str,
     deadline: Optional[float] = None,
+    counts: Optional[WorkCounts] = None,
 ) -> Any:
     """The exact average of ``per_world(world, deadline=deadline)`` over
     every world of ``p``.
@@ -243,6 +191,7 @@ def sweep(
     ``2^(n−1)`` revealed sets; :func:`repro.core.measure.exact_fits`
     guards the exponent (use the Monte-Carlo engine beyond it).
     *deadline* is checked per world here and inside one by *per_world*.
+    Each world's work is added into *counts*, when given.
     """
     n = len(instance.positions)
     if not exact_fits(n):
@@ -252,17 +201,15 @@ def sweep(
         )
     require_consistent(instance)
     total = zero
-    counts = WorkCounts()
-    with TRACER.span("ric.sweep", engine=engine, positions=n) as span:
-        for revealed in revealed_subsets(instance, p):
-            check_deadline(deadline)
-            world = World(instance, p, revealed)
-            total += per_world(world, deadline=deadline)
+    worlds = 0
+    for revealed in revealed_subsets(instance, p):
+        check_deadline(deadline)
+        world = World(instance, p, revealed)
+        total += per_world(world, deadline=deadline)
+        worlds += 1
+        if counts is not None:
             counts.add(world)
-        counts.record(span)
-    METRICS.inc("ric.sweeps")
-    METRICS.inc("ric.sweep.worlds", counts.worlds)
-    return total / counts.worlds
+    return total / worlds
 
 
 def inf_k_symbolic(
@@ -270,16 +217,18 @@ def inf_k_symbolic(
     p: Position,
     k: int,
     deadline: Optional[float] = None,
+    counts: Optional[WorkCounts] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` in bits (averaged over all revealed sets)."""
     per_world = partial(world_entropy_k, k=k)
-    return sweep(instance, p, per_world, 0.0, "entropy_k", deadline)
+    return sweep(instance, p, per_world, 0.0, deadline, counts)
 
 
 def ric_exact(
     instance: PositionedInstance,
     p: Position,
     deadline: Optional[float] = None,
+    counts: Optional[WorkCounts] = None,
 ) -> Fraction:
     """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``."""
-    return sweep(instance, p, world_limit_ratio, Fraction(0), "exact", deadline)
+    return sweep(instance, p, world_limit_ratio, Fraction(0), deadline, counts)

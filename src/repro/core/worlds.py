@@ -86,7 +86,7 @@ class World:
     least deficit (``deficit``, recorded by
     :func:`repro.core.symbolic.world_limit_ratio`; ``None`` when it was
     not searched or has no satisfying pattern).  The kernels sum these
-    over the worlds they visit.
+    over the worlds they visit into a :class:`WorkCounts`.
     """
 
     def __init__(
@@ -236,3 +236,42 @@ class World:
             self.prune_hits += 1
             return True
         return False
+
+
+@dataclass(slots=True)
+class WorkCounts:
+    """The work tallies of the worlds a kernel visited, summed: :meth:`add`
+    folds in one world, :meth:`merge` another tally (a Monte-Carlo
+    chunk's).  The fresh classes' least deficits are summed
+    (``deficit_sum``) and their maximum kept (``deficit_max``).  A kernel
+    fills the tally it is given and records nothing; the planner does."""
+
+    worlds: int = 0
+    chased: int = 0
+    oracle_calls: int = 0
+    prune_calls: int = 0
+    prune_hits: int = 0
+    leaves: int = 0
+    deficit_sum: int = 0
+    deficit_max: int = 0
+
+    def add(self, world: World) -> None:
+        self.worlds += 1
+        self.chased += world.chased
+        self.oracle_calls += world.oracle_calls
+        self.prune_calls += world.prune_calls
+        self.prune_hits += world.prune_hits
+        self.leaves += world.leaves
+        if world.deficit is not None:
+            self.deficit_sum += world.deficit
+            self.deficit_max = max(self.deficit_max, world.deficit)
+
+    def merge(self, other: "WorkCounts") -> None:
+        self.worlds += other.worlds
+        self.chased += other.chased
+        self.oracle_calls += other.oracle_calls
+        self.prune_calls += other.prune_calls
+        self.prune_hits += other.prune_hits
+        self.leaves += other.leaves
+        self.deficit_sum += other.deficit_sum
+        self.deficit_max = max(self.deficit_max, other.deficit_max)

@@ -23,23 +23,35 @@ Results are not cached here: the batch runner's content-addressed
 :meth:`Problem.canonical_key`, is the one result cache.
 
 Instrumentation: a ``plan`` span during planning, one ``engine_run``
-span per attempted stage (carrying its ``worlds``), and counters
-``planner.plans`` / ``engine.runs{engine=…}`` in the shared registry
-(reset per batch by ``run_batch``).
+span per attempted stage, and counters ``planner.plans`` /
+``engine.runs{engine=…}`` in the shared registry (reset per batch by
+``run_batch``).  It is the one place that records the kernels' work:
+each stage's kernel fills a :class:`~repro.core.worlds.WorkCounts`,
+which goes on the ``engine_run`` span and into the registry
+(``engine.worlds{engine=…}``, :data:`WORK_COUNTERS`) once the stage
+returns.  A stage that raises records nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import monotonic, perf_counter
 from typing import Any, Optional, Tuple
 
 from repro.core.measure import inf_k, ladder, refusal, ric, worlds_visited
-from repro.core.worlds import DeadlineExceeded
+from repro.core.worlds import DeadlineExceeded, WorkCounts
 from repro.engine.problem import Problem
 from repro.service.budget import Budget, BudgetExceeded
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
+
+
+#: The registry counter each kernel work count is added to.
+WORK_COUNTERS = {
+    "chased": "ric.worlds.chased", "oracle_calls": "ric.oracle.calls",
+    "prune_calls": "ric.prune.calls", "prune_hits": "ric.prune.hits",
+    "leaves": "ric.pattern.leaves", "deficit_sum": "ric.pattern.deficit",
+}
 
 
 @dataclass(frozen=True)
@@ -112,11 +124,13 @@ class ExecutionResult:
     plan: Plan
 
 
-def _run_engine(problem: Problem, engine: str, pool, deadline):
-    """Run *engine* on *problem* through the core method table."""
+def _run_engine(problem: Problem, engine: str, pool, deadline, counts):
+    """Run *engine* on *problem* through the core method table, adding
+    its work into *counts*."""
     instance, p = problem.resolved_instance(), problem.position_obj()
     if problem.op == "inf_k":
-        return inf_k(instance, p, problem.k, method=engine, deadline=deadline)
+        return inf_k(instance, p, problem.k, method=engine,
+                     deadline=deadline, counts=counts)
     return ric(
         instance,
         p,
@@ -125,6 +139,7 @@ def _run_engine(problem: Problem, engine: str, pool, deadline):
         seed=problem.seed,
         pool=pool,
         deadline=deadline,
+        counts=counts,
     )
 
 
@@ -213,10 +228,10 @@ class Planner:
                     "budget.degrade", stage=step.engine, reason="size"
                 )
                 continue
+            counts = WorkCounts()
             try:
                 # ``repro perf calibrate`` fits each engine's seconds per
-                # count from this span's duration and the counts on the
-                # kernel spans beneath it.
+                # count from this span's duration and counts.
                 with TRACER.span(
                     "engine_run",
                     engine=step.engine,
@@ -225,10 +240,13 @@ class Planner:
                     worlds=step.worlds,
                 ) as span:
                     value = _run_engine(
-                        problem, step.engine, pool, stage_deadline()
+                        problem, step.engine, pool, stage_deadline(), counts
                     )
-                    span.set(ok=True)
+                    span.set(ok=True, **asdict(counts))
                 METRICS.inc("engine.runs", engine=step.engine)
+                METRICS.inc("engine.worlds", counts.worlds, engine=step.engine)
+                for attr, counter in WORK_COUNTERS.items():
+                    METRICS.inc(counter, getattr(counts, attr))
                 return value, step.engine
             except DeadlineExceeded:
                 attempts.append((step.engine, "timeout"))

@@ -1,11 +1,11 @@
 """Observed-cost calibration: seconds per run and per unit of kernel work.
 
 A plan says how many worlds each stage would visit, and the kernels
-count what they did: every ``ric.sweep`` / ``mc.chunk`` span carries its
-``worlds``, ``oracle_calls``, ``prune_calls`` and ``leaves``.  This
-module replays a trace (``--trace-out`` of a batch run, or the raw
-drained spans), sums those four counts over the kernel spans beneath
-each ``engine_run`` span, and fits per engine a **seconds-per-run**
+count what they did: the planner puts every finished stage's
+``worlds``, ``oracle_calls``, ``prune_calls`` and ``leaves`` on its
+``engine_run`` span.  This module replays a trace (``--trace-out`` of a
+batch run, or the raw drained spans), sums those four counts on each
+``engine_run`` span, and fits per engine a **seconds-per-run**
 intercept ``a`` (what every run pays whatever it counts: planning the
 stage, building the instance's checks) and a **seconds-per-count**
 slope ``c``, by least squares on the *relative* residual::
@@ -52,9 +52,6 @@ from repro.service.export import spans_from_chrome_trace
 SCHEMA_NAME = "repro-cost-calibration"
 SCHEMA_VERSION = 3
 
-#: The spans on which the kernels record their counts.
-KERNEL_SPANS = ("ric.sweep", "mc.chunk")
-
 #: The counts whose sum is a run's work.
 COUNTS = ("worlds", "oracle_calls", "prune_calls", "leaves")
 
@@ -88,10 +85,8 @@ def env_fingerprint() -> dict:
     }
 
 
-def _kernel_count(span: dict) -> int:
-    """The summed :data:`COUNTS` of one kernel span (0 for any other)."""
-    if span.get("name") not in KERNEL_SPANS:
-        return 0
+def _count(span: dict) -> int:
+    """The summed :data:`COUNTS` of an ``engine_run`` span."""
     values = (span.get("attrs", {}).get(name) for name in COUNTS)
     return sum(v for v in values if isinstance(v, int))
 
@@ -101,33 +96,20 @@ def collect_engine_runs(trace) -> List[dict]:
 
     *trace* is either a Chrome Trace Event document (the ``--trace-out``
     file) or a sequence of drained span dicts.  A run's count is the sum
-    of :data:`COUNTS` over the kernel spans beneath it, found by walking
-    parent ids: the explicit ones of ``pool.chunk`` spans and the ones
-    :meth:`~repro.service.trace.Tracer.adopt` remaps for worker
-    processes included.  A run that failed (a timed-out stage), took no
-    time or has no counted kernel span beneath it is skipped; a trace
-    with none left yields an empty list, which callers turn into exit
-    code 2.
+    of :data:`COUNTS` on its own span.  A run that failed (a timed-out
+    stage), took no time or counted nothing is skipped; a trace with
+    none left yields an empty list, which callers turn into exit code 2.
     """
     spans = spans_from_chrome_trace(trace) if isinstance(trace, dict) else trace
-    parents = {span.get("id"): span.get("parent") for span in spans}
-    runs = [s for s in spans if s.get("name") == "engine_run" and s.get("id")]
-    counts = dict.fromkeys((run["id"] for run in runs), 0)
-    for span in spans:
-        count, node, seen = _kernel_count(span), span.get("parent"), set()
-        while count and node is not None and node not in seen:
-            if node in counts:
-                counts[node] += count
-                break
-            seen.add(node)  # a malformed trace may hold a cycle
-            node = parents.get(node)
-    return [
-        {"engine": str(run["attrs"]["engine"]), "count": counts[run["id"]],
-         "seconds": float(run["dur"])}
-        for run in runs
-        if run.get("attrs", {}).get("engine") and not run.get("error")
-        and counts[run["id"]] > 0 and run.get("dur", 0) > 0
+    runs = [
+        {"engine": str(span["attrs"]["engine"]), "count": _count(span),
+         "seconds": float(span["dur"])}
+        for span in spans
+        if span.get("name") == "engine_run"
+        and span.get("attrs", {}).get("engine") and not span.get("error")
+        and span.get("dur", 0) > 0
     ]
+    return [run for run in runs if run["count"] > 0]
 
 
 #: ``(seconds per run, seconds per count)`` of an engine.
@@ -202,9 +184,8 @@ def fit_calibration(runs: Sequence[dict]) -> dict:
     if not runs:
         raise ValueError(
             "no usable engine_run observations (the trace must hold "
-            "engine_run spans with counted ric.sweep or mc.chunk spans "
-            "beneath them — re-record with --trace-out on the current "
-            "version)"
+            "engine_run spans that carry their counts — re-record with "
+            "--trace-out on the current version)"
         )
     by_engine: Dict[str, List[dict]] = {}
     for run in runs:

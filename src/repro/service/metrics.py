@@ -1,11 +1,12 @@
 """A lightweight counters registry for the service layer.
 
 This module deliberately imports **nothing** from the rest of ``repro``
-so that low-level engines (the chase loop, the symbolic sweep, the RPQ
-product search) can record into the default registry without creating
-import cycles.  Hot loops batch their increments — one ``inc`` per run
-with the loop's total, never one per iteration — so instrumentation cost
-stays unmeasurable.
+so that low-level code (the chase loop, the RPQ product search) can
+record into the default registry without creating import cycles.  Hot
+loops batch their increments — one ``inc`` per run with the loop's
+total, never one per iteration — so instrumentation cost stays
+unmeasurable.  The ``RIC`` kernels record nothing: they return their
+work counts, and the planner adds them here once per engine run.
 
 Usage::
 
@@ -20,18 +21,12 @@ The registry counts work; it keeps no durations.  How long something
 took is in the spans (:mod:`repro.service.trace`) and in each batch
 report entry's ``seconds``, from which ``metrics-report`` derives its
 latency table.
-
-Cross-process completeness: worker processes record into their own
-process-local ``METRICS``; the pool piggybacks each worker's snapshot
-onto its chunk results and folds them back with :meth:`Metrics.merge`,
-so the parent's ``snapshot()`` is complete under ``--workers N`` even
-with a process pool.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Union
+from typing import Dict
 
 
 def label_key(name: str, labels: Dict[str, object]) -> str:
@@ -74,25 +69,13 @@ class Metrics:
         with self._lock:
             return {"counters": dict(sorted(self._counters.items()))}
 
-    def merge(self, other: Union["Metrics", dict]) -> None:
-        """Fold *other* — a registry or a :meth:`snapshot` dict — into
-        this registry.
-
-        Counters add.  This is how metrics recorded in worker
-        *processes* become part of the parent's snapshot.
-        """
-        snap = other.snapshot() if isinstance(other, Metrics) else other
-        with self._lock:
-            for name, value in snap.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-
     def reset(self) -> None:
         """Zero every counter (tests and fresh batch runs)."""
         with self._lock:
             self._counters.clear()
 
 
-#: The process-wide default registry; the engines record into this one.
+#: The process-wide default registry; the runtime records into this one.
 METRICS = Metrics()
 
 # Canonical counter name recorded by the recovery layer (the modules

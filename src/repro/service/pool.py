@@ -25,12 +25,12 @@ Because chunk results are order-merged sufficient statistics, a
 recovered estimate is still bit-identical to the failure-free one.  A
 chunk past its deadline is never retried.
 
-Chunk evaluation is also the runtime's **cross-process telemetry seam**:
-a chunk that runs in a worker process snapshots its local
-:data:`~repro.service.metrics.METRICS` and finished spans and piggybacks
-them on the chunk result; the dispatching side merges the snapshots and
-adopts the spans under the span that scheduled the work, so the parent's
-metrics report and trace tree are complete under process sharding.
+Chunk evaluation is also the runtime's **cross-process trace seam**: a
+chunk that runs in a worker process drains its finished spans and
+piggybacks them on the chunk result; the dispatching side adopts them
+under the span that scheduled the work, so the parent's trace tree is
+complete under process sharding.  Counts need no seam: every chunk
+returns its own.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.service.validate import (
 if TYPE_CHECKING:
     from repro.core.montecarlo import MCChunk, MCEstimate
     from repro.core.positions import Position, PositionedInstance
+    from repro.core.worlds import WorkCounts
 
 
 #: Seconds between the checks :meth:`WorkerPool.map_retrying` makes, while
@@ -86,23 +87,18 @@ def ric_mc_chunk(*args):
 def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
     """Module-level chunk worker (picklable for process pools).
 
-    Returns ``(chunk, telemetry)``.  In a worker *process* (detected by
-    comparing PIDs against the submitting process), the worker's
-    process-local ``METRICS`` and finished spans are snapshotted and
-    piggybacked on the result so the parent can fold them into its own
-    registry — otherwise every counter the engines record under
-    ``use_processes=True`` would silently vanish.  The child registry is
-    reset around each chunk so the telemetry is exactly that chunk's
-    delta (a fork-started worker inherits the parent's counters; without
-    the reset they would be double-counted on merge).  In thread mode
-    (same PID) telemetry is ``None`` — the engines already recorded into
-    the shared registry.
+    Returns ``(chunk, telemetry)``; the chunk carries its work counts.
+    In a worker *process* (detected by comparing PIDs against the
+    submitting process), the worker's finished spans are drained and
+    piggybacked on the result so the parent can adopt them into its own
+    trace; the child's tracer is reset first (a fork-started worker
+    inherits the parent's spans).  In thread mode (same PID) telemetry
+    is ``None``: the spans are already in the shared tracer.
     """
     (instance, p, start, count, seed, deadline,
      parent_pid, parent_span, trace) = args
     in_child = os.getpid() != parent_pid
     if in_child:
-        METRICS.reset()
         TRACER.reset()
         TRACER.set_enabled(trace)
     with TRACER.span(
@@ -114,14 +110,7 @@ def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
         chunk = ric_mc_chunk(instance, p, start, count, seed, deadline)
     if not in_child:
         return chunk, None
-    telemetry = {
-        "pid": os.getpid(),
-        "metrics": METRICS.snapshot(),
-        "spans": TRACER.drain(),
-        "dropped": TRACER.dropped,
-    }
-    METRICS.reset()
-    return chunk, telemetry
+    return chunk, {"spans": TRACER.drain(), "dropped": TRACER.dropped}
 
 
 class WorkerPool:
@@ -279,13 +268,15 @@ class WorkerPool:
         samples: int = 200,
         seed: int = 0,
         deadline: Optional[float] = None,
+        counts: Optional[WorkCounts] = None,
     ) -> MCEstimate:
         """Sharded, deterministic Monte-Carlo ``RIC`` (see module doc).
 
         Chunks run through :meth:`map_retrying`, so a dead worker costs
         only the ranges it lost; the merged estimate is bit-identical to
         the failure-free serial result.
-        Every chunk stops at *deadline*, in worker processes too.
+        Every chunk stops at *deadline*, in worker processes too.  The
+        chunks' work counts are added into *counts*, when given.
         """
         from repro.core.montecarlo import merge_mc_chunks
         from repro.core.symbolic import require_consistent
@@ -311,14 +302,13 @@ class WorkerPool:
         chunks = []
         for chunk, telemetry in results:
             if telemetry is not None:
-                METRICS.merge(telemetry["metrics"])
                 TRACER.adopt(
                     telemetry["spans"],
                     parent_id=parent_span,
-                    dropped=telemetry.get("dropped", 0),
+                    dropped=telemetry["dropped"],
                 )
             chunks.append(chunk)
-        return merge_mc_chunks(chunks)
+        return merge_mc_chunks(chunks, counts)
 
     def shutdown(self) -> None:
         """Release the executor (no-op for injected executors)."""

@@ -417,9 +417,10 @@ def run_batch(
     died (see :meth:`~repro.service.pool.WorkerPool.map_retrying`).
 
     With *use_processes*, Monte-Carlo chunk sharding runs on a
-    **process** pool (CPU parallelism past the GIL); worker-side engine
-    counters and spans are piggybacked back and merged, so the report's
-    metrics snapshot is complete either way.  Job fan-out stays on
+    **process** pool (CPU parallelism past the GIL); each chunk returns
+    its work counts, which the planner records in this process, and
+    worker-side spans are piggybacked back and adopted, so the report's
+    metrics and the trace are complete either way.  Job fan-out stays on
     threads (runner state does not pickle, and sharded jobs must not
     queue behind fanned-out ones).
 

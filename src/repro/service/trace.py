@@ -1,8 +1,8 @@
 """A zero-dependency, thread-safe span tracer for the batch runtime.
 
 The tracer answers the question metrics cannot: *why* was this job slow —
-the chase loop, the symbolic sweep, Monte-Carlo sampling, a cache miss,
-or a retry storm?  Each :class:`Span` is a named, timed region with
+the chase loop, an engine run, Monte-Carlo dispatch, a cache miss, or a
+retry storm?  Each :class:`Span` is a named, timed region with
 attributes and point-in-time events; spans nest through a per-thread
 stack (or an explicit ``parent_id`` when work hops threads or
 processes), forming the per-job → per-chunk → per-engine tree the

@@ -17,13 +17,12 @@ from repro.core.positions import PositionedInstance
 from repro.core.symbolic import (
     inf_k_symbolic, revealed_subsets, ric_exact, world_limit_ratio,
 )
-from repro.core.worlds import FRESH, FreshValue, World
+from repro.core.worlds import FRESH, FreshValue, World, WorkCounts
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
 from repro.relational.relation import DatabaseInstance, Relation
 from repro.relational.schema import RelationSchema
-from repro.service.metrics import METRICS
 from repro.workloads.relational_gen import random_instance
 from repro.workloads.xml_gen import dblp_dtd, dblp_xfds, tiny_dblp_document
 from repro.xml.dtd import DTD, ElementDecl
@@ -258,11 +257,10 @@ def test_jd_searches_like_its_mvd():
 
 def exact_with_counts(inst, p):
     """``(ric_exact, pattern leaves, pruning checks)``, as the sweep
-    counts them into the registry."""
-    names = ("ric.pattern.leaves", "ric.prune.calls")
-    before = [METRICS.get(name) for name in names]
-    value = ric_exact(inst, p)
-    return (value, *(METRICS.get(name) - b for name, b in zip(names, before)))
+    counts them."""
+    counts = WorkCounts()
+    value = ric_exact(inst, p, counts=counts)
+    return value, counts.leaves, counts.prune_calls
 
 
 def relational(rows, *deps):
@@ -545,9 +543,9 @@ class TestColumnLocalSearch:
             [JD("AB", "BC", "CD")],
         )
         assert not inst.pruning_decides_leaves
-        before = METRICS.get("ric.oracle.calls")
-        assert ric_exact(inst, inst.positions[0]) == Fraction(2407, 3072)
-        assert METRICS.get("ric.oracle.calls") - before == 2090
+        counts = WorkCounts()
+        assert ric_exact(inst, inst.positions[0], counts=counts) == Fraction(2407, 3072)
+        assert counts.oracle_calls == 2090
 
 
 def kept_counts_are_exact(world):

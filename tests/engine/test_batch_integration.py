@@ -81,7 +81,7 @@ class TestEngineRunSpansAcrossProcesses:
                 chain.append(span["name"])
             return chain
 
-        chunks = [s for s in spans if s["name"] == "mc.chunk"]
+        chunks = [s for s in spans if s["name"] == "pool.chunk"]
         assert chunks
         for chunk in chunks:
             chain = ancestors(chunk)

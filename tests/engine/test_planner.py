@@ -49,7 +49,7 @@ class TestPlanDeterminism:
         PLANNER.plan(problem(2))
         snapshot = METRICS.snapshot()["counters"]
         assert snapshot.get("planner.plans") == 1
-        assert not any(k.startswith("engine.runs") for k in snapshot)
+        assert not any(k.startswith("engine.") for k in snapshot)
         assert not any(k.startswith("ric.") for k in snapshot)
 
     def test_budget_changes_the_plan(self):
@@ -215,6 +215,34 @@ class TestInstrumentation:
         assert run["attrs"]["engine"] == "exact"
         assert run["attrs"]["worlds"] == 2 ** (6 - 1)  # 2 rows x 3 columns
         assert run["attrs"]["ok"] is True
+        # The counts the kernel returned: every world of an FD-only
+        # instance is decided by the chase.
+        assert run["attrs"]["chased"] == 2 ** (6 - 1)
+        assert run["attrs"]["leaves"] == 0
+
+    def test_a_stage_that_raises_records_no_counts(self):
+        # W2 under an MVD takes far longer than 50 ms to sweep: the only
+        # stage times out, and neither its span nor the registry gets a
+        # count.
+        from repro.dependencies import MVD
+
+        w2 = PositionedInstance.from_relation(
+            Relation(RelationSchema("R", ("A", "B", "C")),
+                     [(1, 1, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]),
+            [MVD("B", "A")],
+        )
+        METRICS.reset()
+        with tracing():
+            with pytest.raises(BudgetExceeded):
+                plan_and_run(
+                    Problem.from_instance(w2, w2.positions[0], method="exact"),
+                    budget=Budget(wall_seconds=0.05),
+                )
+        (run,) = [s for s in TRACER.drain() if s["name"] == "engine_run"]
+        assert run["error"] and "leaves" not in run["attrs"]
+        counters = METRICS.snapshot()["counters"]
+        assert counters["budget.timeouts"] == 1
+        assert not any(k.startswith(("engine.", "ric.")) for k in counters)
 
     def test_counters_cover_plans_runs_and_degradations(self):
         METRICS.reset()
@@ -222,5 +250,6 @@ class TestInstrumentation:
         counters = METRICS.snapshot()["counters"]
         assert counters["planner.plans"] == 1
         assert counters["engine.runs{engine=montecarlo}"] == 1
+        assert counters["engine.worlds{engine=montecarlo}"] == 20
         assert counters["budget.degradations"] == 1
         METRICS.reset()

@@ -1,4 +1,5 @@
-"""Cost calibration: span harvesting, the fit, the error accounting."""
+"""Cost calibration: reading engine_run spans, the fit, the error
+accounting."""
 
 import json
 
@@ -29,15 +30,9 @@ def run_span(span_id, engine, dur_s, parent=None, **attrs):
             "dur": dur_s, "attrs": {"engine": engine, **attrs}}
 
 
-def kernel_span(span_id, parent, name="ric.sweep", **counts):
-    return {"id": span_id, "parent": parent, "name": name, "dur": 0.0,
-            "attrs": counts}
-
-
 def timed_run(span_id, engine, count, dur_s):
-    """An engine_run span with one ric.sweep span of *count* worlds."""
-    return [run_span(span_id, engine, dur_s),
-            kernel_span(span_id + ".k", span_id, worlds=count)]
+    """An engine_run span that counted *count* worlds."""
+    return [run_span(span_id, engine, dur_s, worlds=count)]
 
 
 def as_chrome_trace(spans):
@@ -54,40 +49,27 @@ class TestCollect:
     def test_collects_only_usable_engine_runs(self):
         spans = [
             *timed_run("a", "exact", 100, 0.01),
-            *timed_run("b", "exact", 0, 0.01),  # no counted kernel span
+            *timed_run("b", "exact", 0, 0.01),  # counted nothing
             *timed_run("c", "exact", 100, 0.0),  # zero duration
-            run_span("d", "exact", 0.01),  # nothing beneath it
-            {**run_span("e", "exact", 0.01), "error": True},  # failed
-            kernel_span("e.k", "e", worlds=100),
-            run_span("f", None, 0.01),  # no engine
-            kernel_span("f.k", "f", worlds=100),
-            kernel_span("g.k", None, worlds=100),  # under no engine_run
+            run_span("d", "exact", 0.01),  # carries no counts
+            {**run_span("e", "exact", 0.01, worlds=100), "error": True},  # failed
+            run_span("f", None, 0.01, worlds=100),  # no engine
+            {"id": "g", "parent": None, "name": "pool.chunk", "dur": 0.01,
+             "attrs": {"engine": "exact", "worlds": 100}},  # not a run
         ]
         runs = collect_engine_runs(spans)
         assert runs == [{"engine": "exact", "count": 100, "seconds": 0.01}]
 
-    def test_counts_sum_over_nested_and_rerooted_kernel_spans(self):
+    def test_a_run_counts_what_its_own_span_carries(self):
         spans = [
-            # A sweep two levels below its run; chased worlds and prune
-            # hits are not part of the count.
-            run_span("e1", "exact", 0.5),
-            {"id": "x", "parent": "e1", "name": "wrapper", "dur": 0.4,
-             "attrs": {}},
-            kernel_span("s", "x", worlds=8, chased=8, oracle_calls=3,
-                        prune_calls=20, prune_hits=11, leaves=5),
-            # Sampling: a thread chunk (explicit parent id) and a chunk
-            # adopted from a worker process (re-rooted under pool.mc).
-            run_span("e2", "montecarlo", 0.2),
-            {"id": "p", "parent": "e2", "name": "pool.mc", "dur": 0.2,
-             "attrs": {}},
-            {"id": "c1", "parent": "p", "name": "pool.chunk", "dur": 0.1,
-             "attrs": {}},
-            kernel_span("k1", "c1", name="mc.chunk", worlds=30, leaves=2),
-            {"id": "c2", "parent": "p", "name": "pool.chunk", "dur": 0.1,
-             "attrs": {}},
-            kernel_span("k2", "c2", name="mc.chunk", worlds=30,
-                        prune_calls=7),
-            # A span that is not a kernel's adds nothing.
+            # Chased worlds and prune hits are not part of the count.
+            run_span("e1", "exact", 0.5, worlds=8, chased=8, oracle_calls=3,
+                     prune_calls=20, prune_hits=11, leaves=5),
+            run_span("e2", "montecarlo", 0.2, worlds=60, leaves=2,
+                     prune_calls=7),
+            # The spans beneath a run add nothing.
+            {"id": "c1", "parent": "e2", "name": "pool.chunk", "dur": 0.1,
+             "attrs": {"worlds": 30}},
             {"id": "o", "parent": "e2", "name": "chase.run", "dur": 0.0,
              "attrs": {"worlds": 1000}},
         ]
@@ -97,15 +79,6 @@ class TestCollect:
                 ("exact", 8 + 3 + 20 + 5),
                 ("montecarlo", 30 + 2 + 30 + 7),
             ]
-
-    def test_a_cyclic_parent_chain_ends_the_walk(self):
-        spans = [
-            *timed_run("e", "exact", 10, 0.01),
-            {"id": "u", "parent": "v", "name": "a", "dur": 0.0, "attrs": {}},
-            {"id": "v", "parent": "u", "name": "b", "dur": 0.0, "attrs": {}},
-            kernel_span("k", "u", worlds=5),
-        ]
-        assert [r["count"] for r in collect_engine_runs(spans)] == [10]
 
     def test_reads_chrome_trace_documents(self):
         trace = as_chrome_trace(timed_run("s1", "montecarlo", 500, 0.01))
@@ -215,8 +188,8 @@ class TestFit:
 
 class TestEndToEnd:
     def test_process_batch_counts_equal_the_report_counters(self, tmp_path):
-        # Chunks run in worker processes: their spans reach the
-        # engine_run span only through the ids adopt() remaps.
+        # Chunks run in worker processes and return their counts; the
+        # planner puts them on the engine_run span in this process.
         path = tmp_path / "jobs.jsonl"
         path.write_text(W2_MVD % 1 + "\n" + W2_MVD % 2 + "\n",
                         encoding="utf-8")
@@ -230,7 +203,7 @@ class TestEndToEnd:
         assert counters["ric.prune.calls"] > 0
         assert sum(r["count"] for r in runs) == sum(
             counters.get(name, 0)
-            for name in ("ric.mc.samples", "ric.oracle.calls",
+            for name in ("engine.worlds{engine=montecarlo}", "ric.oracle.calls",
                          "ric.prune.calls", "ric.pattern.leaves")
         )
 

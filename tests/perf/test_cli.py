@@ -18,15 +18,9 @@ class TestPerfCalibrateCli:
         trace = str(tmp_path / "trace.json")
         with open(trace, "w", encoding="utf-8") as handle:
             json.dump({"traceEvents": [
-                event
+                {"ph": "X", "name": "engine_run", "dur": n * 10,
+                 "args": {"engine": "exact", "worlds": n, "span_id": f"r{n}"}}
                 for n in (100, 200)
-                for event in (
-                    {"ph": "X", "name": "engine_run", "dur": n * 10,
-                     "args": {"engine": "exact", "span_id": f"r{n}"}},
-                    {"ph": "X", "name": "ric.sweep", "dur": n * 9,
-                     "args": {"worlds": n, "span_id": f"k{n}",
-                              "parent_id": f"r{n}"}},
-                )
             ]}, handle)
         out = str(tmp_path / "cost_calibration.json")
         assert main(["perf", "calibrate", "--trace", trace,

@@ -1,7 +1,11 @@
-"""The metrics registry and its wiring into the engines."""
+"""The metrics registry and its wiring into the engines: the chase and
+RPQ search record themselves; the ``RIC`` kernels return their counts
+and the planner records them."""
 
 from repro.chase.engine import chase
 from repro.core import PositionedInstance, ric_exact, ric_montecarlo
+from repro.core.worlds import WorkCounts
+from repro.engine import Problem, plan_and_run
 from repro.dependencies import FD
 from repro.dependencies.mvd import MVD
 from repro.graph.graphdb import GraphDB
@@ -38,57 +42,6 @@ class TestRegistry:
         assert counters["errors{kind=parse}"] == 2
         assert counters["errors{kind=budget}"] == 2
 
-    def test_merge_combines_counters(self):
-        parent, child = Metrics(), Metrics()
-        parent.inc("x", 1)
-        child.inc("x", 2)
-        child.inc("y", 3)
-
-        parent.merge(child.snapshot())
-        assert parent.snapshot() == {"counters": {"x": 3, "y": 3}}
-
-    def test_merge_disjoint_labeled_counters_stay_distinct(self):
-        parent, child = Metrics(), Metrics()
-        parent.inc("errors", 2, kind="parse")
-        parent.inc("errors", 1)  # the unlabeled series
-        child.inc("errors", 3, kind="budget")
-        child.inc("errors", 5, kind="parse", stage="retry")
-
-        parent.merge(child.snapshot())
-        counters = parent.snapshot()["counters"]
-        # Disjoint label sets merge as separate series — nothing is
-        # summed across labels, nothing collapses into the bare name.
-        assert counters["errors{kind=parse}"] == 2
-        assert counters["errors{kind=budget}"] == 3
-        assert counters["errors{kind=parse,stage=retry}"] == 5
-        assert counters["errors"] == 1
-        assert parent.get("errors", kind="budget") == 3
-
-    def test_merge_accepts_registry_instances(self):
-        parent, child = Metrics(), Metrics()
-        child.inc("z", 7)
-        parent.merge(child)
-        assert parent.get("z") == 7
-
-    def test_merge_is_associative_on_snapshots(self):
-        a, b, c = Metrics(), Metrics(), Metrics()
-        for m, v in ((a, 1), (b, 2), (c, 4)):
-            m.inc("t", v)
-            m.inc("n")
-        left = Metrics()
-        left.merge(a)
-        left.merge(b)
-        left.merge(c)
-        right = Metrics()
-        bc = Metrics()
-        bc.merge(b)
-        bc.merge(c)
-        right.merge(a)
-        right.merge(bc)
-        assert left.snapshot() == right.snapshot() == {
-            "counters": {"n": 3, "t": 7}
-        }
-
 
 class TestEngineWiring:
     def test_chase_records_steps(self):
@@ -107,25 +60,35 @@ class TestEngineWiring:
         inst = PositionedInstance.from_relation(
             Relation(schema, [(1, 2), (3, 2)]), [FD("A", "B")]
         )
-        ric_exact(inst, inst.positions[0])
-        assert METRICS.get("ric.sweeps") == 1
+        counts = WorkCounts()
+        ric_exact(inst, inst.positions[0], counts=counts)
         # 4 positions -> 2^3 revealed sets swept.
-        assert METRICS.get("ric.sweep.worlds") == 8
+        assert counts.worlds == 8
+        assert METRICS.snapshot()["counters"] == {}
+        plan_and_run(Problem.from_instance(inst, inst.positions[0], method="exact"))
+        assert METRICS.get("engine.runs", engine="exact") == 1
+        assert METRICS.get("engine.worlds", engine="exact") == 8
 
     def test_chased_worlds_are_counted_per_sweep_and_chunk(self):
         # Every world of an FD-only instance is decided by the chase; the
-        # count lands once on the sweep's and the chunk's span.
+        # count lands once on each engine run's span.
         schema = RelationSchema("R", ("A", "B"))
         inst = PositionedInstance.from_relation(
             Relation(schema, [(1, 2), (3, 2)]), [FD("A", "B")]
         )
+        sweep, chunk = WorkCounts(), WorkCounts()
+        ric_exact(inst, inst.positions[0], counts=sweep)
+        ric_montecarlo(inst, inst.positions[0], samples=5, counts=chunk)
+        assert (sweep.chased, chunk.chased) == (8, 5)
         METRICS.reset()
         with tracing():
-            ric_exact(inst, inst.positions[0])
-            ric_montecarlo(inst, inst.positions[0], samples=5)
-        spans = {s["name"]: s["attrs"] for s in TRACER.drain()}
-        assert spans["ric.sweep"]["chased"] == 8
-        assert spans["mc.chunk"]["chased"] == 5
+            for method in ("exact", "montecarlo"):
+                plan_and_run(Problem.from_instance(
+                    inst, inst.positions[0], method=method, samples=5))
+        spans = {s["attrs"]["engine"]: s["attrs"] for s in TRACER.drain()
+                 if s["name"] == "engine_run"}
+        assert spans["exact"]["chased"] == 8
+        assert spans["montecarlo"]["chased"] == 5
         assert METRICS.get("ric.worlds.chased") == 13
 
     def test_mvd_worlds_are_not_chased(self):
@@ -135,9 +98,9 @@ class TestEngineWiring:
         )
         METRICS.reset()
         with tracing():
-            ric_exact(inst, inst.positions[0])
-        (sweep,) = [s for s in TRACER.drain() if s["name"] == "ric.sweep"]
-        assert sweep["attrs"]["chased"] == 0
+            plan_and_run(Problem.from_instance(inst, inst.positions[0], method="exact"))
+        (run,) = [s for s in TRACER.drain() if s["name"] == "engine_run"]
+        assert run["attrs"]["chased"] == 0
         assert METRICS.get("ric.worlds.chased") == 0
 
     def test_montecarlo_records_samples(self):
@@ -146,8 +109,9 @@ class TestEngineWiring:
         inst = PositionedInstance.from_relation(
             Relation(schema, [(1, 2)]), []
         )
-        ric_montecarlo(inst, inst.positions[0], samples=17)
-        assert METRICS.get("ric.mc.samples") == 17
+        plan_and_run(Problem.from_instance(
+            inst, inst.positions[0], method="montecarlo", samples=17))
+        assert METRICS.get("engine.worlds", engine="montecarlo") == 17
 
     def test_rpq_records_expansions(self):
         METRICS.reset()

@@ -1,4 +1,4 @@
-"""Observability end to end: cross-process metrics, traces, the CLI."""
+"""Observability end to end: cross-process counts, traces, the CLI."""
 
 import json
 
@@ -23,6 +23,10 @@ MIXED_JOBS = [
 ]
 
 
+#: The worlds the Monte-Carlo engine visited: one per sample.
+MC_WORLDS = "engine.worlds{engine=montecarlo}"
+
+
 def write_jobs(tmp_path, lines=MIXED_JOBS, name="jobs.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -33,8 +37,9 @@ class TestCrossProcessMetrics:
     def test_worker_process_counters_reach_the_parent_snapshot(
         self, tmp_path
     ):
-        # Monte-Carlo sampling happens inside worker *processes*; the 80
-        # per-sample increments must still appear in the parent's report.
+        # Monte-Carlo sampling happens inside worker *processes*; the
+        # chunks return their counts, so the 80 samples and the 4 shards
+        # must still appear in the parent's report.
         report = run_batch(
             write_jobs(tmp_path, [MC_JOB]),
             workers=4,
@@ -42,16 +47,16 @@ class TestCrossProcessMetrics:
         )
         assert report["ok"] == 1
         counters = report["metrics"]["counters"]
-        assert counters["ric.mc.samples"] == 80
-        assert counters["ric.mc.chunks"] == 4
+        assert counters[MC_WORLDS] == 80
+        assert counters["pool.mc.shards"] == 4
 
     def test_process_and_thread_pools_agree_on_counters(self, tmp_path):
         path = write_jobs(tmp_path, [MC_JOB])
         threaded = run_batch(path, workers=2, use_processes=False)
         sharded = run_batch(path, workers=2, use_processes=True)
         assert (
-            threaded["metrics"]["counters"]["ric.mc.samples"]
-            == sharded["metrics"]["counters"]["ric.mc.samples"]
+            threaded["metrics"]["counters"][MC_WORLDS]
+            == sharded["metrics"]["counters"][MC_WORLDS]
             == 80
         )
         # The estimate itself is bit-identical across pool types.
@@ -69,8 +74,8 @@ class TestMetricsResetBetweenBatches:
         first = run_batch(path, workers=2)
         second = run_batch(path, workers=2)
         assert (
-            first["metrics"]["counters"]["ric.mc.samples"]
-            == second["metrics"]["counters"]["ric.mc.samples"]
+            first["metrics"]["counters"][MC_WORLDS]
+            == second["metrics"]["counters"][MC_WORLDS]
             == 80
         )
 
@@ -79,7 +84,7 @@ class TestMetricsResetBetweenBatches:
         run_batch(path, workers=2)
         accumulated = run_batch(path, workers=2, reset_metrics=False)
         assert (
-            accumulated["metrics"]["counters"]["ric.mc.samples"] == 160
+            accumulated["metrics"]["counters"][MC_WORLDS] == 160
         )
         METRICS.reset()
 
@@ -94,8 +99,8 @@ class TestTraceTree:
 
         by_id = {s["id"]: s for s in spans}
         names = {s["name"] for s in spans}
-        assert {"batch.run", "job", "pool.mc", "pool.chunk",
-                "mc.chunk", "chase.run"} <= names
+        assert {"batch.run", "job", "engine_run", "pool.mc", "pool.chunk",
+                "chase.run"} <= names
 
         def ancestors(span):
             chain = []
@@ -108,17 +113,18 @@ class TestTraceTree:
         for span in spans:
             if span["name"] == "job":
                 assert ancestors(span) == ["batch.run"]
-        # Worker-process engine spans climb through the chunk dispatch
-        # back to their job: the per-job -> per-chunk -> per-engine tree.
-        mc_chunks = [s for s in spans if s["name"] == "mc.chunk"]
-        assert mc_chunks
-        for span in mc_chunks:
+        # Worker-process chunk spans climb through the dispatch and the
+        # engine run back to their job: the per-job -> per-engine ->
+        # per-chunk tree.
+        chunks = [s for s in spans if s["name"] == "pool.chunk"]
+        assert chunks
+        for span in chunks:
             chain = ancestors(span)
-            assert chain[0] == "pool.chunk"
-            assert "pool.mc" in chain
+            assert chain[0] == "pool.mc"
+            assert "engine_run" in chain
             assert chain[-2:] == ["job", "batch.run"]
         # Worker spans kept their own pid lanes.
-        pids = {s["pid"] for s in mc_chunks}
+        pids = {s["pid"] for s in chunks}
         root_pid = next(
             s["pid"] for s in spans if s["name"] == "batch.run"
         )
@@ -154,7 +160,7 @@ class TestObservabilityCLI:
         assert {"batch.run", "job"} <= span_names
 
         snapshot = json.loads(report_path.read_text())["metrics"]
-        assert snapshot["counters"]["ric.mc.samples"] == 80
+        assert snapshot["counters"][MC_WORLDS] == 80
         assert list(snapshot) == ["counters"]
 
     def test_metrics_report_renders_both_inputs(self, tmp_path, capsys):
@@ -183,7 +189,7 @@ class TestObservabilityCLI:
         rows = [line.split()[:2] for line in latency.splitlines()[2:]]
         assert rows == [["advise", "1"], ["measure", "1"],
                         ["measure.montecarlo", "1"], ["rpq", "1"]]
-        assert "ric.mc.samples" in out
+        assert MC_WORLDS in out
 
     def test_metrics_report_requires_an_input(self, capsys):
         code = main(["metrics-report"])

@@ -271,8 +271,8 @@ class TestBatchCLI:
         # which other tests may already have fed — assert lower bounds.
         counters = report["metrics"]["counters"]
         assert counters["chase.steps"] > 0 or counters["chase.runs"] > 0
-        assert counters["ric.sweeps"] > 0
-        assert counters["ric.mc.samples"] >= 80
+        assert counters["engine.runs{engine=exact}"] > 0
+        assert counters["engine.worlds{engine=montecarlo}"] >= 80
 
     def test_rerun_with_persistent_cache_hits_everything(self, tmp_path, capsys):
         jobs = write_jobs(tmp_path)
