@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 from repro.service import pool as pool_module
 from repro.service.jobs import MeasureJob
-from repro.service.metrics import METRICS, Metrics, RETRIES
+from repro.service.metrics import METRICS, RETRIES
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 
@@ -71,7 +71,7 @@ def crashing_chunks(rate, seed):
 
 
 def run_batch_under_rate(jobs, rate, seed=13):
-    runner = BatchRunner(pool=WorkerPool(workers=4), metrics=Metrics())
+    runner = BatchRunner(pool=WorkerPool(workers=4))
     retries_before = METRICS.get(RETRIES)
     try:
         with crashing_chunks(rate, seed) as crashed:

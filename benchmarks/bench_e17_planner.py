@@ -24,7 +24,7 @@ from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget
 from repro.service.cache import ResultCache
 from repro.service.jobs import MeasureJob
-from repro.service.metrics import METRICS, Metrics
+from repro.service.metrics import METRICS
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 
@@ -132,7 +132,7 @@ def test_e17_plan_cache(benchmark):
 
     def run():
         runner = BatchRunner(
-            pool=WorkerPool(workers=2), cache=ResultCache(), metrics=Metrics()
+            pool=WorkerPool(workers=2), cache=ResultCache()
         )
         METRICS.reset()
         passes = []

@@ -224,7 +224,6 @@ def batch_main(argv: List[str]) -> int:
     from repro.service.cache import ResultCache
     from repro.service.errors import JobError
     from repro.service.export import save_trace
-    from repro.service.metrics import METRICS
     from repro.service.runner import format_report, run_batch
     from repro.service.trace import TRACER
     from repro.service.validate import (
@@ -254,9 +253,6 @@ def batch_main(argv: List[str]) -> int:
             ("--cache", args.cache),
         ):
             check_output_path(option, value)
-        # The report counts this batch only, the cache load included: a
-        # quarantined cache file records its recovery at load.
-        METRICS.reset()
         cache = None
         if args.cache:
             cache = ResultCache.load(args.cache, maxsize=args.cache_size)
@@ -269,7 +265,6 @@ def batch_main(argv: List[str]) -> int:
             budget=budget,
             retries=args.retries,
             use_processes=args.processes,
-            reset_metrics=False,
         )
     except (OSError, JobError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.chase.lossless import is_lossless
 from repro.chase.preservation import preserves_dependencies
+from repro.core.measure import DEFAULT_SAMPLES
 from repro.core.montecarlo import MCEstimate
 from repro.core.welldesign import witness_instance
 from repro.engine import Plan, Problem, plan_and_run
@@ -110,7 +111,7 @@ def advise(
     design: Union[str, Tuple[RelationSchema, list]],
     measure_witness: bool = True,
     method: str = "exact",
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     budget: Optional[Budget] = None,
 ) -> DesignReport:

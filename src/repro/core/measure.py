@@ -35,6 +35,9 @@ EXACT_MAX_POSITIONS = 18
 #: enumerations (see :func:`bruteforce_fits`).
 BRUTEFORCE_MAX_WORLDS = 5_000_000
 
+#: The Monte-Carlo sample count of every entry point that is given none.
+DEFAULT_SAMPLES = 200
+
 
 def exact_fits(n: int) -> bool:
     """Does an exact sweep over *n* positions pass the size guard?"""
@@ -128,7 +131,7 @@ def ric(
     instance: PositionedInstance,
     p: Position,
     method: str = "exact",
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     pool=None,
     deadline: Optional[float] = None,
@@ -163,7 +166,7 @@ def ric(
 def ric_profile(
     instance: PositionedInstance,
     method: str = "exact",
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> Dict[Position, Union[Fraction, MCEstimate]]:
     """``RIC`` for every position of the instance."""

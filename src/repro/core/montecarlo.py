@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.core.measure import DEFAULT_SAMPLES
 from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import require_consistent, world_limit_ratio
 from repro.core.worlds import World, WorkCounts, check_deadline
@@ -146,7 +147,7 @@ def merge_mc_chunks(
 def ric_montecarlo(
     instance: PositionedInstance,
     p: Position,
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     deadline: Optional[float] = None,
     counts: Optional[WorkCounts] = None,

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
-from repro.core.measure import METHODS, SAMPLING_METHODS
+from repro.core.measure import DEFAULT_SAMPLES, METHODS, SAMPLING_METHODS
 from repro.service.errors import ValidationError
 from repro.service.validate import (
     MAX_SAMPLES,
@@ -84,7 +84,7 @@ class Problem:
     relations: Tuple[RelationIR, ...]
     position: Tuple[str, int, str]
     method: str = "auto"
-    samples: int = 200
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     k: Optional[int] = None
     #: A pre-built instance to run on (identity only — never part of the
@@ -137,7 +137,7 @@ class Problem:
         position: Tuple[int, str],
         op: str = "ric",
         method: str = "auto",
-        samples: int = 200,
+        samples: int = DEFAULT_SAMPLES,
         seed: int = 0,
         k: Optional[int] = None,
     ) -> "Problem":
@@ -184,7 +184,7 @@ class Problem:
         p: Position,
         op: str = "ric",
         method: str = "auto",
-        samples: int = 200,
+        samples: int = DEFAULT_SAMPLES,
         seed: int = 0,
         k: Optional[int] = None,
     ) -> "Problem":

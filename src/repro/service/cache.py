@@ -29,7 +29,9 @@ JSONL: a header line ``{"maxsize": N}`` and then one
   leaves) or fails its checksum is skipped and counted at load, the
   damaged file is *quarantined* to ``<path>.corrupt`` and the good
   entries are saved back: a damaged cache costs recomputation, never a
-  traceback or a wrong answer.
+  traceback or a wrong answer.  :meth:`ResultCache.stats`, and so the
+  batch report's ``cache`` object, says how many lines were dropped and
+  where the damaged file went.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import threading
 from collections import OrderedDict
 from typing import Any, Optional
 
-from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
 _MISSING = object()
@@ -77,7 +78,9 @@ def _header(maxsize: int) -> str:
 
 
 class ResultCache:
-    """A bounded LRU mapping ``job_key -> result dict`` with hit/miss stats."""
+    """A bounded LRU mapping ``job_key -> result dict``; :meth:`stats`
+    reports its hits, misses and evictions and what :meth:`load`
+    quarantined."""
 
     def __init__(self, maxsize: int = 1024):
         if maxsize <= 0:
@@ -97,15 +100,15 @@ class ResultCache:
         #: Lines dropped by :meth:`load` (undecodable or bad checksum).
         self.corrupt_entries = 0
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """The cached value for *key* (recency-refreshing), else *default*."""
+    def get(self, key: str) -> Any:
+        """The cached value for *key* (recency-refreshing), else None."""
         with TRACER.span("cache.get", key=key[:16]) as span:
             with self._lock:
                 value = self._entries.get(key, _MISSING)
                 if value is _MISSING:
                     self._misses += 1
                     span.set(hit=False)
-                    return default
+                    return None
                 self._entries.move_to_end(key)
                 self._hits += 1
             span.set(hit=True)
@@ -146,7 +149,9 @@ class ResultCache:
             return len(self._entries)
 
     def stats(self) -> dict:
-        """Hit/miss/eviction counters plus the current hit rate."""
+        """Hit/miss/eviction counters, the current hit rate, and what
+        :meth:`load` quarantined: ``corrupt_entries`` lines dropped, the
+        damaged file moved to ``recovered_from`` (None if none was)."""
         with self._lock:
             lookups = self._hits + self._misses
             return {
@@ -156,6 +161,8 @@ class ResultCache:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "hit_rate": (self._hits / lookups) if lookups else 0.0,
+                "corrupt_entries": self.corrupt_entries,
+                "recovered_from": self.recovered_from,
             }
 
     # ------------------------------------------------------------------
@@ -277,8 +284,6 @@ class ResultCache:
                 "" if corrupt == 1 else "s",
                 cache.recovered_from,
             )
-            METRICS.inc("cache.recoveries")
-            METRICS.inc("cache.corrupt_entries", corrupt)
         return cache
 
 

@@ -88,12 +88,13 @@ class JobError(Exception):
         """Whether this kind is conventionally retryable."""
         return self.kind in TRANSIENT_KINDS
 
-    def to_dict(self, include_traceback: bool = True) -> dict:
+    def to_dict(self) -> dict:
         """The JSON-safe error payload embedded in batch results.
 
         Always carries ``kind``/``error``/``message``/``retryable``;
         ``details`` merge on top (so a budget error keeps its ``stages``
-        at the top level, where pre-taxonomy reports had them).
+        at the top level, where pre-taxonomy reports had them), and the
+        causing exception's ``traceback`` follows when there was one.
         """
         payload: Dict[str, Any] = {
             "kind": self.kind,
@@ -102,7 +103,7 @@ class JobError(Exception):
             "retryable": self.transient,
         }
         payload.update(self.details)
-        if include_traceback and self.traceback is not None:
+        if self.traceback is not None:
             payload["traceback"] = self.traceback
         return payload
 
@@ -143,9 +144,7 @@ def classify(exc: BaseException) -> str:
     return "internal"
 
 
-def from_exception(
-    exc: BaseException, kind: Optional[str] = None
-) -> JobError:
+def from_exception(exc: BaseException) -> JobError:
     """Wrap *exc* as a :class:`JobError` (pass-through if it is one).
 
     Structured exceptions keep their payload: a ``BudgetExceeded``'s
@@ -153,9 +152,9 @@ def from_exception(
     so batch reports retain the exact pre-taxonomy shape under the new
     ``kind``/``retryable``/``traceback`` envelope.
     """
-    if isinstance(exc, JobError) and (kind is None or exc.kind == kind):
+    if isinstance(exc, JobError):
         return exc
-    resolved = kind or classify(exc)
+    resolved = classify(exc)
     details: Dict[str, Any] = {}
     if resolved == "budget" and hasattr(exc, "to_dict"):
         details = dict(exc.to_dict())

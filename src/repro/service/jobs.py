@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from repro.core.measure import RIC_METHODS, SAMPLING_METHODS
+from repro.core.measure import DEFAULT_SAMPLES, RIC_METHODS, SAMPLING_METHODS
 from repro.engine.problem import Problem, canonical_digest
 from repro.relational.parser import parse_design
 from repro.service.errors import JobError, ValidationError
@@ -70,7 +70,7 @@ class AdviseJob:
     design: str
     measure: bool = True
     method: str = "exact"
-    samples: int = 200
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     id: Optional[str] = None
     #: The normalized design (schema text, sorted dependency strings).
@@ -79,6 +79,8 @@ class AdviseJob:
     )
 
     def __post_init__(self):
+        if not isinstance(self.measure, bool):
+            raise JobSpecError(f"measure must be a bool, got {self.measure!r}")
         with _spec_errors():
             check_method("method", self.method, RIC_METHODS)
             check_positive_int("samples", self.samples, maximum=MAX_SAMPLES)
@@ -137,7 +139,7 @@ class MeasureJob:
     rows: Tuple[Tuple[Any, ...], ...]
     position: Tuple[int, str]
     method: str = "exact"
-    samples: int = 200
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     id: Optional[str] = None
     problem: Problem = field(init=False, repr=False, compare=False)
@@ -177,12 +179,18 @@ class MeasureJob:
         }
 
 
+#: The graph nodes a JSON job can name.
+_NODE = (str, int, float)
+
+
 @dataclass(frozen=True)
 class RPQJob:
     """Evaluate a regular path query over an edge-list graph.
 
-    *edges* are ``(source, label, target)`` triples; *source* (optional)
-    restricts the answer to pairs starting there.
+    *edges* are ``(source, label, target)`` triples of string labels and
+    string or number nodes; *source* (optional) restricts the answer to
+    pairs starting there.  The *query* is parsed when the job runs, so a
+    malformed one fails then, as a ``validation`` error.
     """
 
     edges: Tuple[Tuple[Any, str, Any], ...]
@@ -195,12 +203,22 @@ class RPQJob:
             self, "edges", tuple(tuple(e) for e in self.edges)
         )
         for edge in self.edges:
-            if len(edge) != 3:
+            if not (
+                len(edge) == 3
+                and isinstance(edge[0], _NODE)
+                and isinstance(edge[1], str)
+                and isinstance(edge[2], _NODE)
+            ):
                 raise JobSpecError(
-                    f"edge must be (source, label, target): {edge!r}"
+                    "edge must be (source, label, target) with string or "
+                    f"number nodes and a string label: {edge!r}"
                 )
-        if not self.query:
-            raise JobSpecError("rpq job needs a query")
+        if not isinstance(self.source, (_NODE, type(None))):
+            raise JobSpecError(
+                f"source must be a string or a number: {self.source!r}"
+            )
+        if not isinstance(self.query, str) or not self.query:
+            raise JobSpecError("rpq job needs a query string")
 
     @property
     def kind(self) -> str:
@@ -277,19 +295,8 @@ def _parse_line(lineno: int, line: str) -> Job:
         ) from None
 
 
-def parse_jsonl(text: str):
-    """Parse a JSONL job file into a job list, failing on the first bad
-    line (line numbers in errors).  See :func:`parse_jsonl_lenient` for
-    the fault-tolerant variant the batch runner uses."""
-    return [
-        job
-        for _, job, error in parse_jsonl_lenient(text, _strict=True)
-        if error is None
-    ]
-
-
 def parse_jsonl_lenient(
-    text: str, _strict: bool = False
+    text: str,
 ) -> List[Tuple[int, Optional[Job], Optional[JobSpecError]]]:
     """Parse a JSONL job file, reporting bad lines instead of aborting.
 
@@ -305,7 +312,5 @@ def parse_jsonl_lenient(
         try:
             records.append((lineno, _parse_line(lineno, line), None))
         except JobError as exc:
-            if _strict:
-                raise
             records.append((lineno, None, exc))
     return records

@@ -1,8 +1,13 @@
 """A lightweight counters registry for the service layer.
 
+:data:`METRICS` is the runtime's one registry: the batch runner, the
+planner, the worker pool, the chase and the RPQ search all record into
+it, and :func:`repro.service.runner.run_batch` zeroes it before each
+batch, so a batch report's ``metrics`` count that batch only.
+
 This module deliberately imports **nothing** from the rest of ``repro``
 so that low-level code (the chase loop, the RPQ product search) can
-record into the default registry without creating import cycles.  Hot
+record into the registry without creating import cycles.  Hot
 loops batch their increments — one ``inc`` per run with the loop's
 total, never one per iteration — so instrumentation cost stays
 unmeasurable.  The ``RIC`` kernels record nothing: they return their
@@ -75,7 +80,7 @@ class Metrics:
             self._counters.clear()
 
 
-#: The process-wide default registry; the runtime records into this one.
+#: The process-wide registry; the runtime records into this one only.
 METRICS = Metrics()
 
 # Canonical counter name recorded by the recovery layer (the modules

@@ -39,6 +39,7 @@ import os
 from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
+from repro.core.measure import DEFAULT_SAMPLES
 from repro.service.errors import from_exception
 from repro.service.metrics import METRICS, RETRIES
 from repro.service.trace import TRACER
@@ -55,7 +56,7 @@ if TYPE_CHECKING:
 
 
 #: Seconds between the checks :meth:`WorkerPool.map_retrying` makes, while
-#: it waits, that an owned process executor can still resolve its futures.
+#: it waits, that a process executor can still resolve its futures.
 POLL_S = 0.5
 
 
@@ -116,19 +117,16 @@ def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
 class WorkerPool:
     """A fixed-size worker pool over threads (default) or processes.
 
-    Usable as a context manager; otherwise call :meth:`shutdown` when
+    The pool builds its executor, rebuilds it after a crash and shuts
+    it down: use it as a context manager, or call :meth:`shutdown` when
     done.  *retries* bounds the attempts each chunk of
-    :meth:`map_retrying` gets.  An externally managed ``executor`` may
-    be injected instead (the pool then never shuts it down — and never
-    rebuilds it after a crash, since its lifecycle belongs to the
-    caller).
+    :meth:`map_retrying` gets.
     """
 
     def __init__(
         self,
         workers: int = 4,
         use_processes: bool = False,
-        executor: Optional[Executor] = None,
         retries: int = 3,
     ):
         check_positive_int("workers", workers, maximum=MAX_WORKERS)
@@ -136,11 +134,7 @@ class WorkerPool:
         self.workers = workers
         self.retries = retries
         self._use_processes = use_processes
-        self._owned = executor is None
-        if executor is not None:
-            self._executor = executor
-        else:
-            self._executor = self._new_executor()
+        self._executor = self._new_executor()
 
     def _new_executor(self) -> Executor:
         if self._use_processes:
@@ -156,11 +150,10 @@ class WorkerPool:
         return self._executor
 
     def rebuild(self) -> None:
-        """Replace a broken owned executor with a fresh one.
+        """Replace a broken executor with a fresh one.
 
         Futures already completed keep their results; only the pending
         work the caller chooses to resubmit runs on the new executor.
-        Injected executors are left alone (the owner decides).
 
         A process executor is joined before its replacement starts, so
         the new workers are never forked, and the new executor's threads
@@ -171,8 +164,6 @@ class WorkerPool:
         failed its futures and terminated its workers, so the join is
         short.
         """
-        if not self._owned:
-            return
         if self._lost():
             # No manager thread is left to stop the workers: they would
             # wait for work forever, and interpreter exit joins them.
@@ -232,7 +223,7 @@ class WorkerPool:
 
     def _wait(self, futures) -> set:
         """Wait until every future resolves, and return those that never
-        will: the ones still pending once an owned process executor has
+        will: the ones still pending once a process executor has
         lost its manager thread (a thread the executor starts internally
         can die, for example when a thread it starts in turn cannot get
         its stack).  Checked every :data:`POLL_S` seconds."""
@@ -245,9 +236,9 @@ class WorkerPool:
         return set()
 
     def _lost(self) -> bool:
-        """Has the owned process executor's manager thread, which resolves
-        its futures, died?  (Thread and injected executors never count.)"""
-        if not (self._owned and self._use_processes):
+        """Has the process executor's manager thread, which resolves its
+        futures, died?  (A thread executor never counts.)"""
+        if not self._use_processes:
             return False
         thread = getattr(self._executor, "_executor_manager_thread", None)
         return thread is not None and not thread.is_alive()
@@ -265,7 +256,7 @@ class WorkerPool:
         self,
         instance: PositionedInstance,
         p: Position,
-        samples: int = 200,
+        samples: int = DEFAULT_SAMPLES,
         seed: int = 0,
         deadline: Optional[float] = None,
         counts: Optional[WorkCounts] = None,
@@ -311,9 +302,8 @@ class WorkerPool:
         return merge_mc_chunks(chunks, counts)
 
     def shutdown(self) -> None:
-        """Release the executor (no-op for injected executors)."""
-        if self._owned:
-            self._executor.shutdown(wait=True)
+        """Release the executor."""
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -21,7 +21,8 @@ Keeping the two axes on disjoint scheduling paths makes the design
 deadlock-free: a sharded job never waits on pool slots held by other
 sharded jobs.  Results come back in input order as JSON-safe dicts with
 per-job timing and the cache key, followed by the cache stats and a
-:func:`repro.service.metrics.Metrics.snapshot` of the engines' counters.
+snapshot of :data:`repro.service.metrics.METRICS`, the one registry the
+runner, the planner, the pool, the chase and the RPQ search record into.
 
 Fault tolerance (see also :mod:`repro.service.errors`):
 
@@ -31,8 +32,8 @@ Fault tolerance (see also :mod:`repro.service.errors`):
   anonymous string, and never fatal to the batch;
 - a Monte-Carlo chunk lost to a dead worker process re-runs inside the
   pool (:meth:`~repro.service.pool.WorkerPool.map_retrying`), at most
-  ``retries`` attempts per chunk; nothing else is retried, because every
-  other failure would only repeat;
+  the pool's ``retries`` attempts per chunk; nothing else is retried,
+  because every other failure would only repeat;
 - a malformed JSONL line becomes a ``parse``/``validation`` entry with
   its line number; the remaining lines still run;
 - with a loaded :class:`~repro.service.cache.ResultCache`, each result
@@ -53,7 +54,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 from repro.relational.attributes import fmt_attrs
 from repro.service.budget import Budget
 from repro.service.cache import ResultCache
-from repro.service.errors import JobError, from_exception
+from repro.service.errors import JobError, ValidationError, from_exception
 from repro.service.jobs import (
     AdviseJob,
     Job,
@@ -62,7 +63,7 @@ from repro.service.jobs import (
     job_key,
     parse_jsonl_lenient,
 )
-from repro.service.metrics import METRICS, Metrics
+from repro.service.metrics import METRICS
 from repro.service.pool import WorkerPool
 from repro.service.trace import TRACER
 
@@ -163,24 +164,21 @@ def report_payload(report: DesignReport) -> dict:
 class BatchRunner:
     """Execute job batches through one pool, cache, and budget.
 
-    *retries* sets the chunk attempts of the pool the runner builds when
-    none is given; a given *pool* keeps its own.
+    The runner never builds or shuts down a pool: the caller owns *pool*
+    (job fan-out) and *shard_pool* (Monte-Carlo chunks, *pool* when not
+    given), as :func:`run_batch` does.
     """
 
     def __init__(
         self,
-        pool: Optional[WorkerPool] = None,
+        pool: WorkerPool,
         cache: Optional[ResultCache] = None,
         budget: Optional[Budget] = None,
-        metrics: Metrics = METRICS,
-        retries: int = 3,
         shard_pool: Optional[WorkerPool] = None,
     ):
-        self._owns_pool = pool is None
-        self.pool = pool or WorkerPool(workers=4, retries=retries)
+        self.pool = pool
         self.cache = cache if cache is not None else ResultCache()
         self.budget = budget or Budget()
-        self.metrics = metrics
         # Job fan-out always stays on `pool` (thread-backed: it submits
         # bound methods of this runner, which do not pickle); Monte-Carlo
         # chunk sharding may be routed to a separate, possibly
@@ -235,16 +233,21 @@ class BatchRunner:
 
     def _execute_rpq(self, job: RPQJob) -> dict:
         from repro.graph.graphdb import GraphDB
+        from repro.graph.regex import parse_regex
 
+        try:
+            query = parse_regex(job.query)
+        except ValueError as exc:
+            raise ValidationError(f"bad rpq query: {exc}") from None
         graph = GraphDB.from_edges(job.edges)
         if job.source is not None:
-            nodes = rpq_reachable(graph, job.query, job.source)
+            nodes = rpq_reachable(graph, query, job.source)
             return {
                 "source": job.source,
                 "reachable": sorted(nodes, key=repr),
                 "count": len(nodes),
             }
-        pairs = rpq_eval(graph, job.query)
+        pairs = rpq_eval(graph, query)
         return {
             "pairs": [list(pair) for pair in sorted(pairs, key=repr)],
             "count": len(pairs),
@@ -281,7 +284,7 @@ class BatchRunner:
             key = job_key(job)
             cached = self.cache.get(key)
             if cached is not None:
-                self.metrics.inc("runner.cache_hits")
+                METRICS.inc("runner.cache_hits")
                 results[index] = self._entry(
                     job, key, ok=True, value=cached, seconds=0.0, cached=True
                 )
@@ -314,7 +317,7 @@ class BatchRunner:
             "elapsed_seconds": perf_counter() - batch_start,
             "results": results,
             "cache": self.cache.stats(),
-            "metrics": self.metrics.snapshot(),
+            "metrics": METRICS.snapshot(),
         }
 
     def _run_timed(self, job: Job, plan: Optional[Plan]):
@@ -333,7 +336,7 @@ class BatchRunner:
                 value = self.execute(job, plan)
             except Exception as exc:  # noqa: BLE001 — classified here
                 error = from_exception(exc)
-                self.metrics.inc("runner.errors", kind=error.kind)
+                METRICS.inc("runner.errors", kind=error.kind)
                 span.set(failed=error.kind)
                 return None, error.to_dict(), perf_counter() - start
             return value, None, perf_counter() - start
@@ -372,11 +375,6 @@ class BatchRunner:
             entry["error"] = error
         return entry
 
-    def shutdown(self) -> None:
-        """Release the pool if this runner created it."""
-        if self._owns_pool:
-            self.pool.shutdown()
-
 
 def _parse_error_entry(lineno: int, error: JobError) -> dict:
     """The failed result entry for an unparseable JSONL line."""
@@ -396,10 +394,8 @@ def run_batch(
     workers: int = 4,
     cache: Optional[ResultCache] = None,
     budget: Optional[Budget] = None,
-    metrics: Metrics = METRICS,
     retries: int = 3,
     use_processes: bool = False,
-    reset_metrics: bool = True,
 ) -> dict:
     """Execute the JSONL job file at *path* and return the batch report.
 
@@ -413,24 +409,23 @@ def run_batch(
     serves every journaled job as a hit (the estimators are
     deterministic, so the values are the ones a recomputation gives).
 
-    *retries* bounds the attempts of each Monte-Carlo chunk whose worker
-    died (see :meth:`~repro.service.pool.WorkerPool.map_retrying`).
-
-    With *use_processes*, Monte-Carlo chunk sharding runs on a
-    **process** pool (CPU parallelism past the GIL); each chunk returns
-    its work counts, which the planner records in this process, and
+    The pools are built here and shut down when the batch ends: jobs fan
+    out over *workers* threads, and Monte-Carlo chunks shard over the
+    same threads or, with *use_processes*, over a **process** pool of
+    *workers* (CPU parallelism past the GIL).  Each chunk returns its
+    work counts, which the planner records in this process, and
     worker-side spans are piggybacked back and adopted, so the report's
     metrics and the trace are complete either way.  Job fan-out stays on
     threads (runner state does not pickle, and sharded jobs must not
-    queue behind fanned-out ones).
+    queue behind fanned-out ones).  *retries* bounds the attempts of
+    each chunk whose worker died (see
+    :meth:`~repro.service.pool.WorkerPool.map_retrying`).
 
-    *reset_metrics* (default) zeroes *metrics* before the batch so the
-    report counts **this batch only** — repeated ``run_batch`` calls in
-    one process (library use) otherwise accumulate forever.  Pass
-    ``False`` to keep accumulating into a shared registry.
+    :data:`~repro.service.metrics.METRICS` is zeroed first, so the
+    report's ``metrics`` count **this batch only**; a quarantined cache
+    file shows in the report's ``cache`` stats instead.
     """
-    if reset_metrics:
-        metrics.reset()
+    METRICS.reset()
     with open(path, "r", encoding="utf-8") as handle:
         records = parse_jsonl_lenient(handle.read())
     jobs = [job for _, job, error in records if error is None]
@@ -448,17 +443,13 @@ def run_batch(
         if use_processes
         else None
     )
-    runner = BatchRunner(
-        pool=WorkerPool(workers=workers, retries=retries),
-        cache=cache,
-        budget=budget,
-        metrics=metrics,
-        shard_pool=shard_pool,
-    )
+    pool = WorkerPool(workers=workers, retries=retries)
     try:
-        report = runner.run(jobs)
+        report = BatchRunner(
+            pool, cache=cache, budget=budget, shard_pool=shard_pool
+        ).run(jobs)
     finally:
-        runner.pool.shutdown()
+        pool.shutdown()
         if shard_pool is not None:
             shard_pool.shutdown()
 

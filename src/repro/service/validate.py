@@ -16,7 +16,7 @@ import math
 import os
 from typing import Optional
 
-from repro.core.measure import RIC_METHODS
+from repro.core.measure import DEFAULT_SAMPLES, RIC_METHODS
 from repro.service.errors import ValidationError
 
 #: Hard ceilings: above these a value is a typo, not a configuration.
@@ -26,15 +26,14 @@ MAX_CACHE_SIZE = 10_000_000
 MAX_RETRIES = 100
 
 # ---------------------------------------------------------------------
-# The engine-option schema: ONE definition of --method/--samples/--seed
-# shared by the single-shot CLI, the batch runner's job records, and the
-# planner's problem IR.  The method names come from the method table in
-# repro.core.measure; bounds, defaults, and help text live here so the
-# surfaces cannot drift apart.
+# The engine-option schema: the --method/--samples/--seed options of the
+# single-shot CLI.  The method names and DEFAULT_SAMPLES come from
+# repro.core.measure, which the batch runner's job records, the
+# planner's problem IR and the kernels share; the bounds and help text
+# live here.
 # ---------------------------------------------------------------------
 
-#: Default Monte-Carlo parameters, shared by every entry point.
-DEFAULT_SAMPLES = 200
+#: The Monte-Carlo master seed of the CLI.
 DEFAULT_SEED = 0
 
 

@@ -13,7 +13,7 @@ from repro.service.budget import Budget, BudgetExceeded
 from repro.service.cache import ResultCache
 from repro.service.errors import ValidationError
 from repro.service.jobs import MeasureJob
-from repro.service.metrics import METRICS, Metrics
+from repro.service.metrics import METRICS
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 from repro.service.trace import TRACER, tracing
@@ -139,15 +139,12 @@ class TestPlanCache:
 
     @staticmethod
     def run(cache, *jobs):
-        metrics = Metrics()
-        runner = BatchRunner(
-            pool=WorkerPool(workers=2), cache=cache, metrics=metrics
-        )
+        runner = BatchRunner(pool=WorkerPool(workers=2), cache=cache)
         try:
             report = runner.run(list(jobs))
         finally:
             runner.pool.shutdown()
-        return report["results"], metrics.snapshot()["counters"]
+        return report["results"], report["metrics"]["counters"]
 
     def test_cache_hit_skips_engine_execution_entirely(self):
         cache = ResultCache()
@@ -162,9 +159,8 @@ class TestPlanCache:
         assert second["value"] == first["value"]
         assert second["value"]["method"] == "exact"
         assert counters.get("runner.cache_hits") == 1
-        shared = METRICS.snapshot()["counters"]
-        assert not any(k.startswith("engine.runs") for k in shared)
-        assert not any(k.startswith("planner.plans") for k in shared)
+        assert not any(k.startswith("engine.runs") for k in counters)
+        assert not any(k.startswith("planner.plans") for k in counters)
 
     def test_cached_mc_estimate_round_trips_bit_identically(self):
         cache = ResultCache()

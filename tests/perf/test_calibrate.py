@@ -95,10 +95,11 @@ class TestCollect:
             ' "rows": [[1,1,1],[2,1,2],[1,1,2],[2,1,1]],'
             ' "position": [0, "A"], "method": "exact"}'
         )
-        from repro.service.jobs import parse_jsonl
+        from repro.service.jobs import parse_jsonl_lenient
         from tests.perf.workload import small_problem
 
-        (job,) = parse_jsonl(w2)
+        [(_, job, error)] = parse_jsonl_lenient(w2)
+        assert error is None
         planner = Planner()
         with tracing():
             with pytest.raises(BudgetExceeded):

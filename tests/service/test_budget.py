@@ -16,7 +16,6 @@ from repro.normalforms.price import CSZ_FDS, csz_group_instance
 from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget, BudgetExceeded
 from repro.service.jobs import job_from_dict
-from repro.service.metrics import Metrics
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner, run_batch
 
@@ -198,7 +197,6 @@ class TestBudgetBoundsWork:
         runner = BatchRunner(
             pool=WorkerPool(workers=2),
             budget=Budget(wall_seconds=TIMEOUT),
-            metrics=Metrics(),
         )
         try:
             report = runner.run([job_from_dict(MC_JOB)])
@@ -215,7 +213,6 @@ class TestBudgetBoundsWork:
             str(path),
             workers=2,
             budget=Budget(wall_seconds=TIMEOUT),
-            metrics=Metrics(),
             use_processes=True,
         )
         after = resource.getrusage(resource.RUSAGE_CHILDREN)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.service.cache import ResultCache, entry_checksum
 from repro.service.jobs import AdviseJob, MeasureJob
-from repro.service.metrics import Metrics
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 
@@ -284,9 +283,7 @@ JOBS = [
 
 
 def run_jobs(jobs, cache):
-    runner = BatchRunner(
-        pool=WorkerPool(workers=2), cache=cache, metrics=Metrics()
-    )
+    runner = BatchRunner(pool=WorkerPool(workers=2), cache=cache)
     try:
         return runner.run(jobs)
     finally:
@@ -336,7 +333,7 @@ class TestRerun:
 
 
 class TestCorruptCacheCLI:
-    """The counters a quarantine records at load reach the batch report."""
+    """A quarantine at load shows in the batch report's cache stats."""
 
     def test_quarantine_counters_reach_the_report(self, tmp_path):
         from repro.__main__ import main
@@ -360,9 +357,11 @@ class TestCorruptCacheCLI:
         assert os.path.exists(path + ".corrupt")
         report = json.loads(out.read_text(encoding="utf-8"))
         assert [e["cached"] for e in report["results"]].count(False) == 1
-        counters = report["metrics"]["counters"]
-        assert counters["cache.recoveries"] == 1
-        assert counters["cache.corrupt_entries"] == 1
+        assert report["cache"]["corrupt_entries"] == 1
+        assert report["cache"]["recovered_from"] == path + ".corrupt"
+        assert not any(
+            name.startswith("cache.") for name in report["metrics"]["counters"]
+        )
 
 
 

@@ -105,9 +105,7 @@ class TestJsonShapes:
         self.assert_envelope(payload, "internal", False)
         assert payload["error"] == "RuntimeError"
         assert "RuntimeError: surprise" in payload["traceback"]
-        assert "traceback" not in _raise_and_wrap(
-            RuntimeError("x")
-        ).to_dict(include_traceback=False)
+        assert "traceback" not in JobError("no cause").to_dict()
 
 
 class TestClassify:

@@ -9,7 +9,6 @@ from repro.service import pool as pool_module
 from repro.service.budget import Budget, BudgetExceeded
 from repro.service.cache import ResultCache
 from repro.service.jobs import AdviseJob, MeasureJob, parse_jsonl_lenient
-from repro.service.metrics import Metrics
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 
@@ -51,7 +50,7 @@ class TestEveryKindInjects:
             raise exc
 
         monkeypatch.setattr(BatchRunner, "execute", fail)
-        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
+        runner = BatchRunner(pool=WorkerPool(workers=2))
         try:
             return runner.run([AdviseJob(design="R(A,B,C); B->C", id="a")])
         finally:
@@ -136,7 +135,7 @@ class TestChunkRecovery:
 
         def run():
             runner = BatchRunner(
-                pool=WorkerPool(workers=4, retries=2), metrics=Metrics()
+                pool=WorkerPool(workers=4, retries=2)
             )
             try:
                 return runner.run([job])

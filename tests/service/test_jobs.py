@@ -9,7 +9,7 @@ from repro.service.jobs import (
     RPQJob,
     job_from_dict,
     job_key,
-    parse_jsonl,
+    parse_jsonl_lenient,
 )
 
 
@@ -95,33 +95,47 @@ class TestValidation:
             RPQJob(edges=(("a", "b"),), query="l")
 
 
-class TestJsonl:
-    def test_parses_all_kinds_and_skips_comments(self):
-        text = "\n".join(
-            [
-                "# a comment",
-                '{"kind": "advise", "design": "R(A,B,C); B->C"}',
-                "",
-                '{"kind": "measure", "design": "R(A,B); A->B",'
-                ' "rows": [[1,2]], "position": [0, "B"]}',
-                '{"kind": "rpq", "edges": [["a","l","b"]], "query": "l"}',
-            ]
-        )
-        jobs = parse_jsonl(text)
-        assert [job.kind for job in jobs] == ["advise", "measure", "rpq"]
+#: Records whose field has the wrong JSON type, each with a word its
+#: error must name.
+WRONG_TYPES = {
+    "list_edge_endpoint": (
+        '{"kind": "rpq", "edges": [[["a"], "l", "b"]], "query": "l"}',
+        "number nodes",
+    ),
+    "list_source": (
+        '{"kind": "rpq", "edges": [["a", "l", "b"]], "query": "l",'
+        ' "source": ["a"]}',
+        "source",
+    ),
+    "numeric_label": (
+        '{"kind": "rpq", "edges": [["a", 5, "b"]], "query": "l"}',
+        "string label",
+    ),
+    "string_measure": (
+        '{"kind": "advise", "design": "R(A,B,C); B->C", "measure": "no"}',
+        "measure",
+    ),
+    "int_measure": (
+        '{"kind": "advise", "design": "R(A,B,C); B->C", "measure": 1}',
+        "measure",
+    ),
+}
 
-    def test_round_trip_through_to_dict(self):
-        job = MeasureJob(
-            design="R(A,B); A->B",
-            rows=((1, 2),),
-            position=(0, "B"),
-            method="montecarlo",
-            samples=50,
-            seed=3,
-            id="m",
-        )
-        assert job_from_dict(job.to_dict()) == job
 
-    def test_line_numbers_in_errors(self):
-        with pytest.raises(JobSpecError, match="line 2"):
-            parse_jsonl('{"kind": "rpq", "edges": [], "query": "l"}\n{bad')
+class TestFieldTypes:
+    """A JSON value of the wrong type is rejected when its job is built,
+    as a line-numbered ``validation`` error, not met at run time as an
+    ``internal`` one."""
+
+    @pytest.mark.parametrize(
+        "record, word", WRONG_TYPES.values(), ids=list(WRONG_TYPES)
+    )
+    def test_rejected_when_built(self, record, word):
+        good = '{"kind": "rpq", "edges": [["a", "l", "b"]], "query": "l"}'
+        (_, _, ok), (_, job, error) = parse_jsonl_lenient(
+            good + "\n" + record
+        )
+        assert ok is None and job is None
+        assert isinstance(error, JobSpecError) and error.kind == "validation"
+        assert error.details["line"] == 2 and "line 2" in str(error)
+        assert word in str(error)

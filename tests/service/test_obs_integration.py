@@ -6,7 +6,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.service.export import validate_chrome_trace
-from repro.service.metrics import METRICS
 from repro.service.runner import run_batch
 from repro.service.trace import TRACER, tracing
 
@@ -78,15 +77,6 @@ class TestMetricsResetBetweenBatches:
             == second["metrics"]["counters"][MC_WORLDS]
             == 80
         )
-
-    def test_reset_can_be_declined_for_shared_registries(self, tmp_path):
-        path = write_jobs(tmp_path, [MC_JOB])
-        run_batch(path, workers=2)
-        accumulated = run_batch(path, workers=2, reset_metrics=False)
-        assert (
-            accumulated["metrics"]["counters"][MC_WORLDS] == 160
-        )
-        METRICS.reset()
 
 
 class TestTraceTree:

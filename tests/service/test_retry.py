@@ -10,7 +10,7 @@ from repro.core.worlds import DeadlineExceeded
 from repro.service import pool as pool_module
 from repro.service.errors import KINDS, JobError, ValidationError
 from repro.service.jobs import MeasureJob
-from repro.service.metrics import METRICS, RETRIES, Metrics
+from repro.service.metrics import METRICS, RETRIES
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 
@@ -180,17 +180,6 @@ class TestPoolRetryWiring:
         finally:
             pool.shutdown()
 
-    def test_rebuild_leaves_injected_executor_alone(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=1)
-        try:
-            pool = WorkerPool(workers=1, executor=executor)
-            pool.rebuild()
-            assert pool.executor is executor
-        finally:
-            executor.shutdown()
-
     def test_shut_down_executor_is_rebuilt(self):
         pool = WorkerPool(workers=2)
         try:
@@ -339,7 +328,7 @@ class TestWorkerDeath:
             id="m",
         )
         runner = BatchRunner(
-            pool=WorkerPool(workers=2, retries=3), metrics=Metrics()
+            pool=WorkerPool(workers=2, retries=3)
         )
         try:
             report = runner.run([job])

@@ -14,7 +14,7 @@ from repro.service.jobs import (
     RPQJob,
     parse_jsonl_lenient,
 )
-from repro.service.metrics import METRICS, Metrics
+from repro.service.metrics import METRICS
 from repro.service.runner import BatchRunner, format_report, run_batch
 from repro.service.pool import WorkerPool
 
@@ -36,7 +36,7 @@ def write_jobs(tmp_path, lines=THREE_JOBS):
 
 class TestBatchRunner:
     def test_mixed_batch_in_input_order(self):
-        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
+        runner = BatchRunner(pool=WorkerPool(workers=2))
         try:
             report = runner.run(
                 [
@@ -76,7 +76,7 @@ class TestBatchRunner:
                 samples=60,
             ),
         ]
-        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
+        runner = BatchRunner(pool=WorkerPool(workers=2))
         try:
             first = runner.run(jobs)
             second = runner.run(jobs)
@@ -90,7 +90,7 @@ class TestBatchRunner:
         ]
 
     def test_job_errors_do_not_kill_the_batch(self):
-        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
+        runner = BatchRunner(pool=WorkerPool(workers=2))
         try:
             report = runner.run(
                 [
@@ -111,7 +111,6 @@ class TestBatchRunner:
         runner = BatchRunner(
             pool=WorkerPool(workers=2),
             budget=Budget(wall_seconds=0.05),
-            metrics=Metrics(),
         )
         try:
             report = runner.run(
@@ -141,7 +140,6 @@ class TestBatchRunner:
         runner = BatchRunner(
             pool=WorkerPool(workers=2),
             budget=Budget(wall_seconds=0.05),
-            metrics=Metrics(),
         )
         try:
             report = runner.run([AdviseJob(design="R(A,B,C); A->>B")])
@@ -151,6 +149,41 @@ class TestBatchRunner:
         assert entry["ok"] is False
         assert entry["error"]["kind"] == "budget"
         assert entry["error"]["stages"] == [["exact", "timeout"]]
+
+    def test_malformed_query_fails_as_validation(self):
+        runner = BatchRunner(pool=WorkerPool(workers=1))
+        try:
+            report = runner.run(
+                [RPQJob(edges=(("a", "l", "b"),), query="l+(", id="q")]
+            )
+        finally:
+            runner.pool.shutdown()
+        error = report["results"][0]["error"]
+        assert error["kind"] == "validation", error
+        assert "trailing input" in error["message"]
+
+    def test_report_carries_planner_and_pool_counters(self):
+        METRICS.reset()
+        runner = BatchRunner(pool=WorkerPool(workers=2))
+        try:
+            report = runner.run(
+                [
+                    MeasureJob(
+                        design="T(A,B,C); B->C",
+                        rows=((1, 2, 3), (4, 2, 3)),
+                        position=(0, "C"),
+                        method="montecarlo",
+                        samples=20,
+                    )
+                ]
+            )
+        finally:
+            runner.pool.shutdown()
+        counters = report["metrics"]["counters"]
+        assert counters["planner.plans"] == 1
+        assert counters["engine.runs{engine=montecarlo}"] == 1
+        assert counters["pool.mc.shards"] == 2
+        assert counters == METRICS.snapshot()["counters"]
 
 
 MEASURE = (
@@ -237,7 +270,7 @@ class TestFormatReport:
         assert '"fraction": "7/8"' in text and '"ratio": "1/3"' in text
 
     def test_rpq_pairs_stay_on_their_entry_line(self):
-        runner = BatchRunner(pool=WorkerPool(workers=1), metrics=Metrics())
+        runner = BatchRunner(pool=WorkerPool(workers=1))
         try:
             report = runner.run([
                 RPQJob(edges=(("a", "l", "b"), ("b", "l", "c")), query="l+"),
