@@ -95,6 +95,48 @@ class TestValidation:
             RPQJob(edges=(("a", "b"),), query="l")
 
 
+class TestJsonl:
+    def test_parses_all_kinds_and_skips_comments(self):
+        text = "\n".join(
+            [
+                "# a comment",
+                '{"kind": "advise", "design": "R(A,B,C); B->C"}',
+                "",
+                '{"kind": "measure", "design": "R(A,B); A->B",'
+                ' "rows": [[1,2]], "position": [0, "B"]}',
+                '{"kind": "rpq", "edges": [["a","l","b"]], "query": "l"}',
+            ]
+        )
+        records = parse_jsonl_lenient(text)
+        assert [error for _, _, error in records] == [None, None, None]
+        assert [lineno for lineno, _, _ in records] == [2, 4, 5]
+        assert [job.kind for _, job, _ in records] == [
+            "advise",
+            "measure",
+            "rpq",
+        ]
+
+    def test_round_trip_through_to_dict(self):
+        job = MeasureJob(
+            design="R(A,B); A->B",
+            rows=((1, 2),),
+            position=(0, "B"),
+            method="montecarlo",
+            samples=50,
+            seed=3,
+            id="m",
+        )
+        assert job_from_dict(job.to_dict()) == job
+
+    def test_line_numbers_in_errors(self):
+        (_, _, ok), (lineno, job, error) = parse_jsonl_lenient(
+            '{"kind": "rpq", "edges": [], "query": "l"}\n{bad'
+        )
+        assert ok is None and lineno == 2 and job is None
+        assert isinstance(error, JobSpecError)
+        assert "line 2" in str(error)
+
+
 #: Records whose field has the wrong JSON type, each with a word its
 #: error must name.
 WRONG_TYPES = {
